@@ -18,7 +18,14 @@ import numpy as np
 from .basis import build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError
-from .greedy import GreedyConfig, GreedyTrace, f_greedy, lambda_greedy
+from .greedy import (
+    GreedyConfig,
+    GreedyError,
+    GreedyTrace,
+    check_stop_rule,
+    f_greedy,
+    lambda_greedy,
+)
 from .interpolate import (
     Interpolant,
     collocation_matrix,
@@ -48,7 +55,6 @@ class ExperimentConfig:
     max_iter: int | None = None
     grid: int = 400
     out: str = "out"
-    freeze_augmented: bool = False
     seed: int = 0
 
     def validate(self):
@@ -65,10 +71,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"alpha must be positive, got {self.alpha}")
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
-        if self.tau is not None and self.tau < 0.0:
-            raise InvalidInputError(f"tau must be nonnegative, got {self.tau}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be positive, got {self.max_iter}")
+        check_stop_rule(self.tau, self.max_iter)
 
 
 def parse_node_spec(text: str) -> NodeSpec:
@@ -87,7 +90,7 @@ def parse_node_spec(text: str) -> NodeSpec:
 def load_config_file(path: str) -> dict:
     """Read key=value lines; '#' starts a comment; blank lines are ignored."""
     result = {}
-    text = Path(path).read_text()
+    text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,12 +104,22 @@ def load_config_file(path: str) -> dict:
     return result
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+
+
 def _coerce(key: str, value: str):
-    if key in ("alpha", "tau"):
-        return float(value)
-    if key in ("max_iter", "grid", "seed"):
-        return int(value)
-    if key in ("no_stop", "freeze_augmented"):
+    try:
+        if key in ("alpha", "tau"):
+            return float(value)
+        if key in ("max_iter", "grid", "seed"):
+            return int(value)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad value for {key}: {value!r}") from exc
+    if key == "no_stop":
         return value.lower() in ("1", "true", "yes", "on")
     return value
 
@@ -212,14 +225,17 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
 
 def _load_tabulated(path: str, candidates: np.ndarray):
     rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("x,"):
             continue
         parts = line.split(",")
         if len(parts) != 2:
             raise InvalidInputError(f"{path}:{lineno}: expected x,y")
-        rows.append((float(parts[0]), float(parts[1])))
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}:{lineno}: non-numeric x,y") from exc
     if len(rows) != len(candidates):
         raise InvalidInputError(
             f"tabulated function has {len(rows)} rows but there are "
@@ -231,7 +247,8 @@ def _load_tabulated(path: str, candidates: np.ndarray):
     xs, ys = xs[order], ys[order]
     if not np.allclose(xs, candidates, rtol=0.0, atol=1e-12):
         raise InvalidInputError("tabulated abscissas do not match the candidate set")
-    lookup = dict(zip(xs.tolist(), ys.tolist()))
+    # keyed by the candidates: the file's abscissas may differ in the last digits
+    lookup = dict(zip(candidates.tolist(), ys.tolist()))
 
     def f(x):
         xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -257,7 +274,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         result = _dispatch(cfg, out)
         summary.update(result)
         summary["status"] = "ok"
-    except SplineError:
+    except SplineError as exc:
+        if isinstance(exc, GreedyError):
+            write_trace_csv(out / "trace.csv", exc.trace)
+            summary["stop_reason"] = exc.trace.stop_reason
         summary["wall_time_s"] = time.perf_counter() - t0
         _write_summary(out, summary)
         raise
@@ -278,87 +298,68 @@ def _write_summary(out: Path, summary: dict):
 
 def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     candidates = generate(parse_node_spec(cfg.nodes))
-    tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
-                                    else DEFAULT_TAU.get(cfg.algorithm))
-    eval_grid = np.linspace(candidates[0], candidates[-1], cfg.grid)
-
     if cfg.algorithm == "nodes":
         write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
         write_svg_chart(out / "plot_selected.svg", candidates,
                         np.zeros_like(candidates), "generated nodes", scatter=True)
         return {"n_selected": len(candidates)}
 
-    if cfg.algorithm == "lebesgue":
-        basis = build_basis(candidates, ExpSpace(cfg.alpha))
-        phi = collocation_matrix(basis)
-        lu = factorize(phi)
-        lam = lebesgue_function(basis, lu, eval_grid)
-        write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
-        write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
-                  zip(eval_grid.tolist(), lam.tolist()))
-        write_svg_chart(out / "plot_selected.svg", candidates,
-                        np.zeros_like(candidates), "nodes", scatter=True)
-        write_svg_chart(out / "plot_lebesgue.svg", eval_grid, lam, "lebesgue function")
-        dense = phi.to_dense()
-        return {
-            "n_selected": len(candidates),
-            "lebesgue_constant": float(lam.max()),
-            "kappa2": cond2(dense),
-            "sparsity": sparsity(dense),
-        }
+    # selection: a scan keeps every candidate and has no trace or predictor
+    selected, trace, predict = candidates, None, None
+    if cfg.algorithm != "lebesgue":
+        f, values = resolve_function(cfg, candidates)
+        tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
+                                        else DEFAULT_TAU[cfg.algorithm])
+        if cfg.algorithm == "kernel":
+            selected, trace = kernel_f_greedy(candidates, values, tau=tau,
+                                              max_iter=cfg.max_iter)
+            predict = tps_fit(selected, values[np.searchsorted(candidates, selected)])
+        else:
+            greedy_cfg = GreedyConfig(alpha=cfg.alpha, tau=tau, max_iter=cfg.max_iter)
+            if cfg.algorithm == "fgreedy":
+                selected, predict, trace = f_greedy(candidates, values, greedy_cfg)
+            else:
+                selected, trace = lambda_greedy(candidates, greedy_cfg)
 
-    f, values = resolve_function(cfg, candidates)
-    greedy_cfg = GreedyConfig(alpha=cfg.alpha, tau=tau, max_iter=cfg.max_iter,
-                              freeze_augmented=cfg.freeze_augmented)
-
-    if cfg.algorithm == "fgreedy":
-        selected, interp, trace = f_greedy(candidates, values, greedy_cfg)
-        predict = interp
-    elif cfg.algorithm == "lgreedy":
-        selected, trace = lambda_greedy(candidates, greedy_cfg)
-        sel_idx = np.searchsorted(candidates, selected)
-        interp = fit(build_basis(selected, ExpSpace(cfg.alpha)), values[sel_idx])
-        predict = interp
-    else:  # kernel
-        selected, trace = kernel_f_greedy(candidates, values, tau=tau,
-                                          max_iter=cfg.max_iter)
-        sel_idx = np.searchsorted(candidates, selected)
-        predict = tps_fit(selected, values[sel_idx])
-
-    write_trace_csv(out / "trace.csv", trace)
+    # the spline on the selected nodes, for every algorithm (the kernel's too)
+    basis = build_basis(selected, ExpSpace(cfg.alpha))
+    phi = collocation_matrix(basis)
+    lu = factorize(phi)
+    eval_grid = np.linspace(candidates[0], candidates[-1], cfg.grid)
+    lam = lebesgue_function(basis, lu, eval_grid)
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
+    write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
+              zip(eval_grid.tolist(), lam.tolist()))
+    title = "nodes" if trace is None else f"{cfg.algorithm} selected nodes"
+    write_svg_chart(out / "plot_selected.svg", selected, np.zeros_like(selected),
+                    title, scatter=True)
+    write_svg_chart(out / "plot_lebesgue.svg", eval_grid, lam, "lebesgue function")
+    dense = phi.to_dense()
+    summary = {
+        "n_selected": len(selected),
+        "lebesgue_constant": float(lam.max()),
+        "kappa2": cond2(dense),
+        "sparsity": sparsity(dense),
+    }
+    if trace is None:
+        return summary
+
+    if predict is None:
+        predict = fit(basis, values[np.searchsorted(candidates, selected)], lu=lu)
+    write_trace_csv(out / "trace.csv", trace)
     # tabulated targets are only known at the candidate abscissas
     err_grid = candidates if (cfg.fn or "").startswith("tab:") else eval_grid
     abs_err = np.abs(np.asarray(f(err_grid), dtype=float) - predict(err_grid))
     write_csv(out / "error.csv", ["x", "abs_error"],
               zip(err_grid.tolist(), abs_err.tolist()))
-
-    sel_basis = build_basis(selected, ExpSpace(cfg.alpha))
-    sel_phi = collocation_matrix(sel_basis)
-    sel_lu = factorize(sel_phi)
-    lam = lebesgue_function(sel_basis, sel_lu, eval_grid)
-    write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
-              zip(eval_grid.tolist(), lam.tolist()))
-
-    write_svg_chart(out / "plot_selected.svg", selected, np.zeros_like(selected),
-                    f"{cfg.algorithm} selected nodes", scatter=True)
     write_svg_chart(out / "plot_error.svg", err_grid, abs_err, "absolute error")
-    write_svg_chart(out / "plot_lebesgue.svg", eval_grid, lam, "lebesgue function")
     crit = trace.criteria()
     if len(crit):
         write_svg_chart(out / "plot_trace.svg", np.arange(len(crit)), crit,
                         "selection criterion per iteration", logy=True)
-
-    dense = sel_phi.to_dense()
-    final_criterion = trace.steps[-1].criterion
-    return {
-        "n_selected": len(selected),
-        "final_criterion": final_criterion,
-        "stop_reason": trace.stop_reason,
-        "lebesgue_constant": float(lam.max()),
-        "kappa2": cond2(dense),
-        "sparsity": sparsity(dense),
-    }
+    summary["final_criterion"] = trace.steps[-1].criterion
+    summary["stop_reason"] = trace.stop_reason
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,6 @@ def _add_common(sub: argparse.ArgumentParser, with_fn: bool = True):
                      help="cap on the total number of selected nodes")
     sub.add_argument("--grid", type=int, default=None, help="evaluation grid size")
     sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--freeze-augmented", action="store_true", default=None)
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for the random in-space target")
     sub.add_argument("--config", default=None, help="key=value config file")

@@ -1,17 +1,18 @@
 """Greedy node selection for spline interpolation.
 
-Two strategies share one loop skeleton. The residual-based strategy inserts
+One insertion loop serves every model. The residual-based strategy inserts
 the candidate with the largest interpolation residual and therefore adapts to
 one target function; the Lebesgue-based strategy inserts the candidate where
 the Lebesgue function of the current node set is largest and never looks at
-function values, so it yields reusable a-priori node sets.
+function values, so it yields reusable a-priori node sets. The
+thin-plate-spline baseline (``kernel.kernel_f_greedy``) runs the same loop
+with its own fit.
 
 Every iteration rebuilds the basis and refactorizes the collocation matrix
 from scratch; at the intended scales correctness clarity beats incremental
 updates.
 """
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,14 @@ from .interpolate import collocation_matrix, factorize, fit, lebesgue_function
 from .space import ExpSpace
 
 DEFAULT_INIT_RULE = "two-smallest-and-two-largest"
+
+
+def check_stop_rule(tau: float | None, max_iter: int | None):
+    """Range checks of the stop rule shared by every greedy run."""
+    if tau is not None and not (np.isfinite(tau) and tau >= 0.0):
+        raise InvalidInputError(f"tau must be nonnegative, got {tau}")
+    if max_iter is not None and max_iter < 1:
+        raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +55,7 @@ class GreedyConfig:
     freeze_augmented: bool = False
 
     def __post_init__(self):
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau >= 0.0):
-            raise InvalidInputError(f"tau must be nonnegative, got {self.tau}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be positive, got {self.max_iter}")
+        check_stop_rule(self.tau, self.max_iter)
         if self.stagnation_window is not None and self.stagnation_window < 1:
             raise InvalidInputError("stagnation_window must be positive")
         if self.stagnation_rtol <= 0.0:
@@ -81,9 +87,6 @@ class GreedyTrace:
     def criteria(self) -> np.ndarray:
         return np.array([s.criterion for s in self.steps if s.criterion is not None])
 
-    def kappa2_values(self) -> np.ndarray:
-        return np.array([s.kappa2 for s in self.steps])
-
     def sparsity_values(self) -> np.ndarray:
         return np.array([s.sparsity for s in self.steps])
 
@@ -110,8 +113,7 @@ def _validated_candidates(candidates) -> np.ndarray:
     return cand
 
 
-def _initial_indices(m: int, config: GreedyConfig) -> list[int]:
-    rule = config.init_rule
+def _initial_indices(m: int, rule: str | tuple[int, ...]) -> list[int]:
     if isinstance(rule, str):
         if rule != DEFAULT_INIT_RULE:
             raise InvalidInputError(f"unknown init rule {rule!r}")
@@ -128,105 +130,103 @@ def _initial_indices(m: int, config: GreedyConfig) -> list[int]:
     return idx
 
 
-def _stagnated(history: list[float], config: GreedyConfig) -> bool:
-    w = config.stagnation_window
-    if w is None or len(history) < w + 1:
+def _stagnated(history: list[float], window: int | None, rtol: float) -> bool:
+    if window is None or len(history) < window + 1:
         return False
-    tail = history[-(w + 1):]
+    tail = history[-(window + 1):]
     for prev, curr in zip(tail, tail[1:]):
         denom = max(abs(prev), 1e-300)
-        if abs(curr - prev) / denom >= config.stagnation_rtol:
+        if abs(curr - prev) / denom >= rtol:
             return False
     return True
 
 
-def _greedy_loop(candidates, values, config: GreedyConfig, use_residual: bool):
+def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_INIT_RULE,
+                 stagnation_window=None, stagnation_rtol=1e-2):
+    """Insert one candidate per iteration until a stop rule fires.
+
+    ``refit(selected)`` fits the model on the sorted selected candidate
+    indices and returns ``(state, matrix, score)``: ``matrix`` is the dense
+    system whose spectral condition and sparsity go into the trace, and
+    ``score(remaining)`` is the selection criterion at the remaining indices.
+    Ties go to the smallest index. A ``SplineError`` raised by ``refit``
+    becomes a ``GreedyError`` carrying the trace so far.
+
+    Returns
+    -------
+    (selected points, state of the last fit, trace)
+    """
     cand = _validated_candidates(candidates)
     m = len(cand)
-    if use_residual:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (m,):
-            raise InvalidInputError(f"values must match candidates, got shape {values.shape}")
-    if config.max_iter is not None and config.max_iter > m:
-        raise InvalidInputError(f"max_iter {config.max_iter} exceeds candidate count {m}")
-    space = ExpSpace(config.alpha)
-
-    selected = _initial_indices(m, config)
+    if max_iter is not None and max_iter > m:
+        raise InvalidInputError(f"max_iter {max_iter} exceeds candidate count {m}")
     in_selected = np.zeros(m, dtype=bool)
-    in_selected[selected] = True
-
-    frozen_outer = None
-    if config.freeze_augmented:
-        frozen_outer = augment_knots(cand[selected]).extended[[0, 1, -2, -1]]
+    in_selected[_initial_indices(m, init_rule)] = True
 
     trace = GreedyTrace()
     history: list[float] = []
-    interp = None
-    iteration = 0
     while True:
-        knot_x = cand[selected]
+        selected = np.flatnonzero(in_selected)
         try:
-            if frozen_outer is None:
-                knots = augment_knots(knot_x)
-            else:
-                knots = AugmentedKnots(
-                    interior=knot_x,
-                    extended=np.concatenate(
-                        [frozen_outer[:2], knot_x, frozen_outer[2:]]
-                    ),
-                )
-            basis = build_basis(knots, space)
-            phi = collocation_matrix(basis)
-            lu = factorize(phi)
-            if use_residual:
-                interp = fit(basis, values[selected], lu=lu)
+            state, matrix, score = refit(selected)
         except SplineError as exc:
             trace.stop_reason = "error"
-            raise GreedyError(f"iteration {iteration}: {exc}", trace) from exc
-
-        dense = phi.to_dense()
-        kappa2 = cond2(dense)
-        frac_zero = sparsity(dense)
+            raise GreedyError(f"iteration {len(trace.steps)}: {exc}", trace) from exc
+        kappa2 = cond2(matrix)
+        frac_zero = sparsity(matrix)
         n_nodes = len(selected)
         remaining = np.flatnonzero(~in_selected)
 
+        criterion = pick = None
         if len(remaining) == 0:
-            trace.steps.append(GreedyStep(iteration, n_nodes, None, kappa2, frac_zero,
-                                          None, None))
             trace.stop_reason = "exhausted"
-            break
-
-        if use_residual:
-            scores = np.abs(values[remaining] - interp(cand[remaining]))
         else:
-            scores = lebesgue_function(basis, lu, cand[remaining])
-        criterion = float(scores.max())
-        history.append(criterion)
-
-        def terminal(reason: str):
-            trace.steps.append(GreedyStep(iteration, n_nodes, criterion, kappa2,
-                                          frac_zero, None, None))
-            trace.stop_reason = reason
-
-        if config.tau is not None and criterion <= config.tau:
-            terminal("tau")
-            break
-        if config.max_iter is not None and n_nodes >= config.max_iter:
-            terminal("max_iter")
-            break
-        if _stagnated(history, config):
-            terminal("stagnation")
-            break
-
-        # ties resolve to the smallest candidate index (first max)
-        pick = int(remaining[int(np.argmax(scores))])
-        trace.steps.append(GreedyStep(iteration, n_nodes, criterion, kappa2, frac_zero,
-                                      pick, float(cand[pick])))
-        bisect.insort(selected, pick)
+            scores = score(remaining)
+            criterion = float(scores.max())
+            history.append(criterion)
+            if tau is not None and criterion <= tau:
+                trace.stop_reason = "tau"
+            elif max_iter is not None and n_nodes >= max_iter:
+                trace.stop_reason = "max_iter"
+            elif _stagnated(history, stagnation_window, stagnation_rtol):
+                trace.stop_reason = "stagnation"
+            else:
+                # ties resolve to the smallest candidate index (first max)
+                pick = int(remaining[int(np.argmax(scores))])
+        trace.steps.append(GreedyStep(len(trace.steps), n_nodes, criterion, kappa2, frac_zero,
+                                      pick, None if pick is None else float(cand[pick])))
+        if pick is None:
+            return cand[selected], state, trace
         in_selected[pick] = True
-        iteration += 1
 
-    return cand[selected], interp, trace
+
+def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
+    """Run the loop on the spline over the selected candidates.
+
+    ``model(basis, lu, selected) -> (state, score)`` supplies the criterion.
+    With ``freeze_augmented`` the mirrored end knots of the initial set stay
+    in place for every later fit.
+    """
+    space = ExpSpace(config.alpha)
+    frozen = None
+
+    def refit(selected):
+        nonlocal frozen
+        knots = augment_knots(cand[selected])
+        if config.freeze_augmented:
+            frozen = knots.extended if frozen is None else frozen
+            knots = AugmentedKnots(
+                interior=knots.interior,
+                extended=np.concatenate([frozen[:2], knots.interior, frozen[-2:]]),
+            )
+        basis = build_basis(knots, space)
+        phi = collocation_matrix(basis)
+        lu = factorize(phi)
+        state, score = model(basis, lu, selected)
+        return state, phi.to_dense(), score
+
+    return _greedy_loop(cand, refit, config.tau, config.max_iter, config.init_rule,
+                        config.stagnation_window, config.stagnation_rtol)
 
 
 def f_greedy(candidates, values, config: GreedyConfig):
@@ -247,7 +247,16 @@ def f_greedy(candidates, values, config: GreedyConfig):
         trace. On stop reason "tau" the residual over all remaining
         candidates is at most ``config.tau``.
     """
-    return _greedy_loop(candidates, values, config, use_residual=True)
+    cand = np.asarray(candidates, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.shape != cand.shape:
+        raise InvalidInputError(f"values must match candidates, got shape {values.shape}")
+
+    def residual(basis, lu, selected):
+        interp = fit(basis, values[selected], lu=lu)
+        return interp, lambda rest: np.abs(values[rest] - interp(cand[rest]))
+
+    return _spline_loop(cand, config, residual)
 
 
 def lambda_greedy(candidates, config: GreedyConfig):
@@ -261,5 +270,10 @@ def lambda_greedy(candidates, config: GreedyConfig):
     -------
     (selected, trace)
     """
-    selected, _, trace = _greedy_loop(candidates, None, config, use_residual=False)
+    cand = np.asarray(candidates, dtype=float)
+
+    def lebesgue(basis, lu, selected):
+        return None, lambda rest: lebesgue_function(basis, lu, cand[rest])
+
+    selected, _, trace = _spline_loop(cand, config, lebesgue)
     return selected, trace

@@ -5,14 +5,12 @@ positive definite kernel of order 2 with a linear polynomial tail, fitted
 through the usual symmetric saddle-point system.
 """
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SingularSystemError
-from .greedy import GreedyStep, GreedyTrace
+from .greedy import _greedy_loop, check_stop_rule
 
 __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
 
@@ -81,10 +79,12 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
                     max_iter: int | None = None):
     """Residual-based greedy selection with the kernel model.
 
-    Same loop contract as the spline residual greedy: initial set of the two
-    smallest and two largest candidates, ties resolved to the smallest
-    candidate index, ``max_iter`` capping the total selected count. The trace
-    records the condition and sparsity of the saddle matrix.
+    Runs the loop of the spline greedies (``greedy._greedy_loop``) with its
+    default initial set of the two smallest and two largest candidates, ties
+    resolved to the smallest candidate index, ``max_iter`` capping the total
+    selected count, and a ``GreedyError`` carrying the partial trace on a
+    numerical failure. The trace records the condition and sparsity of the
+    saddle matrix.
 
     Returns
     -------
@@ -92,52 +92,14 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
     """
     cand = np.asarray(candidates, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if cand.ndim != 1 or len(cand) < 4:
-        raise InvalidInputError("need at least 4 sorted candidates")
-    if np.any(np.diff(cand) <= 0.0):
-        raise InvalidInputError("candidates must be sorted, strictly increasing and distinct")
     if vals.shape != cand.shape:
         raise InvalidInputError("values must match candidates")
-    if tau is not None and tau < 0.0:
-        raise InvalidInputError(f"tau must be nonnegative, got {tau}")
-    m = len(cand)
-    if max_iter is not None and not 1 <= max_iter <= m:
-        raise InvalidInputError(f"max_iter must be in [1, {m}], got {max_iter}")
+    check_stop_rule(tau, max_iter)
 
-    selected = [0, 1, m - 2, m - 1]
-    in_selected = np.zeros(m, dtype=bool)
-    in_selected[selected] = True
-    trace = GreedyTrace()
-    iteration = 0
-    while True:
+    def refit(selected):
         x = cand[selected]
         model = tps_fit(x, vals[selected])
-        saddle = _saddle_matrix(x)
-        kappa2 = cond2(saddle)
-        frac_zero = sparsity(saddle)
-        n_nodes = len(selected)
-        remaining = np.flatnonzero(~in_selected)
-        if len(remaining) == 0:
-            trace.steps.append(GreedyStep(iteration, n_nodes, None, kappa2, frac_zero,
-                                          None, None))
-            trace.stop_reason = "exhausted"
-            break
-        scores = np.abs(vals[remaining] - model(cand[remaining]))
-        criterion = float(scores.max())
-        if tau is not None and criterion <= tau:
-            trace.steps.append(GreedyStep(iteration, n_nodes, criterion, kappa2,
-                                          frac_zero, None, None))
-            trace.stop_reason = "tau"
-            break
-        if max_iter is not None and n_nodes >= max_iter:
-            trace.steps.append(GreedyStep(iteration, n_nodes, criterion, kappa2,
-                                          frac_zero, None, None))
-            trace.stop_reason = "max_iter"
-            break
-        pick = int(remaining[int(np.argmax(scores))])
-        trace.steps.append(GreedyStep(iteration, n_nodes, criterion, kappa2, frac_zero,
-                                      pick, float(cand[pick])))
-        bisect.insort(selected, pick)
-        in_selected[pick] = True
-        iteration += 1
-    return cand[selected], trace
+        return model, _saddle_matrix(x), lambda rest: np.abs(vals[rest] - model(cand[rest]))
+
+    selected, _, trace = _greedy_loop(cand, refit, tau, max_iter)
+    return selected, trace

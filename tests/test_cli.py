@@ -124,13 +124,15 @@ class TestRunExperiment:
 
     def test_tabulated_target(self, tmp_path):
         xs = np.linspace(-1, 1, 40)
-        table = tmp_path / "data.csv"
-        table.write_text("x,y\n" + "\n".join(f"{x},{x * x}" for x in xs))
-        out = tmp_path / "tab"
-        cfg = ExperimentConfig(algorithm="fgreedy", fn=f"tab:{table}",
-                               nodes="equispaced:40", tau=1e-4, out=str(out))
-        summary = run_experiment(cfg)
-        assert summary["status"] == "ok"
+        # abscissas written in full or with 15 significant digits both match
+        for digits in ("", ".15g"):
+            table = tmp_path / f"data{digits}.csv"
+            table.write_text("x,y\n" + "\n".join(f"{x:{digits}},{x * x}" for x in xs))
+            out = tmp_path / f"tab{digits}"
+            cfg = ExperimentConfig(algorithm="fgreedy", fn=f"tab:{table}",
+                                   nodes="equispaced:40", tau=1e-4, out=str(out))
+            summary = run_experiment(cfg)
+            assert summary["status"] == "ok"
 
     def test_tabulated_mismatch_rejected(self, tmp_path):
         table = tmp_path / "data.csv"
@@ -178,6 +180,49 @@ class TestExitCodes:
         assert code == 2
         summary = read_summary(out)
         assert summary["status"] == "FAILED"
+
+    @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "config_value",
+                                      "config_missing"])
+    def test_bad_input_file_is_one(self, tmp_path, case):
+        table = tmp_path / "data.csv"
+        table.write_text("x,y\n" + "\n".join(f"{x},{x}" for x in range(-4, 4))
+                         + "\n4,four\n")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("grid = many\n")
+        missing = str(tmp_path / "missing")
+        extra = {
+            "tab_cell": ["--fn", f"tab:{table}"],
+            "tab_missing": ["--fn", f"tab:{missing}"],
+            "config_value": ["--config", str(cfgfile)],
+            "config_missing": ["--config", missing],
+        }[case]
+        assert main(["fgreedy", "--nodes", "equispaced:9",
+                     "--out", str(tmp_path / "bad"), *extra]) == 1
+
+    def test_greedy_failure_writes_partial_trace(self, tmp_path, monkeypatch):
+        import epspline.greedy as greedy_mod
+        from epspline import SingularSystemError
+
+        real_factorize = greedy_mod.factorize
+        calls = {"n": 0}
+
+        def flaky(matrix):
+            calls["n"] += 1
+            if calls["n"] > 3:
+                raise SingularSystemError("synthetic failure")
+            return real_factorize(matrix)
+
+        monkeypatch.setattr(greedy_mod, "factorize", flaky)
+        out = tmp_path / "partial"
+        code = main(["lgreedy", "--nodes", "equispaced:40", "--no-stop",
+                     "--max-iter", "30", "--out", str(out)])
+        assert code == 2
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "iter,selected_x,criterion,kappa2,sparsity"
+        assert [row.split(",")[0] for row in trace[1:]] == ["0", "1", "2"]
+        summary = read_summary(out)
+        assert summary["status"] == "FAILED"
+        assert summary["stop_reason"] == "error"
 
     def test_success_is_zero(self, tmp_path):
         assert main(["nodes", "--nodes", "equispaced:5",

@@ -147,23 +147,34 @@ class TestLambdaGreedy:
 
 
 class TestFailureMidLoop:
-    def test_error_carries_partial_trace(self, monkeypatch):
+    @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy", "kernel_f_greedy"])
+    def test_error_carries_partial_trace(self, monkeypatch, model):
         import epspline.greedy as greedy_mod
-        from epspline import GreedyError, SingularSystemError
+        import epspline.kernel as kernel_mod
+        from epspline import GreedyError, SingularSystemError, kernel_f_greedy
 
-        real_factorize = greedy_mod.factorize
+        # the splines factorize a collocation matrix per fit, the kernel calls tps_fit
+        module, name = ((kernel_mod, "tps_fit") if model == "kernel_f_greedy"
+                        else (greedy_mod, "factorize"))
+        real = getattr(module, name)
         calls = {"n": 0}
 
-        def flaky(matrix):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise SingularSystemError("synthetic failure")
-            return real_factorize(matrix)
+            return real(*args)
 
-        monkeypatch.setattr(greedy_mod, "factorize", flaky)
+        monkeypatch.setattr(module, name, flaky)
         cand = np.linspace(-1, 1, 40)
+        vals = np.sin(9 * cand)
+        run = {
+            "f_greedy": lambda: f_greedy(cand, vals, cfg(max_iter=30)),
+            "lambda_greedy": lambda: lambda_greedy(cand, cfg(max_iter=30)),
+            "kernel_f_greedy": lambda: kernel_f_greedy(cand, vals, max_iter=30),
+        }[model]
         with pytest.raises(GreedyError) as err:
-            lambda_greedy(cand, cfg(max_iter=30))
+            run()
         assert len(err.value.trace.steps) == 3
         assert err.value.trace.stop_reason == "error"
 

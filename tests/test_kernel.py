@@ -87,3 +87,16 @@ class TestKernelGreedy:
         _, trace = kernel_f_greedy(cand, np.exp(cand), max_iter=20)
         picks = trace.selected_indices()
         assert len(picks) == len(set(picks)) == 16
+
+    def test_non_finite_candidates_rejected(self):
+        cand = np.linspace(-1, 1, 20)
+        cand[7] = np.nan
+        with pytest.raises(InvalidInputError):
+            kernel_f_greedy(cand, np.zeros(20), max_iter=10)
+
+    @pytest.mark.parametrize("stops", [dict(tau=-1.0), dict(tau=np.inf), dict(max_iter=0),
+                                       dict(max_iter=21)])
+    def test_stop_rule_checked(self, stops):
+        cand = np.linspace(-1, 1, 20)
+        with pytest.raises(InvalidInputError):
+            kernel_f_greedy(cand, np.zeros(20), **stops)
