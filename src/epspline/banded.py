@@ -1,9 +1,12 @@
-"""Banded matrix storage and LU factorization with partial pivoting.
+"""Tridiagonal matrix storage and LU factorization with partial pivoting.
 
-Storage follows the LAPACK general-band convention: entry ``(i, j)`` of the
-full matrix lives at ``bands[ku + i - j, j]`` for ``|i - j|`` within the
-bandwidths. Factorization and solves are delegated to the LAPACK ``gbtrf`` /
-``gbtrs`` pair, which performs banded LU with partial pivoting.
+The collocation matrix of the centre-normalized basis is tridiagonal, so three
+diagonals are stored, in the LAPACK general-band layout with ``kl = ku = 1``:
+entry ``(i, j)`` of the full matrix lives at ``bands[1 + i - j, j]``.
+Factorization and solves are delegated to the LAPACK ``gbtrf`` / ``gbtrs``
+pair, which performs banded LU with partial pivoting. The tridiagonal pair
+``gttrf`` / ``gttrs`` is not used: scipy's ``dgttrf`` wrapper rejects n <= 2,
+and two-node sets are legal input.
 """
 
 import numpy as np
@@ -14,68 +17,36 @@ from .errors import InvalidInputError, SingularSystemError
 # A pivot below this multiple of the matrix norm counts as singular.
 PIVOT_RTOL = 1e-14
 
+# lower and upper bandwidths of a tridiagonal matrix
+KL = KU = 1
+
 
 class BandedMatrix:
-    """Square banded matrix with lower/upper bandwidths ``kl`` and ``ku``."""
+    """Square tridiagonal matrix.
 
-    def __init__(self, n: int, kl: int = 2, ku: int = 2):
-        if n < 1 or kl < 0 or ku < 0:
-            raise InvalidInputError(f"bad banded shape n={n}, kl={kl}, ku={ku}")
+    ``bands[0, 1:]`` holds the superdiagonal, ``bands[1]`` the diagonal and
+    ``bands[2, :-1]`` the subdiagonal; ``bands[0, 0]`` and ``bands[2, -1]``
+    lie outside the matrix and stay unused.
+    """
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise InvalidInputError(f"bad tridiagonal size n={n}")
         self.n = n
-        self.kl = kl
-        self.ku = ku
-        self.bands = np.zeros((kl + ku + 1, n))
-
-    def __setitem__(self, ij, value):
-        i, j = ij
-        if abs(i - j) > max(self.kl, self.ku):
-            raise InvalidInputError(f"entry ({i}, {j}) outside the band")
-        self.bands[self.ku + i - j, j] = value
-
-    def __getitem__(self, ij):
-        i, j = ij
-        d = j - i
-        if -self.kl <= d <= self.ku:
-            return self.bands[self.ku + i - j, j]
-        return 0.0
-
-    @classmethod
-    def from_dense(cls, a, kl: int = 2, ku: int = 2) -> "BandedMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-        out = cls(a.shape[0], kl, ku)
-        n = out.n
-        for d in range(-kl, ku + 1):
-            diag = np.diagonal(a, offset=d)
-            cols = np.arange(max(d, 0), max(d, 0) + len(diag))
-            out.bands[ku - d, cols] = diag
-        return out
+        self.bands = np.zeros((KL + KU + 1, n))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for d in range(-self.kl, self.ku + 1):
-            m = self.n - abs(d)
-            rows = np.arange(m) - min(d, 0)
-            a[rows, rows + d] = self.bands[self.ku - d, rows + d]
+        upper, diag, lower = self.bands
+        a = np.diag(diag)
+        a.flat[1::self.n + 1] = upper[1:]
+        a.flat[self.n::self.n + 1] = lower[:-1]
         return a
-
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.zeros(self.n)
-        for d in range(-self.kl, self.ku + 1):
-            m = self.n - abs(d)
-            rows = np.arange(m) - min(d, 0)
-            y[rows] += self.bands[self.ku - d, rows + d] * x[rows + d]
-        return y
 
     def norm_inf(self) -> float:
         """Maximum absolute row sum."""
-        sums = np.zeros(self.n)
-        for d in range(-self.kl, self.ku + 1):
-            m = self.n - abs(d)
-            rows = np.arange(m) - min(d, 0)
-            sums[rows] += np.abs(self.bands[self.ku - d, rows + d])
+        upper, sums, lower = np.abs(self.bands)
+        sums[:-1] += upper[1:]
+        sums[1:] += lower[:-1]
         return float(sums.max())
 
 
@@ -83,11 +54,11 @@ class BandedLU:
     """LU factorization of a BandedMatrix, reusable for many solves."""
 
     def __init__(self, matrix: BandedMatrix):
-        kl, ku, n = matrix.kl, matrix.ku, matrix.n
-        # gbtrf needs kl extra superdiagonal rows for pivoting fill-in
-        ab = np.zeros((2 * kl + ku + 1, n))
-        ab[kl:, :] = matrix.bands
-        lu, ipiv, info = lapack.dgbtrf(ab, kl, ku)
+        n = matrix.n
+        # gbtrf needs KL extra superdiagonal rows for pivoting fill-in
+        ab = np.zeros((2 * KL + KU + 1, n))
+        ab[KL:, :] = matrix.bands
+        lu, ipiv, info = lapack.dgbtrf(ab, KL, KU)
         if info < 0:
             raise ValueError(f"illegal argument {-info} passed to dgbtrf")
         if info > 0:
@@ -95,15 +66,13 @@ class BandedLU:
                 f"collocation matrix is exactly singular (zero pivot at {info - 1})"
             )
         pivot_floor = PIVOT_RTOL * matrix.norm_inf()
-        diag_u = np.abs(lu[kl + ku, :])
+        diag_u = np.abs(lu[KL + KU, :])
         if diag_u.min() < pivot_floor:
             raise SingularSystemError(
                 f"collocation matrix is singular to working precision "
                 f"(pivot {diag_u.min():.3g} below {pivot_floor:.3g})"
             )
         self.n = n
-        self.kl = kl
-        self.ku = ku
         self._lu = lu
         self._ipiv = ipiv
 
@@ -112,7 +81,7 @@ class BandedLU:
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise InvalidInputError(f"rhs has leading dimension {b.shape[0]}, expected {self.n}")
-        x, info = lapack.dgbtrs(self._lu, self.kl, self.ku, b, self._ipiv,
+        x, info = lapack.dgbtrs(self._lu, KL, KU, b, self._ipiv,
                                 trans=1 if transpose else 0)
         if info != 0:
             raise ValueError(f"dgbtrs failed with info={info}")

@@ -117,10 +117,11 @@ def _coerce(key: str, value: str):
             return float(value)
         if key in ("max_iter", "grid", "seed"):
             return int(value)
-    except ValueError as exc:
+        if key == "no_stop":
+            return {"1": True, "true": True, "yes": True, "on": True,
+                    "0": False, "false": False, "no": False, "off": False}[value.lower()]
+    except (KeyError, ValueError) as exc:
         raise InvalidInputError(f"bad value for {key}: {value!r}") from exc
-    if key == "no_stop":
-        return value.lower() in ("1", "true", "yes", "on")
     return value
 
 

@@ -2,8 +2,12 @@
 
 The collocation matrix holds the basis values at the interior knots. With the
 unit-center normalization it has unit diagonal, and compact support makes it
-banded: values vanish beyond one off-diagonal, but bandwidth 2 is stored and
-the outer band is asserted small in the test-suite rather than assumed.
+tridiagonal: at knot ``i`` only functions ``i - 1``, ``i`` and ``i + 1`` are
+nonzero. The fourth function evaluated there, ``i + 2`` (``i - 2`` at the
+last knot), sits at an end of its support and vanishes in exact arithmetic.
+Assembly stores the three diagonals and checks that every dropped value is at
+most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
+silently.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,11 @@ import numpy as np
 
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
-from .errors import DomainError, InvalidInputError
+from .errors import BasisConstructionError, DomainError, InvalidInputError
+
+# A basis value outside the three diagonals above this multiple of the
+# collocation matrix norm means the basis does not vanish at its support ends.
+OUTER_BAND_RTOL = 1e-10
 
 __all__ = [
     "BandedMatrix",
@@ -28,14 +36,28 @@ __all__ = [
 
 
 def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
-    """Banded matrix of basis-function values at the interior knots."""
+    """Tridiagonal matrix of basis-function values at the interior knots.
+
+    Raises
+    ------
+    BasisConstructionError
+        If a basis value outside the three diagonals exceeds
+        ``OUTER_BAND_RTOL`` times the infinity norm of the matrix.
+    """
     n = basis.n
-    mat = BandedMatrix(n, kl=2, ku=2)
+    mat = BandedMatrix(n)
     values, indices = basis.active_values(basis.knots.interior)
-    rows = np.repeat(np.arange(n), 4)
-    cols = indices.ravel()
-    keep = (cols >= 0) & (cols < n) & (np.abs(rows - cols) <= 2)
-    mat.bands[mat.ku + rows[keep] - cols[keep], cols[keep]] = values.ravel()[keep]
+    offset = indices - np.arange(n)[:, None]
+    keep = (indices >= 0) & (indices < n) & (np.abs(offset) <= 1)
+    mat.bands[1 - offset[keep], indices[keep]] = values[keep]
+    outer = np.abs(np.where(keep, 0.0, values))  # slots with no function hold 0
+    limit = OUTER_BAND_RTOL * mat.norm_inf()
+    if outer.max() > limit:
+        i, s = np.unravel_index(np.argmax(outer), outer.shape)
+        raise BasisConstructionError(
+            f"collocation row {i}: basis function {indices[i, s]} has value "
+            f"{values[i, s]:.3g} outside the tridiagonal band (limit {limit:.3g})"
+        )
     return mat
 
 

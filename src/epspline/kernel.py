@@ -65,14 +65,18 @@ def tps_fit(x, y) -> KernelInterpolant:
         raise InvalidInputError("x and y must have matching shapes")
     if np.any(np.diff(x) <= 0.0):
         raise InvalidInputError("points must be sorted, strictly increasing and distinct")
+    return _solve_saddle(x, y)[0]
+
+
+def _solve_saddle(x: np.ndarray, y: np.ndarray) -> tuple[KernelInterpolant, np.ndarray]:
+    """Fit on checked sorted centres; also return the saddle matrix solved."""
     a = _saddle_matrix(x)
     rhs = np.concatenate([y, [0.0, 0.0]])
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular kernel saddle system: {exc}") from exc
-    n = len(x)
-    return KernelInterpolant(centers=x, weights=sol[:n], tail=sol[n:])
+    return KernelInterpolant(centers=x, weights=sol[:-2], tail=sol[-2:]), a
 
 
 def kernel_f_greedy(candidates, values, tau: float | None = None,
@@ -97,9 +101,9 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
     check_stop_rule(tau, max_iter)
 
     def refit(selected):
-        x = cand[selected]
-        model = tps_fit(x, vals[selected])
-        return model, _saddle_matrix(x), lambda rest: np.abs(vals[rest] - model(cand[rest]))
+        # the loop hands over sorted indices into validated candidates
+        model, a = _solve_saddle(cand[selected], vals[selected])
+        return model, a, lambda rest: np.abs(vals[rest] - model(cand[rest]))
 
     selected, _, trace = _greedy_loop(cand, refit, tau, max_iter)
     return selected, trace

@@ -4,87 +4,87 @@ import pytest
 from epspline import BandedMatrix, InvalidInputError, SingularSystemError, factorize
 
 
-def random_banded(n, kl=2, ku=2, seed=0):
+def random_tridiagonal(n, seed=0):
+    """A diagonally dominant tridiagonal matrix and its dense oracle, built apart."""
     rng = np.random.default_rng(seed)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j in range(max(0, i - kl), min(n, i + ku + 1)):
-            dense[i, j] = rng.normal()
-    dense += 4.0 * np.eye(n)
-    return dense
+    upper, diag, lower = rng.normal(size=n - 1), rng.normal(size=n) + 4.0, rng.normal(size=n - 1)
+    mat = BandedMatrix(n)
+    mat.bands[0, 1:] = upper
+    mat.bands[1] = diag
+    mat.bands[2, :-1] = lower
+    dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    return mat, dense
 
 
-def test_from_dense_roundtrip():
-    dense = random_banded(9)
-    mat = BandedMatrix.from_dense(dense)
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_to_dense_layout(n):
+    mat, dense = random_tridiagonal(n, seed=n)
     assert np.array_equal(mat.to_dense(), dense)
 
 
-def test_getitem_setitem():
-    mat = BandedMatrix(5)
-    mat[1, 2] = 3.5
-    assert mat[1, 2] == 3.5
-    assert mat[0, 4] == 0.0  # structurally zero
-    with pytest.raises(InvalidInputError):
-        mat[0, 4] = 1.0
-
-
-def test_matvec_matches_dense():
-    dense = random_banded(12, seed=3)
-    mat = BandedMatrix.from_dense(dense)
-    x = np.random.default_rng(4).normal(size=12)
-    assert np.allclose(mat.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
-
-
 def test_norm_inf_matches_dense():
-    dense = random_banded(10, seed=5)
-    mat = BandedMatrix.from_dense(dense)
+    mat, dense = random_tridiagonal(10, seed=5)
     assert mat.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [3, 8, 25, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 25, 50])
 def test_solve_matches_dense_solve(n):
-    dense = random_banded(n, seed=n)
-    lu = factorize(BandedMatrix.from_dense(dense))
+    mat, dense = random_tridiagonal(n, seed=n)
+    lu = factorize(mat)
     rng = np.random.default_rng(n + 1)
     b = rng.normal(size=n)
     assert np.allclose(lu.solve(b), np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
 
 def test_transpose_solve_matches_dense():
-    dense = random_banded(20, seed=9)
-    lu = factorize(BandedMatrix.from_dense(dense))
+    mat, dense = random_tridiagonal(20, seed=9)
+    lu = factorize(mat)
     b = np.random.default_rng(10).normal(size=20)
     assert np.allclose(lu.solve(b, transpose=True), np.linalg.solve(dense.T, b),
                        rtol=1e-10, atol=1e-12)
 
 
 def test_multiple_rhs():
-    dense = random_banded(15, seed=11)
-    lu = factorize(BandedMatrix.from_dense(dense))
+    mat, dense = random_tridiagonal(15, seed=11)
+    lu = factorize(mat)
     b = np.random.default_rng(12).normal(size=(15, 4))
     assert np.allclose(lu.solve(b), np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
 
 
-def test_singular_matrix_rejected():
-    dense = random_banded(6, seed=13)
-    dense[3, :] = 0.0
+@pytest.mark.parametrize("n", [1, 2])
+def test_smallest_orders(n):
+    mat, dense = random_tridiagonal(n, seed=20 + n)
+    assert mat.norm_inf() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
+    lu = factorize(mat)
+    b = np.random.default_rng(n).normal(size=(n, 3))
+    assert np.allclose(lu.solve(b), np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+    assert np.allclose(lu.solve(b[:, 0], transpose=True), np.linalg.solve(dense.T, b[:, 0]),
+                       rtol=1e-10, atol=1e-12)
+    mat.bands[:, n - 1] = 0.0  # zero last column
     with pytest.raises(SingularSystemError):
-        factorize(BandedMatrix.from_dense(dense))
+        factorize(mat)
+
+
+def test_singular_matrix_rejected():
+    mat, _ = random_tridiagonal(6, seed=13)
+    mat.bands[2, 2] = mat.bands[1, 3] = mat.bands[0, 4] = 0.0  # zero row 3
+    with pytest.raises(SingularSystemError):
+        factorize(mat)
 
 
 def test_dependent_rows_rejected():
-    dense = random_banded(6, seed=14)
-    dense[2, :] = 0.0
-    dense[3, :] = 0.0
-    shared = np.random.default_rng(15).normal(size=3)
-    dense[2, 1:4] = shared  # rows 2 and 3 identical on their common band support
-    dense[3, 1:4] = shared
-    with pytest.raises(SingularSystemError):
-        factorize(BandedMatrix.from_dense(dense))
+    # rows 2 and 3 agree up to a few rounding units and are decoupled from the
+    # other rows: no pivot is exactly zero, but one falls below the floor
+    mat, _ = random_tridiagonal(6, seed=14)
+    a, b = np.random.default_rng(15).normal(size=2)
+    mat.bands[:, 2] = [0.0, a, a]  # (1, 2), (2, 2), (3, 2)
+    mat.bands[:, 3] = [b, b * (1 + 4 * np.finfo(float).eps), 0.0]  # (2, 3), (3, 3), (4, 3)
+    mat.bands[2, 1] = mat.bands[0, 4] = 0.0  # (2, 1), (3, 4)
+    with pytest.raises(SingularSystemError, match="working precision"):
+        factorize(mat)
 
 
 def test_rhs_size_checked():
-    lu = factorize(BandedMatrix.from_dense(random_banded(5)))
+    lu = factorize(random_tridiagonal(5)[0])
     with pytest.raises(InvalidInputError):
         lu.solve(np.ones(6))

@@ -182,22 +182,36 @@ class TestExitCodes:
         assert summary["status"] == "FAILED"
 
     @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "config_value",
-                                      "config_missing"])
+                                      "config_missing", "config_bool"])
     def test_bad_input_file_is_one(self, tmp_path, case):
         table = tmp_path / "data.csv"
         table.write_text("x,y\n" + "\n".join(f"{x},{x}" for x in range(-4, 4))
                          + "\n4,four\n")
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("grid = many\n")
+        boolfile = tmp_path / "bool.cfg"
+        boolfile.write_text("no_stop = ture\n")
         missing = str(tmp_path / "missing")
         extra = {
             "tab_cell": ["--fn", f"tab:{table}"],
             "tab_missing": ["--fn", f"tab:{missing}"],
             "config_value": ["--config", str(cfgfile)],
             "config_missing": ["--config", missing],
+            "config_bool": ["--config", str(boolfile)],
         }[case]
         assert main(["fgreedy", "--nodes", "equispaced:9",
                      "--out", str(tmp_path / "bad"), *extra]) == 1
+
+    @pytest.mark.parametrize("value,expect", [("1", True), ("TRUE", True), ("Yes", True),
+                                              ("on", True), ("0", False), ("False", False),
+                                              ("NO", False), ("off", False)])
+    def test_config_bool_spellings(self, tmp_path, value, expect):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"no_stop = {value}\nmax_iter = 6\n")
+        out = tmp_path / "run"
+        assert main(["lgreedy", "--nodes", "equispaced:8", "--config", str(cfgfile),
+                     "--out", str(out)]) == 0
+        assert read_summary(out)["config"]["no_stop"] is expect
 
     def test_greedy_failure_writes_partial_trace(self, tmp_path, monkeypatch):
         import epspline.greedy as greedy_mod

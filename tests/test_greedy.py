@@ -153,8 +153,9 @@ class TestFailureMidLoop:
         import epspline.kernel as kernel_mod
         from epspline import GreedyError, SingularSystemError, kernel_f_greedy
 
-        # the splines factorize a collocation matrix per fit, the kernel calls tps_fit
-        module, name = ((kernel_mod, "tps_fit") if model == "kernel_f_greedy"
+        # the splines factorize a collocation matrix per fit, the kernel solves
+        # its saddle system
+        module, name = ((kernel_mod, "_solve_saddle") if model == "kernel_f_greedy"
                         else (greedy_mod, "factorize"))
         real = getattr(module, name)
         calls = {"n": 0}

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epspline import (
+    BasisConstructionError,
     DomainError,
     ExpSpace,
     InvalidInputError,
@@ -13,13 +18,23 @@ from epspline import (
     lebesgue_constant,
     lebesgue_function,
 )
+from epspline.interpolate import OUTER_BAND_RTOL
 from epspline.nodes import chebyshev_lobatto, halton
+from epspline.space import segment_basis_eval
 
 
 def dense_collocation(basis):
-    """Brute-force oracle: evaluate every basis function at every knot."""
-    x = basis.knots.interior
-    return np.column_stack([basis.evaluate(j, x) for j in range(basis.n)])
+    """Brute-force oracle: evaluate every basis function at every knot.
+
+    The last knot is the right end of ``[a, b]``. ``basis.evaluate`` takes it
+    from the support interval to its right, outside ``[a, b]``; the oracle
+    takes it from the interval to its left, as the interpolant does.
+    """
+    n = basis.n
+    out = np.column_stack([basis.evaluate(j, basis.knots.interior) for j in range(n)])
+    for j in range(max(n - 3, 0), n):
+        out[-1, j] = basis.segment_value(j, n - j, 1.0)  # interval ending at the last knot
+    return out
 
 
 class TestCollocationMatrix:
@@ -27,13 +42,13 @@ class TestCollocationMatrix:
         dense = colloc8.to_dense()
         assert np.allclose(np.diag(dense), 1.0, atol=1e-12)
 
-    def test_outer_band_negligible(self, colloc8):
-        dense = colloc8.to_dense()
-        n = dense.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) >= 2:
-                    assert abs(dense[i, j]) <= 1e-12
+    def test_perturbed_basis_rejected(self, basis8):
+        # basis function 3 no longer vanishes at the left end of its support,
+        # which is the interior knot of row 1
+        coef = basis8.coef.copy()
+        coef[3, 0] += 1e-6
+        with pytest.raises(BasisConstructionError, match="row 1:"):
+            collocation_matrix(dataclasses.replace(basis8, coef=coef))
 
     def test_matches_dense_oracle(self, basis8, colloc8):
         assert np.allclose(colloc8.to_dense(), dense_collocation(basis8),
@@ -43,6 +58,30 @@ class TestCollocationMatrix:
         basis = build_basis(np.array([0.0, 0.3, 0.35, 1.0, 2.2, 2.5]), space2)
         assert np.allclose(collocation_matrix(basis).to_dense(),
                            dense_collocation(basis), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:alpha")  # alpha * h may round just past 30
+    @settings(deadline=None)
+    @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
+           log_alpha_h=st.floats(-3.0, np.log10(30.0)))
+    def test_matches_oracle_across_gap_ratios(self, log_gaps, log_alpha_h):
+        gaps = 10.0 ** np.array(log_gaps)
+        space = ExpSpace(10.0 ** log_alpha_h / gaps.max())
+        try:
+            basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]), space)
+        except BasisConstructionError:
+            basis = None
+        assume(basis is not None)
+        mat = collocation_matrix(basis)
+        # both sides take the last row from cancelling segment terms at tau = 1,
+        # summed in another order: allow twice the rounding bound of a 4-term sum
+        n = basis.n
+        z = basis.space.alpha * np.diff(basis.knots.extended)[n]
+        g = np.abs(segment_basis_eval(z, 1.0))
+        rounding = np.zeros((n, n))
+        for j in range(max(n - 3, 0), n):
+            rounding[-1, j] = 8 * np.finfo(float).eps * g @ np.abs(basis.coef[j, n - j])
+        gap = np.abs(mat.to_dense() - dense_collocation(basis))
+        assert np.all(gap <= OUTER_BAND_RTOL * mat.norm_inf() + rounding)
 
 
 class TestFit:

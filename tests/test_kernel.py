@@ -88,6 +88,17 @@ class TestKernelGreedy:
         picks = trace.selected_indices()
         assert len(picks) == len(set(picks)) == 16
 
+    def test_one_saddle_matrix_per_iteration(self, monkeypatch):
+        import epspline.kernel as kernel_mod
+
+        real = kernel_mod._saddle_matrix
+        calls = []
+        monkeypatch.setattr(kernel_mod, "_saddle_matrix",
+                            lambda x: calls.append(len(x)) or real(x))
+        cand = np.linspace(-1, 1, 40)
+        _, trace = kernel_f_greedy(cand, np.sin(3 * cand), max_iter=12)
+        assert calls == [s.n_nodes for s in trace.steps]
+
     def test_non_finite_candidates_rejected(self):
         cand = np.linspace(-1, 1, 20)
         cand[7] = np.nan
