@@ -153,7 +153,7 @@ class GBSplineBasis:
         return values, indices
 
 
-def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
+def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
     """Construct the basis by solving one 16x16 local system per function.
 
     Parameters
@@ -161,6 +161,12 @@ def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
     knots : AugmentedKnots or array_like
         Augmented knots, or raw interior knots (augmented automatically).
     space : ExpSpace
+    prior : GBSplineBasis, optional
+        A basis built earlier, typically on the same knots before one
+        insertion. A function whose five support knots and ``alpha`` equal
+        those of one of ``prior``'s functions has the same local system, so
+        its coefficients are copied; only the other functions are solved.
+        The result is bitwise equal to a build without ``prior``.
 
     Returns
     -------
@@ -172,7 +178,8 @@ def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
         If ``alpha`` times the longest knot interval exceeds the overflow
         limit. A warning is emitted already past the stability threshold.
     BasisConstructionError
-        If any local system is singular or has condition number above 1e12.
+        If any local system is singular, not finite, or has condition number
+        above 1e12. The message names the function's index in the basis.
 
     Notes
     -----
@@ -200,14 +207,27 @@ def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
             stacklevel=2,
         )
 
-    sup = np.lib.stride_tricks.sliding_window_view(E, 5)[:n]  # (n, 5) support knots
-    h = np.diff(sup, axis=1)  # (n, 4) interval lengths
+    windows = np.lib.stride_tricks.sliding_window_view
+    sup = windows(E, 5)[:n]  # (n, 5) support knots
+    coef = np.empty((n, 4, 4))
+    todo = np.arange(n)  # functions whose local system is solved below
+    if prior is not None and prior.space == space:
+        old = windows(prior.knots.extended, 5)[:prior.n]
+        pos = np.minimum(np.searchsorted(old[:, 0], sup[:, 0]), prior.n - 1)
+        same = np.all(old[pos] == sup, axis=1)
+        coef[same] = prior.coef[pos[same]]
+        todo = np.flatnonzero(~same)
+
+    k = len(todo)
+    h = np.diff(sup[todo], axis=1)  # (k, 4) interval lengths
     z = space.alpha * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = {(tau, d): segment_basis_eval(z, tau, d) for tau in (0.0, 1.0) for d in range(3)}
 
     def beta(s, tau, d):
-        return segment_basis_eval(z[:, s], tau, d)  # (n, 4)
+        return seg[tau, d][:, s]  # (k, 4)
 
-    A = np.zeros((n, 16, 16))
+    A = np.zeros((k, 16, 16))
     for d in range(3):
         # vanishing value/derivatives at both support ends
         # (chain factors 1/h^d absorbed into the row scaling)
@@ -226,25 +246,26 @@ def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
     # unit value at the central support knot (left end of the third interval)
     A[:, 15, 8:12] = beta(2, 0.0, 0)
 
-    rhs = np.zeros((n, 16, 1))
+    rhs = np.zeros((k, 16, 1))
     rhs[:, 15, 0] = 1.0
-    row_scale = np.abs(A).max(axis=2, keepdims=True)
-    if not np.all(row_scale > 0.0):
-        raise BasisConstructionError("degenerate local system row")
-    A /= row_scale
-    rhs /= row_scale
-
-    conds = np.linalg.cond(A)
-    bad = np.flatnonzero(~(conds <= LOCAL_SYSTEM_COND_LIMIT))
-    if len(bad):
-        j = int(bad[0])
-        raise BasisConstructionError(
-            f"local system for basis function {j} is numerically rank-deficient "
-            f"(condition estimate {conds[j]:.3g})"
-        )
+    # a zero or overflowed row leaves a non-finite system, ranked as singular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_scale = np.abs(A).max(axis=2, keepdims=True)
+        A /= row_scale
+        rhs /= row_scale
+    finite = np.all(np.isfinite(A), axis=(1, 2))
+    conds = np.full(k, np.inf)
     try:
-        sol = np.linalg.solve(A, rhs)
+        conds[finite] = np.linalg.cond(A[finite])
+        bad = np.flatnonzero(~(conds <= LOCAL_SYSTEM_COND_LIMIT))
+        if len(bad):
+            raise BasisConstructionError(
+                f"local system for basis function {todo[bad[0]]} is numerically "
+                f"rank-deficient (condition estimate {conds[bad[0]]:.3g})"
+            )
+        coef[todo] = np.linalg.solve(A, rhs)[:, :, 0].reshape(k, 4, 4)
     except np.linalg.LinAlgError as exc:
-        raise BasisConstructionError(f"singular local basis system: {exc}") from exc
-    coef = sol[:, :, 0].reshape(n, 4, 4)
+        raise BasisConstructionError(
+            f"singular local system among basis functions {todo[0]}..{todo[-1]}: {exc}"
+        ) from exc
     return GBSplineBasis(knots=knots, space=space, coef=coef)

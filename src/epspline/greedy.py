@@ -8,9 +8,12 @@ function values, so it yields reusable a-priori node sets. The
 thin-plate-spline baseline (``kernel.kernel_f_greedy``) runs the same loop
 with its own fit.
 
-Every iteration rebuilds the basis and refactorizes the collocation matrix
-from scratch; at the intended scales correctness clarity beats incremental
-updates.
+An insertion changes only the basis functions whose support knots it moves:
+the five whose support contains the new knot, and the end functions when it
+moves a mirrored end gap. Each spline refit therefore passes the previous
+basis to ``build_basis``, which copies every other function bit for bit and
+solves only those. The collocation matrix is still assembled and factorized
+from scratch every iteration.
 """
 
 from dataclasses import dataclass, field
@@ -150,7 +153,8 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_I
     system whose spectral condition and sparsity go into the trace, and
     ``score(remaining)`` is the selection criterion at the remaining indices.
     Ties go to the smallest index. A ``SplineError`` raised by ``refit``
-    becomes a ``GreedyError`` carrying the trace so far.
+    becomes a ``GreedyError`` carrying the trace so far; its message names the
+    iteration, the knot inserted just before it and the check that tripped.
 
     Returns
     -------
@@ -171,7 +175,10 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_I
             state, matrix, score = refit(selected)
         except SplineError as exc:
             trace.stop_reason = "error"
-            raise GreedyError(f"iteration {len(trace.steps)}: {exc}", trace) from exc
+            where = f"iteration {len(trace.steps)}"
+            if trace.steps:
+                where += f", after inserting x = {trace.steps[-1].selected_x!r}"
+            raise GreedyError(f"{where}: {exc}", trace) from exc
         kappa2 = cond2(matrix)
         frac_zero = sparsity(matrix)
         n_nodes = len(selected)
@@ -205,13 +212,14 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
 
     ``model(basis, lu, selected) -> (state, score)`` supplies the criterion.
     With ``freeze_augmented`` the mirrored end knots of the initial set stay
-    in place for every later fit.
+    in place for every later fit. Each basis is built with the previous one as
+    ``prior``, so only the functions an insertion changed are solved again.
     """
     space = ExpSpace(config.alpha)
-    frozen = None
+    frozen = prior = None
 
     def refit(selected):
-        nonlocal frozen
+        nonlocal frozen, prior
         knots = augment_knots(cand[selected])
         if config.freeze_augmented:
             frozen = knots.extended if frozen is None else frozen
@@ -219,7 +227,7 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
                 interior=knots.interior,
                 extended=np.concatenate([frozen[:2], knots.interior, frozen[-2:]]),
             )
-        basis = build_basis(knots, space)
+        basis = prior = build_basis(knots, space, prior=prior)
         phi = collocation_matrix(basis)
         lu = factorize(phi)
         state, score = model(basis, lu, selected)

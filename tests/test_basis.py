@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import epspline.basis as basis_mod
 from epspline import (
     BasisConstructionError,
     DomainError,
@@ -9,6 +12,7 @@ from epspline import (
     augment_knots,
     build_basis,
 )
+from epspline.space import segment_basis_eval
 
 
 class TestAugmentKnots:
@@ -144,8 +148,6 @@ class TestEvaluate:
 
 def test_construction_error_names_index(monkeypatch, space2):
     # force a rank-deficient local system by zeroing the assembled matrix
-    import epspline.basis as basis_mod
-
     real_cond = np.linalg.cond
 
     def fake_cond(a):
@@ -158,3 +160,80 @@ def test_construction_error_names_index(monkeypatch, space2):
     monkeypatch.setattr(basis_mod.np.linalg, "cond", fake_cond)
     with pytest.raises(BasisConstructionError, match="2"):
         build_basis(np.linspace(0, 1, 6), space2)
+
+
+@pytest.mark.filterwarnings("ignore:alpha")  # past the stability threshold of 30
+@pytest.mark.parametrize("alpha_h", [695.0, 699.0, 700.0])
+def test_overflowing_local_system_is_construction_error(alpha_h):
+    # near the overflow limit the derivative rows overflow or the system loses
+    # all rank; either way it is a construction error naming the function,
+    # never a LinAlgError from the condition estimate
+    with pytest.raises(BasisConstructionError, match="basis function 0 "):
+        build_basis(np.arange(11.0), ExpSpace(alpha_h))
+
+
+def _insert(knots, x):
+    return np.insert(knots, np.searchsorted(knots, x), x)
+
+
+class TestPriorReuse:
+    def test_interior_insertion_solves_five_functions(self, monkeypatch, space2):
+        points = []
+
+        def counting(z, tau, deriv_order=0):
+            points.append(np.broadcast(np.asarray(z), np.asarray(tau)).size)
+            return segment_basis_eval(z, tau, deriv_order)
+
+        prior = build_basis(np.linspace(-1.0, 1.0, 50), space2)
+        knots = _insert(prior.knots.interior, 0.01)
+        monkeypatch.setattr(basis_mod, "segment_basis_eval", counting)
+        scratch = build_basis(knots, space2)
+        per_function = sum(points) / scratch.n
+        points.clear()
+        reused = build_basis(knots, space2, prior=prior)
+        assert sum(points) <= 5 * per_function
+        assert np.array_equal(reused.coef, scratch.coef)
+
+    def test_prior_in_another_space_is_ignored(self, space2):
+        knots = np.linspace(-1.0, 1.0, 12)
+        prior = build_basis(knots, ExpSpace(3.0))
+        assert np.array_equal(build_basis(knots, space2, prior=prior).coef,
+                              build_basis(knots, space2).coef)
+
+    def test_error_names_index_in_full_basis(self, space2):
+        # gap 7 at alpha = 2 is beyond the local conditioning ceiling; the
+        # prior splits it, so only the functions around the gap are re-solved
+        knots = np.concatenate([np.linspace(0.0, 2.0, 11), [9.0, 9.2, 9.4, 9.6]])
+        prior = build_basis(_insert(knots, 5.5), space2)
+        with pytest.raises(BasisConstructionError) as scratch:
+            build_basis(knots, space2)
+        with pytest.raises(BasisConstructionError) as reused:
+            build_basis(knots, space2, prior=prior)
+        assert "basis function 0 " not in str(scratch.value)
+        assert str(reused.value) == str(scratch.value)
+
+    @pytest.mark.filterwarnings("ignore:alpha")  # alpha * h may round just past 30
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=8),
+        alpha_h=st.floats(1e-3, 30.0),
+        inserts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    )
+    def test_bitwise_equal_to_scratch_build(self, gaps, alpha_h, inserts):
+        knots = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(gaps))])
+        space = ExpSpace(alpha_h / np.max(np.diff(knots)))
+        prior = None
+        for u in inserts:
+            x = knots[0] + u * (knots[-1] - knots[0])
+            if np.isin(x, knots):
+                continue
+            knots = _insert(knots, x)
+            try:
+                scratch = build_basis(knots, space)
+            except BasisConstructionError:
+                with pytest.raises(BasisConstructionError):
+                    build_basis(knots, space, prior=prior)
+                continue
+            reused = build_basis(knots, space, prior=prior)
+            assert np.array_equal(reused.coef, scratch.coef)
+            prior = reused

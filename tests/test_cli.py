@@ -181,6 +181,18 @@ class TestExitCodes:
         summary = read_summary(out)
         assert summary["status"] == "FAILED"
 
+    def test_overflowing_local_system_is_two(self, tmp_path, capsys):
+        # alpha * h = 698.7: under the overflow limit, but the local systems
+        # overflow; that is a numerical failure, not a traceback
+        out = tmp_path / "overflow"
+        with pytest.warns(UserWarning):
+            code = main(["lgreedy", "--nodes", "equispaced:4", "--alpha", "1048",
+                         "--out", str(out)])
+        assert code == 2
+        assert "numerical failure: iteration 0: local system for basis function 0" \
+            in capsys.readouterr().err
+        assert read_summary(out)["status"] == "FAILED"
+
     @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "config_value",
                                       "config_missing", "config_bool"])
     def test_bad_input_file_is_one(self, tmp_path, case):

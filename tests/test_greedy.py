@@ -11,6 +11,7 @@ from epspline import (
     lambda_greedy,
 )
 from epspline.interpolate import Interpolant
+from epspline.nodes import chebyshev_lobatto, equispaced, halton
 
 
 def cfg(**kw):
@@ -146,6 +147,39 @@ class TestLambdaGreedy:
         assert trace.stop_reason == "exhausted"
 
 
+class TestBasisReuse:
+    """The loop reuses the previous basis; the from-scratch build is the oracle."""
+
+    @staticmethod
+    def from_scratch(monkeypatch):
+        import epspline.greedy as greedy_mod
+
+        real = greedy_mod.build_basis
+        monkeypatch.setattr(greedy_mod, "build_basis",
+                            lambda knots, space, prior=None: real(knots, space))
+
+    @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton])
+    def test_lambda_saturation_unchanged(self, monkeypatch, family):
+        cand = family(64)
+        reused = lambda_greedy(cand, cfg(tau=0.0))
+        self.from_scratch(monkeypatch)
+        scratch = lambda_greedy(cand, cfg(tau=0.0))
+        assert reused[1].stop_reason == "exhausted"
+        assert reused[1].steps == scratch[1].steps
+
+    @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton])
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_moving_end_gaps_unchanged(self, monkeypatch, family, freeze):
+        # from the two end points alone, early insertions move the mirrored
+        # end gaps, so the end functions change too
+        cand = family(48)
+        f = np.arctan(9 * cand)
+        config = cfg(max_iter=24, init_rule=(0, 47), freeze_augmented=freeze)
+        runs = [lambda_greedy(cand, config)[1], f_greedy(cand, f, config)[2]]
+        self.from_scratch(monkeypatch)
+        assert runs == [lambda_greedy(cand, config)[1], f_greedy(cand, f, config)[2]]
+
+
 class TestFailureMidLoop:
     @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy", "kernel_f_greedy"])
     def test_error_carries_partial_trace(self, monkeypatch, model):
@@ -178,6 +212,9 @@ class TestFailureMidLoop:
             run()
         assert len(err.value.trace.steps) == 3
         assert err.value.trace.stop_reason == "error"
+        last_x = err.value.trace.steps[-1].selected_x
+        assert f"iteration 3, after inserting x = {last_x!r}: synthetic failure" \
+            in str(err.value)
 
     def test_too_few_candidates_for_default_init(self):
         with pytest.raises(InvalidInputError):
