@@ -14,10 +14,8 @@ from .banded import BandedLU, BandedMatrix, factorize
 from .basis import AugmentedKnots, GBSplineBasis, augment_knots, build_basis
 from .diagnostics import (
     BoundCheck,
-    DiagnosticsReport,
     check_error_bound,
     cond2,
-    matrix_report,
     minimax_proxy,
     skeel_condition,
     sparsity,
@@ -57,7 +55,6 @@ __all__ = [
     "BandedMatrix",
     "BasisConstructionError",
     "BoundCheck",
-    "DiagnosticsReport",
     "DomainError",
     "ExpSpace",
     "GBSplineBasis",
@@ -88,7 +85,6 @@ __all__ = [
     "lambda_greedy",
     "lebesgue_constant",
     "lebesgue_function",
-    "matrix_report",
     "minimax_proxy",
     "raw_basis_eval",
     "skeel_condition",

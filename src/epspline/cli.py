@@ -67,11 +67,15 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"fn must be one of {known_fn} or tab:PATH, got {self.fn!r}"
             )
-        if self.alpha <= 0.0:
-            raise InvalidInputError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
+            raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
         check_stop_rule(self.tau, self.max_iter)
+
+
+# keys a config file or a flag may set; the subcommand names the algorithm
+CONFIG_KEYS = tuple(k for k in ExperimentConfig.__dataclass_fields__ if k != "algorithm")
 
 
 def parse_node_spec(text: str) -> NodeSpec:
@@ -98,10 +102,17 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ExperimentConfig.__dataclass_fields__:
+        if key not in CONFIG_KEYS:
             raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
         result[key] = value
     return result
+
+
+def _make_dir(path: Path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _read_text(path: str) -> str:
@@ -214,9 +225,7 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
         basis = build_basis(candidates, ExpSpace(cfg.alpha))
         rng = np.random.default_rng(cfg.seed)
         coef = rng.standard_normal(basis.n)
-        proto = Interpolant(basis=basis, coefficients=coef, data=np.zeros(basis.n))
-        f = Interpolant(basis=basis, coefficients=coef,
-                        data=proto(basis.knots.interior))
+        f = Interpolant(basis=basis, coefficients=coef)
     elif name.startswith("tab:"):
         return _load_tabulated(name[4:], candidates)
     else:
@@ -237,6 +246,8 @@ def _load_tabulated(path: str, candidates: np.ndarray):
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{lineno}: non-numeric x,y") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise InvalidInputError(f"{path}:{lineno}: non-finite x,y")
     if len(rows) != len(candidates):
         raise InvalidInputError(
             f"tabulated function has {len(rows)} rows but there are "
@@ -269,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     t0 = time.perf_counter()
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": _config_dict(cfg)}
     try:
         result = _dispatch(cfg, out)
@@ -399,7 +410,7 @@ def reproduce_all(out_root: str | None = None) -> dict:
     if out_root is None:
         out_root = time.strftime("eps-experiments-%Y%m%d-%H%M%S")
     root = Path(out_root)
-    root.mkdir(parents=True, exist_ok=True)
+    _make_dir(root)
     manifest = {}
     for name, overrides in REPRODUCE_RUNS:
         overrides = dict(overrides)
@@ -460,9 +471,7 @@ def _merge_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             base[key] = _coerce(key, value)
-    for key in ExperimentConfig.__dataclass_fields__:
-        if key == "algorithm":
-            continue
+    for key in CONFIG_KEYS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             base[key] = cli_val

@@ -62,24 +62,6 @@ def sparsity(matrix) -> float:
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
-    kappa2: float
-    skeel: float
-    sparsity: float
-    lebesgue_constant: float | None = None
-
-
-def matrix_report(matrix, lebesgue_constant: float | None = None) -> DiagnosticsReport:
-    a = _as_dense(matrix)
-    return DiagnosticsReport(
-        kappa2=cond2(a),
-        skeel=skeel_condition(a),
-        sparsity=sparsity(a),
-        lebesgue_constant=lebesgue_constant,
-    )
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     """Outcome of the pointwise error-bound verification.
 

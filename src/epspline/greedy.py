@@ -9,24 +9,21 @@ thin-plate-spline baseline (``kernel.kernel_f_greedy``) runs the same loop
 with its own fit.
 
 An insertion changes only the basis functions whose support knots it moves:
-the five whose support contains the new knot, and the end functions when it
-moves a mirrored end gap. Each spline refit therefore passes the previous
-basis to ``build_basis``, which copies every other function bit for bit and
-solves only those. The collocation matrix is still assembled and factorized
-from scratch every iteration.
+the five whose support contains the new knot. Each spline refit therefore
+passes the previous basis to ``build_basis``, which copies every other
+function bit for bit and solves only those. The collocation matrix is still
+assembled and factorized from scratch every iteration.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import AugmentedKnots, augment_knots, build_basis
+from .basis import augment_knots, build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError
 from .interpolate import collocation_matrix, factorize, fit, lebesgue_function
 from .space import ExpSpace
-
-DEFAULT_INIT_RULE = "two-smallest-and-two-largest"
 
 
 def check_stop_rule(tau: float | None, max_iter: int | None):
@@ -41,28 +38,18 @@ def check_stop_rule(tau: float | None, max_iter: int | None):
 class GreedyConfig:
     """Knobs shared by both selection strategies.
 
+    Selection starts from the two smallest and the two largest candidates.
     ``tau`` absent means run until ``max_iter`` nodes are selected or the
     candidates are exhausted. ``max_iter`` caps the total size of the
-    selected set. The optional stagnation rule stops once the criterion's
-    relative change stays below ``stagnation_rtol`` for ``stagnation_window``
-    consecutive iterations. ``freeze_augmented`` keeps the boundary knots
-    computed from the initial set instead of re-mirroring each iteration.
+    selected set.
     """
 
     alpha: float
     tau: float | None = None
     max_iter: int | None = None
-    init_rule: str | tuple[int, ...] = DEFAULT_INIT_RULE
-    stagnation_window: int | None = None
-    stagnation_rtol: float = 1e-2
-    freeze_augmented: bool = False
 
     def __post_init__(self):
         check_stop_rule(self.tau, self.max_iter)
-        if self.stagnation_window is not None and self.stagnation_window < 1:
-            raise InvalidInputError("stagnation_window must be positive")
-        if self.stagnation_rtol <= 0.0:
-            raise InvalidInputError("stagnation_rtol must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,8 +94,9 @@ class GreedyError(SplineError):
 
 def _validated_candidates(candidates) -> np.ndarray:
     cand = np.asarray(candidates, dtype=float)
-    if cand.ndim != 1 or len(cand) < 2:
-        raise InvalidInputError(f"need a 1-d candidate vector of length >= 2, got {cand.shape}")
+    if cand.ndim != 1 or len(cand) < 4:
+        # the initial set takes the two smallest and the two largest
+        raise InvalidInputError(f"need a 1-d candidate vector of length >= 4, got {cand.shape}")
     if not np.all(np.isfinite(cand)):
         raise InvalidInputError("candidates must be finite")
     if np.any(np.diff(cand) <= 0.0):
@@ -116,42 +104,24 @@ def _validated_candidates(candidates) -> np.ndarray:
     return cand
 
 
-def _initial_indices(m: int, rule: str | tuple[int, ...]) -> list[int]:
-    if isinstance(rule, str):
-        if rule != DEFAULT_INIT_RULE:
-            raise InvalidInputError(f"unknown init rule {rule!r}")
-        if m < 4:
-            raise InvalidInputError("default init rule needs at least 4 candidates")
-        return [0, 1, m - 2, m - 1]
-    idx = sorted(set(int(i) for i in rule))
-    if len(idx) < 2:
-        raise InvalidInputError("explicit initial set needs at least 2 indices")
-    if idx[0] != 0 or idx[-1] != m - 1:
-        raise InvalidInputError("initial set must contain the smallest and largest candidate")
-    if any(i < 0 or i >= m for i in idx):
-        raise InvalidInputError("initial index out of range")
-    return idx
+def _validated_values(values, cand: np.ndarray) -> np.ndarray:
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != cand.shape:
+        raise InvalidInputError(f"values must match candidates, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError("values must be finite")
+    return vals
 
 
-def _stagnated(history: list[float], window: int | None, rtol: float) -> bool:
-    if window is None or len(history) < window + 1:
-        return False
-    tail = history[-(window + 1):]
-    for prev, curr in zip(tail, tail[1:]):
-        denom = max(abs(prev), 1e-300)
-        if abs(curr - prev) / denom >= rtol:
-            return False
-    return True
-
-
-def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_INIT_RULE,
-                 stagnation_window=None, stagnation_rtol=1e-2):
+def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     """Insert one candidate per iteration until a stop rule fires.
 
-    ``refit(selected)`` fits the model on the sorted selected candidate
-    indices and returns ``(state, matrix, score)``: ``matrix`` is the dense
-    system whose spectral condition and sparsity go into the trace, and
-    ``score(remaining)`` is the selection criterion at the remaining indices.
+    The initial set is the two smallest and the two largest candidates,
+    indices ``[0, 1, m - 2, m - 1]``. ``refit(selected)`` fits the model on
+    the sorted selected candidate indices and returns ``(state, matrix,
+    score)``: ``matrix`` is the dense system whose spectral condition and
+    sparsity go into the trace, and ``score(remaining)`` is the selection
+    criterion at the remaining indices.
     Ties go to the smallest index. A ``SplineError`` raised by ``refit``
     becomes a ``GreedyError`` carrying the trace so far; its message names the
     iteration, the knot inserted just before it and the check that tripped.
@@ -165,10 +135,9 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_I
     if max_iter is not None and max_iter > m:
         raise InvalidInputError(f"max_iter {max_iter} exceeds candidate count {m}")
     in_selected = np.zeros(m, dtype=bool)
-    in_selected[_initial_indices(m, init_rule)] = True
+    in_selected[[0, 1, m - 2, m - 1]] = True
 
     trace = GreedyTrace()
-    history: list[float] = []
     while True:
         selected = np.flatnonzero(in_selected)
         try:
@@ -190,13 +159,10 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None, init_rule=DEFAULT_I
         else:
             scores = score(remaining)
             criterion = float(scores.max())
-            history.append(criterion)
             if tau is not None and criterion <= tau:
                 trace.stop_reason = "tau"
             elif max_iter is not None and n_nodes >= max_iter:
                 trace.stop_reason = "max_iter"
-            elif _stagnated(history, stagnation_window, stagnation_rtol):
-                trace.stop_reason = "stagnation"
             else:
                 # ties resolve to the smallest candidate index (first max)
                 pick = int(remaining[int(np.argmax(scores))])
@@ -211,30 +177,21 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
     """Run the loop on the spline over the selected candidates.
 
     ``model(basis, lu, selected) -> (state, score)`` supplies the criterion.
-    With ``freeze_augmented`` the mirrored end knots of the initial set stay
-    in place for every later fit. Each basis is built with the previous one as
-    ``prior``, so only the functions an insertion changed are solved again.
+    Each basis is built with the previous one as ``prior``, so only the
+    functions an insertion changed are solved again.
     """
     space = ExpSpace(config.alpha)
-    frozen = prior = None
+    prior = None
 
     def refit(selected):
-        nonlocal frozen, prior
-        knots = augment_knots(cand[selected])
-        if config.freeze_augmented:
-            frozen = knots.extended if frozen is None else frozen
-            knots = AugmentedKnots(
-                interior=knots.interior,
-                extended=np.concatenate([frozen[:2], knots.interior, frozen[-2:]]),
-            )
-        basis = prior = build_basis(knots, space, prior=prior)
+        nonlocal prior
+        basis = prior = build_basis(augment_knots(cand[selected]), space, prior=prior)
         phi = collocation_matrix(basis)
         lu = factorize(phi)
         state, score = model(basis, lu, selected)
         return state, phi.to_dense(), score
 
-    return _greedy_loop(cand, refit, config.tau, config.max_iter, config.init_rule,
-                        config.stagnation_window, config.stagnation_rtol)
+    return _greedy_loop(cand, refit, config.tau, config.max_iter)
 
 
 def f_greedy(candidates, values, config: GreedyConfig):
@@ -245,7 +202,7 @@ def f_greedy(candidates, values, config: GreedyConfig):
     candidates : array_like
         Sorted distinct candidate points containing their own min and max.
     values : array_like
-        Target function values matching ``candidates``.
+        Finite target function values matching ``candidates``.
     config : GreedyConfig
 
     Returns
@@ -256,9 +213,7 @@ def f_greedy(candidates, values, config: GreedyConfig):
         candidates is at most ``config.tau``.
     """
     cand = np.asarray(candidates, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.shape != cand.shape:
-        raise InvalidInputError(f"values must match candidates, got shape {values.shape}")
+    values = _validated_values(values, cand)
 
     def residual(basis, lu, selected):
         interp = fit(basis, values[selected], lu=lu)

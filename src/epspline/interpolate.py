@@ -83,7 +83,6 @@ class Interpolant:
 
     basis: GBSplineBasis
     coefficients: np.ndarray
-    data: np.ndarray
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]`` using at most 4 local basis terms."""
@@ -98,30 +97,25 @@ class Interpolant:
         return out if np.ndim(x) else float(out[0])
 
 
-def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None, dense: bool = False) -> Interpolant:
+def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
     """Solve the collocation system for the coefficients interpolating ``y``.
 
     Parameters
     ----------
     basis : GBSplineBasis
     y : array_like
-        Data values at the interior knots, length ``n``.
+        Finite data values at the interior knots, length ``n``.
     lu : BandedLU, optional
         Reuse an existing factorization of the collocation matrix.
-    dense : bool
-        Solve against the dense collocation matrix instead (diagnostic
-        fallback for moderate n).
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (basis.n,):
         raise InvalidInputError(f"expected {basis.n} data values, got shape {y.shape}")
-    if dense:
-        coef = np.linalg.solve(collocation_matrix(basis).to_dense(), y)
-    else:
-        if lu is None:
-            lu = factorize(collocation_matrix(basis))
-        coef = lu.solve(y)
-    return Interpolant(basis=basis, coefficients=coef, data=y)
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError("data values must be finite")
+    if lu is None:
+        lu = factorize(collocation_matrix(basis))
+    return Interpolant(basis=basis, coefficients=lu.solve(y))
 
 
 def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
-from .greedy import _greedy_loop, check_stop_rule
+from .greedy import _greedy_loop, _validated_values, check_stop_rule
 
 __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
 
@@ -84,7 +84,7 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
     """Residual-based greedy selection with the kernel model.
 
     Runs the loop of the spline greedies (``greedy._greedy_loop``) with its
-    default initial set of the two smallest and two largest candidates, ties
+    initial set of the two smallest and two largest candidates, ties
     resolved to the smallest candidate index, ``max_iter`` capping the total
     selected count, and a ``GreedyError`` carrying the partial trace on a
     numerical failure. The trace records the condition and sparsity of the
@@ -95,9 +95,7 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
     (selected, trace)
     """
     cand = np.asarray(candidates, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != cand.shape:
-        raise InvalidInputError("values must match candidates")
+    vals = _validated_values(values, cand)
     check_stop_rule(tau, max_iter)
 
     def refit(selected):

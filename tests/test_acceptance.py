@@ -70,7 +70,7 @@ def test_criterion_02_in_space_reproduction():
     worst = 0.0
     for _ in range(20):
         coef = rng.normal(size=basis.n)
-        target = Interpolant(basis=basis, coefficients=coef, data=np.zeros(basis.n))
+        target = Interpolant(basis=basis, coefficients=coef)
         interp = fit(basis, target(basis.knots.interior))
         scale = max(1.0, float(np.abs(target(xs)).max()))
         worst = max(worst, float(np.abs(interp(xs) - target(xs)).max()) / scale)
@@ -85,7 +85,7 @@ def test_criterion_03_oracle_equivalence():
         basis = build_basis(equispaced(n), ExpSpace(ALPHA))
         y = rng.normal(size=n)
         banded = fit(basis, y).coefficients
-        dense = fit(basis, y, dense=True).coefficients
+        dense = np.linalg.solve(collocation_matrix(basis).to_dense(), y)
         worst_fit = max(worst_fit, float(np.abs(banded - dense).max()))
     basis = build_basis(equispaced(12), ExpSpace(ALPHA))
     y = rng.normal(size=12)
@@ -225,7 +225,7 @@ def test_criterion_10_error_bound():
     basis = build_basis(equispaced(20), ExpSpace(ALPHA))
     rng = np.random.default_rng(42)
     coef = rng.normal(size=20)
-    target = Interpolant(basis=basis, coefficients=coef, data=np.zeros(20))
+    target = Interpolant(basis=basis, coefficients=coef)
     interp = fit(basis, target(basis.knots.interior))
     rep = check_error_bound(target, interp, grid)
     ok &= rep.holds

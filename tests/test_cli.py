@@ -10,6 +10,7 @@ from epspline.cli import (
     parse_node_spec,
     run_experiment,
 )
+from epspline.nodes import equispaced
 
 GREEDY_FILES = {
     "trace.csv", "selected.csv", "error.csv", "lebesgue.csv",
@@ -167,10 +168,16 @@ class TestRunExperiment:
 
 
 class TestExitCodes:
-    def test_invalid_input_is_one(self):
+    def test_invalid_input_is_one(self, tmp_path):
         assert main(["lgreedy", "--alpha", "-1"]) == 1
         assert main(["lgreedy", "--grid", "1"]) == 1
         assert main(["fgreedy", "--fn", "nope"]) == 1
+        # NaN would be written into summary.json, which is then not JSON
+        assert main(["nodes", "--nodes", "equispaced:5", "--alpha", "nan",
+                     "--out", str(tmp_path / "nan")]) == 1
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["reproduce-all", "--out", str(afile)]) == 1
 
     def test_numerical_failure_is_two(self, tmp_path):
         # alpha * longest interval above the overflow limit
@@ -193,23 +200,33 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert read_summary(out)["status"] == "FAILED"
 
-    @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "config_value",
-                                      "config_missing", "config_bool"])
+    @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "tab_nan", "config_value",
+                                      "config_missing", "config_bool", "config_algorithm",
+                                      "out_is_file"])
     def test_bad_input_file_is_one(self, tmp_path, case):
         table = tmp_path / "data.csv"
         table.write_text("x,y\n" + "\n".join(f"{x},{x}" for x in range(-4, 4))
                          + "\n4,four\n")
+        # matching abscissas, one value not finite
+        nantable = tmp_path / "nan.csv"
+        nantable.write_text("x,y\n" + "\n".join(
+            f"{x},{'nan' if i == 4 else x}" for i, x in enumerate(equispaced(9))))
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("grid = many\n")
         boolfile = tmp_path / "bool.cfg"
         boolfile.write_text("no_stop = ture\n")
+        algofile = tmp_path / "algo.cfg"
+        algofile.write_text("algorithm = lgreedy\n")
         missing = str(tmp_path / "missing")
         extra = {
             "tab_cell": ["--fn", f"tab:{table}"],
             "tab_missing": ["--fn", f"tab:{missing}"],
+            "tab_nan": ["--fn", f"tab:{nantable}"],
             "config_value": ["--config", str(cfgfile)],
             "config_missing": ["--config", missing],
             "config_bool": ["--config", str(boolfile)],
+            "config_algorithm": ["--config", str(algofile)],
+            "out_is_file": ["--out", str(cfgfile)],
         }[case]
         assert main(["fgreedy", "--nodes", "equispaced:9",
                      "--out", str(tmp_path / "bad"), *extra]) == 1

@@ -110,7 +110,7 @@ class TestErrorBound:
         rng = np.random.default_rng(2)
         for _ in range(3):
             coef = rng.normal(size=8)
-            target = Interpolant(basis=basis8, coefficients=coef, data=np.zeros(8))
+            target = Interpolant(basis=basis8, coefficients=coef)
             y = target(basis8.knots.interior)
             interp = fit(basis8, y)
             report = check_error_bound(target, interp, grid400)
@@ -134,16 +134,6 @@ class TestErrorBound:
         report = check_error_bound(g, interp, grid400)
         assert report.status == "ok"
         assert report.holds
-
-
-def test_matrix_report_bounds(colloc8):
-    from epspline import matrix_report
-
-    report = matrix_report(colloc8, lebesgue_constant=1.5)
-    assert report.kappa2 >= 1.0
-    assert report.skeel >= 1.0
-    assert 0.0 <= report.sparsity <= 1.0
-    assert report.lebesgue_constant == 1.5
 
 
 def test_minimax_proxy_below_interpolation_error(basis8):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from epspline import (
+    ExpSpace,
+    GreedyConfig,
     InvalidInputError,
+    build_basis,
+    f_greedy,
+    fit,
     kernel_f_greedy,
     tps_fit,
     tps_kernel,
@@ -101,9 +106,22 @@ class TestKernelGreedy:
 
     def test_non_finite_candidates_rejected(self):
         cand = np.linspace(-1, 1, 20)
-        cand[7] = np.nan
+        bad = cand.copy()
+        bad[7] = np.nan
         with pytest.raises(InvalidInputError):
-            kernel_f_greedy(cand, np.zeros(20), max_iter=10)
+            kernel_f_greedy(bad, np.zeros(20), max_iter=10)
+        # target values too, at a candidate outside the initial set, before
+        # the loop starts
+        basis = build_basis(cand, ExpSpace(2.0))
+        for value in (np.nan, np.inf):
+            vals = np.zeros(20)
+            vals[7] = value
+            with pytest.raises(InvalidInputError):
+                kernel_f_greedy(cand, vals, max_iter=10)
+            with pytest.raises(InvalidInputError):
+                f_greedy(cand, vals, GreedyConfig(alpha=2.0, max_iter=10))
+            with pytest.raises(InvalidInputError):
+                fit(basis, vals)
 
     @pytest.mark.parametrize("stops", [dict(tau=-1.0), dict(tau=np.inf), dict(max_iter=0),
                                        dict(max_iter=21)])
