@@ -45,7 +45,7 @@ from .interpolate import (
 )
 from .kernel import KernelInterpolant, kernel_f_greedy, tps_fit, tps_kernel
 from .nodes import NodeSpec, chebyshev_lobatto, equispaced, generate, halton
-from .space import ExpSpace, raw_basis_eval
+from .space import ExpSpace
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "lebesgue_constant",
     "lebesgue_function",
     "minimax_proxy",
-    "raw_basis_eval",
     "skeel_condition",
     "sparsity",
     "tps_fit",

@@ -91,41 +91,6 @@ class GBSplineBasis:
     def b(self) -> float:
         return self.knots.b
 
-    def support(self, j: int) -> tuple[float, float]:
-        """Closed support interval of basis function ``j``."""
-        E = self.knots.extended
-        return float(E[j]), float(E[j + 4])
-
-    def segment_value(self, j: int, s: int, tau, deriv_order: int = 0):
-        """Value of basis function ``j`` on its ``s``-th support interval.
-
-        ``tau`` is the normalized coordinate in [0, 1]; derivatives are with
-        respect to ``x``. Evaluating at ``tau`` 0/1 from both neighboring
-        segments is how the smoothness tests probe continuity.
-        """
-        E = self.knots.extended
-        h = E[j + s + 1] - E[j + s]
-        g = segment_basis_eval(self.space.alpha * h, tau, deriv_order)
-        return (g @ self.coef[j, s]) / h**deriv_order
-
-    def evaluate(self, j: int, x, deriv_order: int = 0):
-        """Value (or derivative) of basis function ``j`` at ``x``.
-
-        Exactly zero outside the support. ``x`` may be a scalar or an array.
-        """
-        if not 0 <= j < self.n:
-            raise InvalidInputError(f"basis index {j} out of range [0, {self.n})")
-        E = self.knots.extended
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xa)
-        for s in range(4):
-            lo, hi = E[j + s], E[j + s + 1]
-            sel = (xa >= lo) & (xa < hi) if s < 3 else (xa >= lo) & (xa <= hi)
-            if np.any(sel):
-                out[sel] = self.segment_value(j, s, (xa[sel] - lo) / (hi - lo),
-                                              deriv_order)
-        return out if np.ndim(x) else float(out[0])
-
     def active_values(self, x, deriv_order: int = 0):
         """Values of the (at most 4) basis functions alive at each point.
 

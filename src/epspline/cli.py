@@ -33,7 +33,7 @@ from .interpolate import (
     fit,
     lebesgue_function,
 )
-from .kernel import kernel_f_greedy, tps_fit
+from .kernel import kernel_f_greedy
 from .nodes import NodeSpec, generate
 from .space import ExpSpace
 
@@ -323,9 +323,8 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
         tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
                                         else DEFAULT_TAU[cfg.algorithm])
         if cfg.algorithm == "kernel":
-            selected, trace = kernel_f_greedy(candidates, values, tau=tau,
-                                              max_iter=cfg.max_iter)
-            predict = tps_fit(selected, values[np.searchsorted(candidates, selected)])
+            selected, predict, trace = kernel_f_greedy(candidates, values, tau=tau,
+                                                       max_iter=cfg.max_iter)
         else:
             greedy_cfg = GreedyConfig(alpha=cfg.alpha, tau=tau, max_iter=cfg.max_iter)
             if cfg.algorithm == "fgreedy":

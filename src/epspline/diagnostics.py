@@ -15,6 +15,12 @@ from .errors import InvalidInputError
 from .interpolate import Interpolant, basis_matrix, collocation_matrix, lebesgue_function
 
 SPARSITY_TOL = 1e-14
+# minimax proxy: grid size, iteration cap, stall window and its relative spread
+PROXY_GRID_SIZE = 2001
+PROXY_MAX_ITER = 200
+PROXY_STALL_WINDOW = 10
+PROXY_STALL_RTOL = 1e-2
+BOUND_SLACK = 0.05  # relative slack on the right-hand side of the error bound
 
 
 def _as_dense(matrix) -> np.ndarray:
@@ -75,10 +81,14 @@ class BoundCheck:
     status: str
 
 
-def minimax_proxy(
-    basis, f, grid_size: int = 2001, max_iter: int = 200, stall_window: int = 10,
-    stall_rtol: float = 1e-2,
-) -> tuple[float, bool]:
+def _target_values(f, x) -> np.ndarray:
+    fx = np.asarray(f(x), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        raise InvalidInputError("target function values must be finite")
+    return fx
+
+
+def minimax_proxy(basis, f) -> tuple[float, bool]:
     """Discrete sup-norm distance from ``f`` to the basis span.
 
     Iteratively reweighted least squares (Lawson's weights: multiply by the
@@ -87,12 +97,12 @@ def minimax_proxy(
     iterate and a convergence flag; the value lower-bounds the continuous
     minimax error only up to grid resolution, hence callers apply slack.
     """
-    t = np.linspace(basis.a, basis.b, grid_size)
+    t = np.linspace(basis.a, basis.b, PROXY_GRID_SIZE)
     design = basis_matrix(basis, t).T
-    ft = np.asarray(f(t), dtype=float)
-    w = np.full(grid_size, 1.0 / grid_size)
+    ft = _target_values(f, t)
+    w = np.full(PROXY_GRID_SIZE, 1.0 / PROXY_GRID_SIZE)
     history = []
-    for _ in range(max_iter):
+    for _ in range(PROXY_MAX_ITER):
         sw = np.sqrt(w)
         c, *_ = np.linalg.lstsq(design * sw[:, None], ft * sw, rcond=None)
         r = ft - design @ c
@@ -100,9 +110,9 @@ def minimax_proxy(
         history.append(e)
         if e <= 1e-12 * max(1.0, float(np.abs(ft).max())):
             return e, True
-        if len(history) > stall_window:
-            window = history[-stall_window:]
-            if (max(window) - min(window)) <= stall_rtol * min(window):
+        if len(history) > PROXY_STALL_WINDOW:
+            window = history[-PROXY_STALL_WINDOW:]
+            if (max(window) - min(window)) <= PROXY_STALL_RTOL * min(window):
                 return e, True
         w = w * np.abs(r)
         total = w.sum()
@@ -112,27 +122,24 @@ def minimax_proxy(
     return history[-1], False
 
 
-def check_error_bound(f, interp: Interpolant, grid, slack: float = 0.05) -> BoundCheck:
-    """Check ``|f - I(x)| <= (1 + lebesgue(x)) * proxy * (1 + slack)`` on a grid.
+def check_error_bound(f, interp: Interpolant, grid) -> BoundCheck:
+    """Check ``|f - I(x)| <= (1 + lebesgue(x)) * proxy * (1 + BOUND_SLACK)`` on a grid.
 
-    ``f`` must be callable on arrays. Targets inside the spline span make
-    both sides vanish; sub-roundoff left-hand sides are accepted outright.
+    ``f`` must be callable on arrays and finite on ``[a, b]``. Targets inside
+    the spline span make both sides vanish; sub-roundoff left-hand sides are
+    accepted outright.
     """
-    if slack < 0.0:
-        raise InvalidInputError(f"slack must be nonnegative, got {slack}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     basis = interp.basis
     proxy, converged = minimax_proxy(basis, f)
     lu = factorize(collocation_matrix(basis))
     lam = lebesgue_function(basis, lu, grid)
-    f_grid = np.asarray(f(grid), dtype=float)
+    f_grid = _target_values(f, grid)
     lhs = np.abs(f_grid - interp(grid))
-    rhs = (1.0 + lam) * proxy * (1.0 + slack)
+    rhs = (1.0 + lam) * proxy * (1.0 + BOUND_SLACK)
     floor = 1e-7 * max(1.0, float(np.abs(f_grid).max()))
     ok = bool(np.all((lhs <= rhs) | (lhs <= floor)))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lhs <= floor, 0.0, lhs / np.maximum(rhs, 1e-300))
-    if not converged:
-        return BoundCheck(holds=ok, worst_ratio=float(ratios.max()), proxy=proxy,
-                          status="inconclusive")
-    return BoundCheck(holds=ok, worst_ratio=float(ratios.max()), proxy=proxy, status="ok")
+    return BoundCheck(holds=ok, worst_ratio=float(ratios.max()), proxy=proxy,
+                      status="ok" if converged else "inconclusive")

@@ -73,6 +73,14 @@ def basis_matrix(basis: GBSplineBasis, x, deriv_order: int = 0) -> np.ndarray:
     return out
 
 
+def _in_domain(basis: GBSplineBasis, x) -> np.ndarray:
+    """``x`` as a 1-d float array, checked to lie in ``[a, b]`` (NaN does not)."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xa >= basis.a) & (xa <= basis.b)):
+        raise DomainError(f"evaluation outside [{basis.a:g}, {basis.b:g}]")
+    return xa
+
+
 @dataclass(frozen=True)
 class Interpolant:
     """Spline interpolant: basis plus solved coefficient vector.
@@ -86,11 +94,7 @@ class Interpolant:
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]`` using at most 4 local basis terms."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xa < self.basis.a) or np.any(xa > self.basis.b):
-            raise DomainError(
-                f"evaluation outside [{self.basis.a:g}, {self.basis.b:g}]"
-            )
+        xa = _in_domain(self.basis, x)
         values, indices = self.basis.active_values(xa)
         jc = np.clip(indices, 0, self.basis.n - 1)
         out = np.sum(values * self.coefficients[jc], axis=-1)
@@ -127,9 +131,7 @@ def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:
 
     Returns shape ``(n,)`` for scalar ``x`` and ``(m, n)`` for an array.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < basis.a) or np.any(xa > basis.b):
-        raise DomainError(f"evaluation outside [{basis.a:g}, {basis.b:g}]")
+    xa = _in_domain(basis, x)
     rhs = basis_matrix(basis, xa)
     u = lu.solve(rhs, transpose=True)
     return u[:, 0] if np.ndim(x) == 0 else u.T

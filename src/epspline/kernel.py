@@ -53,9 +53,10 @@ def _saddle_matrix(x: np.ndarray) -> np.ndarray:
 def tps_fit(x, y) -> KernelInterpolant:
     """Interpolate ``y`` at ``x`` with moment constraints on the kernel part.
 
-    Requires at least 3 distinct sorted points. The two extra equations force
-    the kernel weights to be orthogonal to constants and linears, which makes
-    the saddle system nonsingular and the tail reproduce linear data exactly.
+    Requires at least 3 finite, distinct sorted points and finite values. The
+    two extra equations force the kernel weights to be orthogonal to
+    constants and linears, which makes the saddle system nonsingular and the
+    tail reproduce linear data exactly.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -63,6 +64,8 @@ def tps_fit(x, y) -> KernelInterpolant:
         raise InvalidInputError(f"need at least 3 points, got {x.shape}")
     if y.shape != x.shape:
         raise InvalidInputError("x and y must have matching shapes")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidInputError("points and values must be finite")
     if np.any(np.diff(x) <= 0.0):
         raise InvalidInputError("points must be sorted, strictly increasing and distinct")
     return _solve_saddle(x, y)[0]
@@ -92,7 +95,9 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
 
     Returns
     -------
-    (selected, trace)
+    (selected, model, trace)
+        Sorted selected points, the ``KernelInterpolant`` on them, and the
+        per-iteration trace.
     """
     cand = np.asarray(candidates, dtype=float)
     vals = _validated_values(values, cand)
@@ -103,5 +108,4 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
         model, a = _solve_saddle(cand[selected], vals[selected])
         return model, a, lambda rest: np.abs(vals[rest] - model(cand[rest]))
 
-    selected, _, trace = _greedy_loop(cand, refit, tau, max_iter)
-    return selected, trace
+    return _greedy_loop(cand, refit, tau, max_iter)

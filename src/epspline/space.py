@@ -76,42 +76,3 @@ def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
         cols = (z2 * b1, z2 * b2, 2.0 * b1 + z2 * b3, 3.0 * (b2 + tch))
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
-
-def raw_basis_eval(space: ExpSpace, t, deriv_order: int = 0) -> np.ndarray:
-    """Evaluate the four generators (or their derivatives) at local coordinate t.
-
-    Parameters
-    ----------
-    space : ExpSpace
-    t : float or array_like
-        Segment-local coordinate(s), i.e. distance from the left knot of the
-        segment's interval.
-    deriv_order : int
-        Derivative order, one of 0, 1, 2.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``t.shape + (4,)``; last axis holds the generator values in the
-        fixed order (growing, t*growing, decaying, t*decaying).
-    """
-    if deriv_order not in (0, 1, 2):
-        raise InvalidInputError(f"deriv_order must be 0, 1 or 2, got {deriv_order}")
-    t = np.asarray(t, dtype=float)
-    a = space.alpha
-    at = a * t
-    if np.any(np.abs(at) > EXP_ARG_LIMIT):
-        raise DomainError(
-            f"|alpha*t| exceeds {EXP_ARG_LIMIT:g}; evaluate in local coordinates "
-            "or reduce alpha"
-        )
-    ep = np.exp(at)
-    em = np.exp(-at)
-    if deriv_order == 0:
-        cols = (ep, t * ep, em, t * em)
-    elif deriv_order == 1:
-        cols = (a * ep, (1.0 + at) * ep, -a * em, (1.0 - at) * em)
-    else:
-        a2 = a * a
-        cols = (a2 * ep, a * (2.0 + at) * ep, a2 * em, a * (at - 2.0) * em)
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)

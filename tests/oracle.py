@@ -1,0 +1,69 @@
+"""Slow per-function evaluation of the spline basis: a reference for the tests.
+
+The library evaluates the basis one way only, ``GBSplineBasis.active_values``,
+which gathers the (at most four) functions alive at each point and contracts
+their coefficients in one ``einsum``. The functions here evaluate one basis
+function at a time, one support interval at a time, with a matrix product of
+``segment_basis_eval`` and ``coef[j, s]``. The tests check the library
+against them. ``raw_generators`` evaluates the four exponential generators
+directly, the reference for the span of the normalized segment basis.
+"""
+
+import numpy as np
+
+from epspline.space import segment_basis_eval
+
+
+def support(basis, j: int) -> tuple[float, float]:
+    """Closed support interval of basis function ``j``."""
+    E = basis.knots.extended
+    return float(E[j]), float(E[j + 4])
+
+
+def segment_value(basis, j: int, s: int, tau, deriv_order: int = 0):
+    """Value of basis function ``j`` on its ``s``-th support interval.
+
+    ``tau`` is the normalized coordinate in [0, 1]; derivatives are with
+    respect to ``x``. Evaluating at ``tau`` 0/1 from both neighboring
+    segments is how the smoothness tests probe continuity.
+    """
+    E = basis.knots.extended
+    h = E[j + s + 1] - E[j + s]
+    g = segment_basis_eval(basis.space.alpha * h, tau, deriv_order)
+    return (g @ basis.coef[j, s]) / h**deriv_order
+
+
+def evaluate(basis, j: int, x, deriv_order: int = 0):
+    """Value (or derivative) of basis function ``j`` at ``x``.
+
+    Exactly zero outside the support. ``x`` may be a scalar or an array.
+    """
+    E = basis.knots.extended
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(xa)
+    for s in range(4):
+        lo, hi = E[j + s], E[j + s + 1]
+        sel = (xa >= lo) & (xa < hi) if s < 3 else (xa >= lo) & (xa <= hi)
+        if np.any(sel):
+            out[sel] = segment_value(basis, j, s, (xa[sel] - lo) / (hi - lo), deriv_order)
+    return out if np.ndim(x) else float(out[0])
+
+
+def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
+    """The generators ``exp(a t)``, ``t exp(a t)``, ``exp(-a t)``, ``t exp(-a t)``.
+
+    Derivatives of order 0, 1 or 2 in ``t``; shape ``t.shape + (4,)``.
+    """
+    t = np.asarray(t, dtype=float)
+    a = alpha
+    at = a * t
+    ep = np.exp(at)
+    em = np.exp(-at)
+    if deriv_order == 0:
+        cols = (ep, t * ep, em, t * em)
+    elif deriv_order == 1:
+        cols = (a * ep, (1.0 + at) * ep, -a * em, (1.0 - at) * em)
+    else:
+        a2 = a * a
+        cols = (a2 * ep, a * (2.0 + at) * ep, a2 * em, a * (at - 2.0) * em)
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)

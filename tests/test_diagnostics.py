@@ -5,6 +5,7 @@ from scipy.interpolate import BSpline
 from epspline import (
     ExpSpace,
     Interpolant,
+    InvalidInputError,
     build_basis,
     check_error_bound,
     collocation_matrix,
@@ -136,10 +137,23 @@ class TestErrorBound:
         assert report.holds
 
 
+def test_non_finite_target_rejected(basis8, grid400):
+    # NaN at one point of the proxy grid, or only on the checked grid
+    interp = fit(basis8, np.zeros(8))
+    at_zero = lambda x: np.where(np.asarray(x) == 0.0, np.nan, 0.0)  # noqa: E731
+    off_proxy_grid = lambda x: np.where(np.isin(x, grid400[1:2]), np.inf, 0.0)  # noqa: E731
+    with pytest.raises(InvalidInputError):
+        minimax_proxy(basis8, at_zero)
+    with pytest.raises(InvalidInputError):
+        check_error_bound(at_zero, interp, grid400)
+    with pytest.raises(InvalidInputError):
+        check_error_bound(off_proxy_grid, interp, grid400)
+
+
 def test_minimax_proxy_below_interpolation_error(basis8):
     # best sup-norm fit cannot be worse than the interpolant itself
     f = lambda x: np.sin(2.5 * np.asarray(x))  # noqa: E731
-    proxy, converged = minimax_proxy(basis8, f, grid_size=2001)
+    proxy, converged = minimax_proxy(basis8, f)
     assert converged
     interp = fit(basis8, f(basis8.knots.interior))
     dense = np.linspace(-1, 1, 2001)

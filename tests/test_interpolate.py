@@ -21,19 +21,20 @@ from epspline import (
 from epspline.interpolate import OUTER_BAND_RTOL
 from epspline.nodes import chebyshev_lobatto, halton
 from epspline.space import segment_basis_eval
+from oracle import evaluate, segment_value
 
 
 def dense_collocation(basis):
     """Brute-force oracle: evaluate every basis function at every knot.
 
-    The last knot is the right end of ``[a, b]``. ``basis.evaluate`` takes it
-    from the support interval to its right, outside ``[a, b]``; the oracle
+    The last knot is the right end of ``[a, b]``. ``evaluate`` takes it from
+    the support interval to its right, outside ``[a, b]``; this function
     takes it from the interval to its left, as the interpolant does.
     """
     n = basis.n
-    out = np.column_stack([basis.evaluate(j, basis.knots.interior) for j in range(n)])
+    out = np.column_stack([evaluate(basis, j, basis.knots.interior) for j in range(n)])
     for j in range(max(n - 3, 0), n):
-        out[-1, j] = basis.segment_value(j, n - j, 1.0)  # interval ending at the last knot
+        out[-1, j] = segment_value(basis, j, n - j, 1.0)  # interval ending at the last knot
     return out
 
 
@@ -91,7 +92,7 @@ class TestFit:
 
     def test_single_basis_function_recovered(self, basis8):
         k = 3
-        y = np.array([basis8.evaluate(k, x) for x in basis8.knots.interior])
+        y = np.array([evaluate(basis8, k, x) for x in basis8.knots.interior])
         interp = fit(basis8, y)
         expect = np.zeros(8)
         expect[k] = 1.0
@@ -137,7 +138,7 @@ class TestEvaluation:
         local = interp(grid400)
         dense = np.zeros(400)
         for j in range(8):
-            dense += interp.coefficients[j] * basis8.evaluate(j, grid400)
+            dense += interp.coefficients[j] * evaluate(basis8, j, grid400)
         assert np.max(np.abs(local - dense)) <= 1e-12
 
     def test_outside_interval_rejected(self, basis8):
@@ -174,7 +175,7 @@ class TestCardinal:
         psi = cardinal_values(basis8, lu8, grid400)  # (m, n)
         for k in (0, 100, 250, 399):
             x = grid400[k]
-            direct = inv.T @ np.array([basis8.evaluate(j, x) for j in range(8)])
+            direct = inv.T @ np.array([evaluate(basis8, j, x) for j in range(8)])
             assert np.allclose(psi[k], direct, rtol=0.0, atol=1e-11)
 
     def test_lagrange_form_matches_coefficient_form(self, basis8, lu8, grid400):
@@ -218,6 +219,17 @@ class TestLebesgue:
     def test_empty_grid_rejected(self, basis8, lu8):
         with pytest.raises(InvalidInputError):
             lebesgue_constant(basis8, lu8, [])
+
+    @pytest.mark.parametrize("x", [np.nan, [0.0, np.nan]])
+    def test_nan_outside_domain(self, basis8, lu8, x):
+        # NaN compares false both ways, so it must fail the inside test
+        interp = fit(basis8, np.ones(8))
+        for call in (lambda: interp(x),
+                     lambda: cardinal_values(basis8, lu8, x),
+                     lambda: lebesgue_function(basis8, lu8, x),
+                     lambda: lebesgue_constant(basis8, lu8, x)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_chebyshev_not_smallest_among_families(self, space2, grid400):
         lams = {}

@@ -55,17 +55,25 @@ class TestTpsFit:
         with pytest.raises(InvalidInputError):
             tps_fit([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("x,y", [([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+                                     ([0.0, 1.0, 2.0], [0.0, np.inf, 1.0]),
+                                     ([0.0, 1.0, np.inf], [0.0, 0.0, 1.0]),
+                                     ([0.0, np.nan, 2.0], [0.0, 0.0, 1.0])])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(InvalidInputError):
+            tps_fit(x, y)
+
 
 class TestKernelGreedy:
     def test_zero_values_terminate_immediately(self):
         cand = np.linspace(-1, 1, 40)
-        selected, trace = kernel_f_greedy(cand, np.zeros(40), tau=1e-8)
+        selected, _, trace = kernel_f_greedy(cand, np.zeros(40), tau=1e-8)
         assert len(selected) == 4
         assert trace.stop_reason == "tau"
 
     def test_near_uniform_distribution_for_smooth_target(self):
         cand = np.linspace(-1, 1, 300)
-        selected, _ = kernel_f_greedy(cand, cand**2, max_iter=32)
+        selected, _, _ = kernel_f_greedy(cand, cand**2, max_iter=32)
         assert len(selected) == 32
         inner = selected[np.abs(selected) <= 0.8]
         gaps = np.diff(inner)
@@ -77,19 +85,28 @@ class TestKernelGreedy:
         a = kernel_f_greedy(cand, vals, max_iter=25)
         b = kernel_f_greedy(cand, vals, max_iter=25)
         assert np.array_equal(a[0], b[0])
-        assert [s.selected_index for s in a[1].steps] == \
-               [s.selected_index for s in b[1].steps]
+        assert [s.selected_index for s in a[2].steps] == \
+               [s.selected_index for s in b[2].steps]
+
+    def test_model_is_the_fit_on_the_selection(self):
+        cand = np.linspace(-1, 1, 60)
+        vals = np.arctan(5 * cand)
+        selected, model, _ = kernel_f_greedy(cand, vals, max_iter=15)
+        refit = tps_fit(selected, vals[np.searchsorted(cand, selected)])
+        assert np.array_equal(model.centers, selected)
+        assert np.array_equal(model.weights, refit.weights)
+        assert np.array_equal(model.tail, refit.tail)
 
     def test_tau_guarantee(self):
         cand = np.linspace(-1, 1, 100)
         vals = np.sin(3 * cand)
-        selected, trace = kernel_f_greedy(cand, vals, tau=1e-3)
+        selected, _, trace = kernel_f_greedy(cand, vals, tau=1e-3)
         assert trace.stop_reason == "tau"
         assert trace.steps[-1].criterion <= 1e-3
 
     def test_monotone_growth(self):
         cand = np.linspace(-1, 1, 50)
-        _, trace = kernel_f_greedy(cand, np.exp(cand), max_iter=20)
+        _, _, trace = kernel_f_greedy(cand, np.exp(cand), max_iter=20)
         picks = trace.selected_indices()
         assert len(picks) == len(set(picks)) == 16
 
@@ -101,7 +118,7 @@ class TestKernelGreedy:
         monkeypatch.setattr(kernel_mod, "_saddle_matrix",
                             lambda x: calls.append(len(x)) or real(x))
         cand = np.linspace(-1, 1, 40)
-        _, trace = kernel_f_greedy(cand, np.sin(3 * cand), max_iter=12)
+        _, _, trace = kernel_f_greedy(cand, np.sin(3 * cand), max_iter=12)
         assert calls == [s.n_nodes for s in trace.steps]
 
     def test_non_finite_candidates_rejected(self):
