@@ -10,13 +10,12 @@ when neighboring knot gaps differ by orders of magnitude or are very small
 relative to ``1/alpha``.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisConstructionError, DomainError, InvalidInputError
-from .space import EXP_ARG_LIMIT, EXP_ARG_WARN, ExpSpace, segment_basis_eval
+from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval
 
 # Condition-number ceiling for the per-function 16x16 local systems
 # (measured after row equilibration, i.e. on the system actually solved).
@@ -91,7 +90,7 @@ class GBSplineBasis:
     def b(self) -> float:
         return self.knots.b
 
-    def active_values(self, x, deriv_order: int = 0):
+    def active_values(self, x):
         """Values of the (at most 4) basis functions alive at each point.
 
         Returns
@@ -106,9 +105,7 @@ class GBSplineBasis:
         i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, self.n)
         h = E[i0 + 1] - E[i0]
         tau = (xa - E[i0]) / h
-        g = segment_basis_eval(self.space.alpha * h, tau, deriv_order)
-        if deriv_order:
-            g = g / h[..., None] ** deriv_order
+        g = segment_basis_eval(self.space.alpha * h, tau)
         indices = i0[..., None] - np.arange(3, -1, -1)
         valid = (indices >= 0) & (indices < self.n)
         jc = np.clip(indices, 0, self.n - 1)
@@ -141,7 +138,7 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     ------
     DomainError
         If ``alpha`` times the longest knot interval exceeds the overflow
-        limit. A warning is emitted already past the stability threshold.
+        limit.
     BasisConstructionError
         If any local system is singular, not finite, or has condition number
         above 1e12. The message names the function's index in the basis.
@@ -164,12 +161,6 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
         raise DomainError(
             f"alpha * longest interval = {scale:.3g} exceeds the overflow limit "
             f"{EXP_ARG_LIMIT:g}"
-        )
-    if scale > EXP_ARG_WARN:
-        warnings.warn(
-            f"alpha * longest interval = {scale:.3g} > {EXP_ARG_WARN:g}; "
-            "basis construction may be inaccurate",
-            stacklevel=2,
         )
 
     windows = np.lib.stride_tricks.sliding_window_view

@@ -61,10 +61,10 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
     return mat
 
 
-def basis_matrix(basis: GBSplineBasis, x, deriv_order: int = 0) -> np.ndarray:
+def basis_matrix(basis: GBSplineBasis, x) -> np.ndarray:
     """Dense (n, m) matrix of all basis functions evaluated at points ``x``."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    values, indices = basis.active_values(xa, deriv_order)
+    values, indices = basis.active_values(xa)
     out = np.zeros((basis.n, len(xa)))
     cols = np.repeat(np.arange(len(xa)), 4)
     rows = indices.ravel()
@@ -129,8 +129,10 @@ def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:
     vector at ``x`` solves the transposed collocation system against the
     sparse vector of basis values at ``x``.
 
-    Returns shape ``(n,)`` for scalar ``x`` and ``(m, n)`` for an array.
+    Returns shape ``(n,)`` for scalar ``x`` and ``(m, n)`` for a 1-d array.
     """
+    if np.ndim(x) > 1:
+        raise InvalidInputError(f"expected a scalar or a 1-d array, got shape {np.shape(x)}")
     xa = _in_domain(basis, x)
     rhs = basis_matrix(basis, xa)
     u = lu.solve(rhs, transpose=True)

@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 
-# |a*t| beyond this overflows double precision; warn well before that.
+# |a*t| beyond this overflows double precision.
 EXP_ARG_LIMIT = 700.0
-EXP_ARG_WARN = 30.0
 
 
 @dataclass(frozen=True)

@@ -107,11 +107,10 @@ class TestBuildBasis:
             build_basis([0.0, 400.0, 800.0], ExpSpace(2.0))
 
     def test_alpha_interval_warning(self):
-        # past the stability threshold a warning fires; the local systems are
-        # then far beyond the conditioning ceiling, so construction refuses
-        with pytest.warns(UserWarning):
-            with pytest.raises(BasisConstructionError):
-                build_basis([0.0, 20.0, 40.0], ExpSpace(2.0))
+        # alpha * h = 40: the local systems are far beyond the conditioning
+        # ceiling, so construction refuses
+        with pytest.raises(BasisConstructionError):
+            build_basis([0.0, 20.0, 40.0], ExpSpace(2.0))
 
     def test_nonuniform_knots(self, space2):
         interior = np.array([0.0, 0.1, 0.15, 0.4, 1.0, 1.05, 2.0])
@@ -159,7 +158,6 @@ def test_construction_error_names_index(monkeypatch, space2):
         build_basis(np.linspace(0, 1, 6), space2)
 
 
-@pytest.mark.filterwarnings("ignore:alpha")  # past the stability threshold of 30
 @pytest.mark.parametrize("alpha_h", [695.0, 699.0, 700.0])
 def test_overflowing_local_system_is_construction_error(alpha_h):
     # near the overflow limit the derivative rows overflow or the system loses
@@ -209,7 +207,6 @@ class TestPriorReuse:
         assert "basis function 0 " not in str(scratch.value)
         assert str(reused.value) == str(scratch.value)
 
-    @pytest.mark.filterwarnings("ignore:alpha")  # alpha * h may round just past 30
     @settings(max_examples=60, deadline=None)
     @given(
         gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=8),

@@ -1,11 +1,17 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import epspline
 from epspline import (
     ExpSpace,
     Interpolant,
     InvalidInputError,
+    SplineError,
     build_basis,
     check_error_bound,
     collocation_matrix,
@@ -18,7 +24,7 @@ from epspline import (
     sparsity,
 )
 from epspline.greedy import GreedyConfig
-from epspline.nodes import equispaced
+from epspline.nodes import chebyshev_lobatto, equispaced
 
 
 class TestCond2:
@@ -123,7 +129,6 @@ class TestErrorBound:
         cand = np.linspace(-1, 1, 300)
         selected, interp, _ = f_greedy(cand, f(cand), GreedyConfig(alpha=2.0, tau=1e-3))
         report = check_error_bound(f, interp, grid400)
-        assert report.status == "ok"
         assert report.holds
 
     def test_parabola_on_lebesgue_greedy_nodes(self, grid400):
@@ -133,8 +138,12 @@ class TestErrorBound:
         basis = build_basis(selected, ExpSpace(2.0))
         interp = fit(basis, g(selected))
         report = check_error_bound(g, interp, grid400)
-        assert report.status == "ok"
         assert report.holds
+
+    def test_empty_grid_rejected(self, basis8):
+        interp = fit(basis8, np.zeros(8))
+        with pytest.raises(InvalidInputError, match="empty"):
+            check_error_bound(np.sin, interp, [])
 
 
 def test_non_finite_target_rejected(basis8, grid400):
@@ -150,12 +159,36 @@ def test_non_finite_target_rejected(basis8, grid400):
         check_error_bound(off_proxy_grid, interp, grid400)
 
 
-def test_minimax_proxy_below_interpolation_error(basis8):
+@pytest.mark.parametrize("nodes, f", [
+    (np.linspace(-1.0, 1.0, 8), lambda x: np.sin(2.5 * np.asarray(x))),
+    (chebyshev_lobatto(150), lambda x: np.arctan(55.0 * np.asarray(x))),
+], ids=["sin_equispaced8", "atan55_chebyshev150"])
+def test_minimax_proxy_below_interpolation_error(space2, nodes, f):
     # best sup-norm fit cannot be worse than the interpolant itself
-    f = lambda x: np.sin(2.5 * np.asarray(x))  # noqa: E731
-    proxy, converged = minimax_proxy(basis8, f)
-    assert converged
-    interp = fit(basis8, f(basis8.knots.interior))
+    basis = build_basis(nodes, space2)
+    proxy = minimax_proxy(basis, f)
+    interp = fit(basis, f(basis.knots.interior))
     dense = np.linspace(-1, 1, 2001)
     interp_err = np.abs(f(dense) - interp(dense)).max()
     assert proxy <= interp_err * (1 + 1e-9)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # minimax_proxy imports linprog on first call; a top-level import of
+    # scipy.optimize would add 0.2-0.4 s to every ``import epspline``
+    code = "import epspline, sys; print('scipy.optimize' in sys.modules)"
+    src = Path(epspline.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_failed_linear_program_raises(basis8, monkeypatch):
+    import scipy.optimize
+
+    def not_solved(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", not_solved)
+    with pytest.raises(SplineError, match="numerical difficulties"):
+        minimax_proxy(basis8, np.sin)

@@ -60,7 +60,6 @@ class TestCollocationMatrix:
         assert np.allclose(collocation_matrix(basis).to_dense(),
                            dense_collocation(basis), rtol=0.0, atol=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:alpha")  # alpha * h may round just past 30
     @settings(deadline=None)
     @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
            log_alpha_h=st.floats(-3.0, np.log10(30.0)))
@@ -230,6 +229,17 @@ class TestLebesgue:
                      lambda: lebesgue_constant(basis8, lu8, x)):
             with pytest.raises(DomainError):
                 call()
+
+    def test_more_than_one_dimension_rejected(self, basis8, lu8):
+        # cardinal and Lebesgue values take a scalar or a 1-d array; the
+        # interpolant itself evaluates any shape
+        x = np.zeros((2, 2))
+        for call in (lambda: cardinal_values(basis8, lu8, x),
+                     lambda: lebesgue_function(basis8, lu8, x),
+                     lambda: lebesgue_constant(basis8, lu8, x)):
+            with pytest.raises(InvalidInputError, match="1-d"):
+                call()
+        assert fit(basis8, np.ones(8))(x).shape == (2, 2)
 
     def test_chebyshev_not_smallest_among_families(self, space2, grid400):
         lams = {}
