@@ -308,8 +308,18 @@ def _write_summary(out: Path, summary: dict):
     )
 
 
+def _sized(make, *args):
+    """``make(*args)``, sized by the user: a size numpy or the host can't hold is invalid input."""
+    try:
+        return make(*args)
+    except SplineError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInputError(f"size too large: {exc}") from exc
+
+
 def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
-    candidates = generate(parse_node_spec(cfg.nodes))
+    candidates = _sized(generate, parse_node_spec(cfg.nodes))
     if cfg.algorithm == "nodes":
         write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
         write_svg_chart(out / "plot_selected.svg", candidates,
@@ -336,7 +346,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     basis = build_basis(selected, ExpSpace(cfg.alpha))
     phi = collocation_matrix(basis)
     lu = factorize(phi)
-    eval_grid = np.linspace(candidates[0], candidates[-1], cfg.grid)
+    eval_grid = _sized(np.linspace, candidates[0], candidates[-1], cfg.grid)
     lam = lebesgue_function(basis, lu, eval_grid)
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
     write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
@@ -345,12 +355,11 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     write_svg_chart(out / "plot_selected.svg", selected, np.zeros_like(selected),
                     title, scatter=True)
     write_svg_chart(out / "plot_lebesgue.svg", eval_grid, lam, "lebesgue function")
-    dense = phi.to_dense()
     summary = {
         "n_selected": len(selected),
         "lebesgue_constant": float(lam.max()),
-        "kappa2": cond2(dense),
-        "sparsity": sparsity(dense),
+        "kappa2": cond2(phi),
+        "sparsity": sparsity(phi),
     }
     if trace is None:
         return summary

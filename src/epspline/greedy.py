@@ -119,9 +119,10 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     The initial set is the two smallest and the two largest candidates,
     indices ``[0, 1, m - 2, m - 1]``. ``refit(selected)`` fits the model on
     the sorted selected candidate indices and returns ``(state, matrix,
-    score)``: ``matrix`` is the dense system whose spectral condition and
-    sparsity go into the trace, and ``score(remaining)`` is the selection
-    criterion at the remaining indices.
+    score)``: ``matrix`` is the system whose spectral condition and sparsity
+    go into the trace (the spline's tridiagonal ``BandedMatrix``, never made
+    dense, or the kernel's dense saddle matrix), and ``score(remaining)`` is
+    the selection criterion at the remaining indices.
     Ties go to the smallest index. A ``SplineError`` raised by ``refit``
     becomes a ``GreedyError`` carrying the trace so far; its message names the
     iteration, the knot inserted just before it and the check that tripped.
@@ -189,7 +190,7 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
         phi = collocation_matrix(basis)
         lu = factorize(phi)
         state, score = model(basis, lu, selected)
-        return state, phi.to_dense(), score
+        return state, phi, score
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)
 

@@ -39,15 +39,15 @@ def halton(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     return generate(NodeSpec("halton", n, (a, b)))
 
 
-def van_der_corput(k: int) -> float:
-    """Base-2 radical inverse of k (k >= 1): 1/2, 1/4, 3/4, 1/8, 5/8, ..."""
-    v, scale = 0.0, 0.5
-    while k:
-        if k & 1:
-            v += scale
-        k >>= 1
+def van_der_corput(k):
+    """Base-2 radical inverse of k >= 1 (an int, or elementwise): 1/2, 1/4, 3/4, 1/8, ..."""
+    k = np.asarray(k)
+    v, scale = np.zeros(k.shape), 0.5
+    while np.any(k):
+        v += scale * (k & 1)
+        k = k >> 1
         scale *= 0.5
-    return v
+    return v if v.ndim else float(v)
 
 
 def generate(spec: NodeSpec) -> np.ndarray:
@@ -64,7 +64,7 @@ def generate(spec: NodeSpec) -> np.ndarray:
     elif spec.kind == "chebyshev":
         pts = a + (b - a) * (1.0 + np.cos(np.pi * np.arange(n) / (n - 1))[::-1]) / 2.0
     else:
-        inner = np.array([a + (b - a) * van_der_corput(k) for k in range(1, n - 1)])
+        inner = a + (b - a) * van_der_corput(np.arange(1, n - 1))
         pts = np.sort(np.concatenate([[a, b], inner]))
     pts[0], pts[-1] = a, b
     if np.any(np.diff(pts) <= 0.0):

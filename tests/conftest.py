@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epspline import ExpSpace, build_basis, collocation_matrix, factorize
+from epspline import BandedMatrix, ExpSpace, build_basis, collocation_matrix, factorize
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,12 @@ def lu8(colloc8):
 @pytest.fixture(scope="session")
 def grid400():
     return np.linspace(-1.0, 1.0, 400)
+
+
+@pytest.fixture
+def forbid_dense(monkeypatch):
+    """Make ``BandedMatrix.to_dense`` raise, to show a code path never calls it."""
+    def refuse(self):
+        raise AssertionError("a BandedMatrix was made dense")
+
+    monkeypatch.setattr(BandedMatrix, "to_dense", refuse)

@@ -142,6 +142,12 @@ class TestRunExperiment:
                      "--out", str(tmp_path / "bad")])
         assert code == 1
 
+    @pytest.mark.parametrize("algorithm", ["fgreedy", "lgreedy", "kernel", "lebesgue"])
+    def test_spline_matrix_never_dense(self, tmp_path, forbid_dense, algorithm):
+        cfg = ExperimentConfig(algorithm=algorithm, nodes="equispaced:40", max_iter=12,
+                               out=str(tmp_path / algorithm))
+        assert run_experiment(cfg)["status"] == "ok"
+
     def test_csv_determinism(self, tmp_path):
         texts = []
         for name in ("a", "b"):
@@ -265,6 +271,34 @@ class TestExitCodes:
         summary = read_summary(out)
         assert summary["status"] == "FAILED"
         assert summary["stop_reason"] == "error"
+
+    @pytest.mark.parametrize("argv", [
+        ["--nodes", "equispaced:8", "--grid", str(10 ** 20)],
+        ["--nodes", f"equispaced:{10 ** 20}"],
+        ["--nodes", f"chebyshev:{10 ** 20}"],
+        ["--nodes", f"halton:{10 ** 20}"],
+    ], ids=["grid", "equispaced", "chebyshev", "halton"])
+    def test_size_past_numpy_limit_is_one(self, tmp_path, capsys, argv):
+        # numpy refuses these sizes before allocating anything
+        assert main(["lebesgue", *argv, "--out", str(tmp_path / "big")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: size too large") and err.count("\n") == 1
+
+    def test_size_past_host_memory_is_one(self, tmp_path, capsys, monkeypatch):
+        # the 745 GiB grid of --grid 1e11, refused by a stand-in for the
+        # allocation so that no host ever tries to commit it
+        real_linspace = np.linspace
+
+        def linspace(start, stop, num, *args, **kwargs):
+            if num > 10 ** 9:
+                raise MemoryError(f"Unable to allocate {8 * num / 2 ** 30:.0f} GiB")
+            return real_linspace(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        assert main(["lebesgue", "--nodes", "equispaced:8", "--grid", str(10 ** 11),
+                     "--out", str(tmp_path / "big")]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid input: size too large: Unable to allocate 745 GiB\n"
 
     def test_success_is_zero(self, tmp_path):
         assert main(["nodes", "--nodes", "equispaced:5",

@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 import epspline
 from epspline import (
+    BandedMatrix,
+    BasisConstructionError,
     ExpSpace,
     Interpolant,
     InvalidInputError,
@@ -43,8 +47,89 @@ class TestCond2:
         a = np.ones((4, 4))
         assert cond2(a) == float("inf")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reports_inf(self, bad):
+        a = np.eye(4)
+        a[1, 2] = bad
+        assert cond2(a) == float("inf")
+
     def test_accepts_banded(self, colloc8):
         assert cond2(colloc8) == pytest.approx(cond2(colloc8.to_dense()), rel=1e-12)
+
+
+EPS = np.finfo(float).eps
+# Dense SVD and banded κ₂ are both backward stable: each gets σ_min / σ_max to
+# a few eps absolute (the two differed by at most 1.7 eps on 3 300 random and
+# collocation matrices), so they agree to a relative COND2_EPS_MULTIPLE·eps·κ₂.
+COND2_EPS_MULTIPLE = 16
+
+
+def assert_cond2_matches_dense(m):
+    got, want = cond2(m), cond2(m.to_dense())
+    # 1/κ₂ is σ_min / σ_max, and 0 for inf; a side reports inf once its 1/κ₂
+    # falls to n·eps, so a finite value facing inf lies near that threshold
+    slack = m.n * EPS if np.isinf(got) or np.isinf(want) else 0.0
+    assert abs(1 / got - 1 / want) <= COND2_EPS_MULTIPLE * EPS + slack
+
+
+@st.composite
+def tridiagonals(draw):
+    """Random tridiagonal matrices with exact zeros and garbage in the two unused slots."""
+    n = draw(st.integers(1, 60))
+    entries = st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                       min_size=3 * n, max_size=3 * n)
+    m = BandedMatrix(n)
+    m.bands[:] = np.reshape(draw(entries), (3, n))
+    m.bands[0, 0], m.bands[2, -1] = draw(st.floats()), draw(st.floats())
+    return m
+
+
+class TestBandedMatchesDense:
+    @settings(deadline=None)
+    @given(tridiagonals())
+    def test_random_tridiagonal(self, m):
+        assert_cond2_matches_dense(m)
+        assert sparsity(m) == sparsity(m.to_dense())
+
+    @settings(deadline=None)
+    @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
+           log_alpha_h=st.floats(-3.0, 1.0))
+    def test_collocation_across_gap_ratios(self, log_gaps, log_alpha_h):
+        gaps = 10.0 ** np.array(log_gaps)
+        try:
+            basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]),
+                                ExpSpace(10.0 ** log_alpha_h / gaps.max()))
+            m = collocation_matrix(basis)
+        except BasisConstructionError:
+            m = None
+        assume(m is not None)
+        assert_cond2_matches_dense(m)
+        assert sparsity(m) == sparsity(m.to_dense())
+
+    @pytest.mark.parametrize("scale", [2.0 ** -560, 2.0 ** 530])
+    def test_scale_free(self, colloc8, scale):
+        # without the internal rescaling AᵀA would underflow or overflow here
+        m = BandedMatrix(colloc8.n)
+        m.bands[:] = colloc8.bands * scale
+        assert cond2(m) == cond2(colloc8)
+
+    @settings(deadline=None)
+    @given(tridiagonals(), st.data())
+    def test_zero_row_or_nan_gives_inf(self, m, data):
+        n = m.n
+        i = data.draw(st.integers(0, n - 1))
+        zero_row = BandedMatrix(n)
+        zero_row.bands[:] = m.bands
+        zero_row.bands[1, i] = 0.0
+        if i > 0:
+            zero_row.bands[2, i - 1] = 0.0
+        if i < n - 1:
+            zero_row.bands[0, i + 1] = 0.0
+        assert cond2(zero_row) == cond2(zero_row.to_dense()) == np.inf
+        in_matrix = ([(1, j) for j in range(n)] + [(0, j) for j in range(1, n)]
+                     + [(2, j) for j in range(n - 1)])
+        m.bands[data.draw(st.sampled_from(in_matrix))] = np.nan
+        assert cond2(m) == cond2(m.to_dense()) == np.inf
 
 
 def _cubic_collocation(knots):

@@ -19,6 +19,14 @@ def cfg(**kw):
     return GreedyConfig(**kw)
 
 
+def test_spline_greedies_never_densify(forbid_dense):
+    cand = np.linspace(-1, 1, 60)
+    _, _, trace = f_greedy(cand, np.arctan(20 * cand), cfg(max_iter=15))
+    assert len(trace.steps) == 12 and np.isfinite(trace.steps[-1].kappa2)
+    _, trace = lambda_greedy(cand, cfg(max_iter=15))
+    assert len(trace.steps) == 12 and np.isfinite(trace.steps[-1].kappa2)
+
+
 class TestFGreedy:
     def test_zero_values_terminate_immediately(self):
         cand = np.linspace(-1, 1, 50)

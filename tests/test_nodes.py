@@ -22,6 +22,7 @@ def test_halton_five_points():
 def test_van_der_corput_prefix():
     got = [van_der_corput(k) for k in range(1, 8)]
     assert got == [0.5, 0.25, 0.75, 0.125, 0.625, 0.375, 0.875]
+    assert van_der_corput(np.arange(1, 8)).tolist() == got
 
 
 @pytest.mark.parametrize("kind", ["equispaced", "chebyshev", "halton"])
