@@ -71,11 +71,9 @@ class ExperimentConfig:
             raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         check_stop_rule(self.tau, self.max_iter)
-
-
-# keys a config file or a flag may set; the subcommand names the algorithm
-CONFIG_KEYS = tuple(k for k in ExperimentConfig.__dataclass_fields__ if k != "algorithm")
 
 
 def parse_node_spec(text: str) -> NodeSpec:
@@ -91,23 +89,6 @@ def parse_node_spec(text: str) -> NodeSpec:
     return NodeSpec(kind=kind, count=count)
 
 
-def load_config_file(path: str) -> dict:
-    """Read key=value lines; '#' starts a comment; blank lines are ignored."""
-    result = {}
-    text = _read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-        result[key] = value
-    return result
-
-
 def _make_dir(path: Path):
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -120,20 +101,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in ("alpha", "tau"):
-            return float(value)
-        if key in ("max_iter", "grid", "seed"):
-            return int(value)
-        if key == "no_stop":
-            return {"1": True, "true": True, "yes": True, "on": True,
-                    "0": False, "false": False, "no": False, "off": False}[value.lower()]
-    except (KeyError, ValueError) as exc:
-        raise InvalidInputError(f"bad value for {key}: {value!r}") from exc
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +424,6 @@ def _add_common(sub: argparse.ArgumentParser, with_fn: bool = True):
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for the random in-space target")
-    sub.add_argument("--config", default=None, help="key=value config file")
     if with_fn:
         sub.add_argument("--fn", default=None,
                          help="target: atan55 | xsq | inspace | tab:PATH")
@@ -474,18 +440,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args) -> ExperimentConfig:
-    base = {}
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            base[key] = _coerce(key, value)
-    for key in CONFIG_KEYS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            base[key] = cli_val
-    return ExperimentConfig(algorithm=args.command, **base)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -494,8 +448,9 @@ def main(argv=None) -> int:
             manifest = reproduce_all(args.out)
             print(json.dumps(manifest, indent=2, sort_keys=True, default=float))
             return 0
-        cfg = _merge_config(args)
-        summary = run_experiment(cfg)
+        # a flag left out keeps the ExperimentConfig default
+        given = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+        summary = run_experiment(ExperimentConfig(algorithm=args.command, **given))
         print(json.dumps(summary, indent=2, sort_keys=True, default=float))
         return 0
     except InvalidInputError as exc:

@@ -30,8 +30,10 @@ def check_stop_rule(tau: float | None, max_iter: int | None):
     """Range checks of the stop rule shared by every greedy run."""
     if tau is not None and not (np.isfinite(tau) and tau >= 0.0):
         raise InvalidInputError(f"tau must be nonnegative, got {tau}")
-    if max_iter is not None and max_iter < 1:
-        raise InvalidInputError(f"max_iter must be positive, got {max_iter}")
+    if max_iter is not None and max_iter < 4:
+        raise InvalidInputError(
+            f"max_iter must be at least 4, the size of the initial set (the two "
+            f"smallest and two largest candidates), got {max_iter}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class GreedyConfig:
     Selection starts from the two smallest and the two largest candidates.
     ``tau`` absent means run until ``max_iter`` nodes are selected or the
     candidates are exhausted. ``max_iter`` caps the total size of the
-    selected set.
+    selected set, so it is at least 4.
     """
 
     alpha: float

@@ -5,7 +5,6 @@ import pytest
 
 from epspline.cli import (
     ExperimentConfig,
-    load_config_file,
     main,
     parse_node_spec,
     run_experiment,
@@ -33,35 +32,13 @@ class TestParsing:
         assert main(["lgreedy", "--nodes", "equispaced:x"]) == 1
         assert main(["lgreedy", "--nodes", "weird:10"]) == 1
 
-    def test_config_file_roundtrip(self, tmp_path):
+    def test_config_file_flag_is_gone(self, tmp_path, capsys):
+        # flags are the one way to configure a run; there is no config file
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(
-            "# comment\nnodes = equispaced:40\nalpha = 1.5\ntau = 2.5\ngrid = 100\n"
-        )
-        got = load_config_file(str(cfgfile))
-        assert got == {"nodes": "equispaced:40", "alpha": "1.5", "tau": "2.5",
-                       "grid": "100"}
-
-    def test_config_file_bad_line(self, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("alpha 2.0\n")
+        cfgfile.write_text("tau = 2.5\n")
         assert main(["lgreedy", "--config", str(cfgfile)]) == 1
-
-    def test_config_file_unknown_key(self, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("omega = 2.0\n")
-        assert main(["lgreedy", "--config", str(cfgfile)]) == 1
-
-    def test_flags_override_config_file(self, tmp_path):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("nodes = equispaced:50\ntau = 4.0\n")
-        out = tmp_path / "run"
-        code = main(["lgreedy", "--config", str(cfgfile), "--tau", "2.8",
-                     "--out", str(out)])
-        assert code == 0
-        summary = read_summary(out)
-        assert summary["config"]["tau"] == 2.8
-        assert summary["config"]["nodes"] == "equispaced:50"
+        assert capsys.readouterr().err == \
+            f"invalid input: unrecognized arguments: --config {cfgfile}\n"
 
 
 class TestRunExperiment:
@@ -174,10 +151,21 @@ class TestRunExperiment:
 
 
 class TestExitCodes:
-    def test_invalid_input_is_one(self, tmp_path):
+    def test_invalid_input_is_one(self, tmp_path, capsys):
         assert main(["lgreedy", "--alpha", "-1"]) == 1
         assert main(["lgreedy", "--grid", "1"]) == 1
         assert main(["fgreedy", "--fn", "nope"]) == 1
+        capsys.readouterr()
+        # numpy's default_rng would raise its own ValueError for a negative seed
+        assert main(["fgreedy", "--fn", "inspace", "--seed", "-1",
+                     "--nodes", "equispaced:20", "--out", str(tmp_path / "seed")]) == 1
+        assert capsys.readouterr().err == "invalid input: seed must be nonnegative, got -1\n"
+        # every greedy starts from 4 nodes, so a smaller cap cannot hold
+        assert main(["lgreedy", "--no-stop", "--max-iter", "3",
+                     "--out", str(tmp_path / "cap")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: max_iter must be at least 4") \
+            and err.count("\n") == 1
         # NaN would be written into summary.json, which is then not JSON
         assert main(["nodes", "--nodes", "equispaced:5", "--alpha", "nan",
                      "--out", str(tmp_path / "nan")]) == 1
@@ -205,9 +193,7 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert read_summary(out)["status"] == "FAILED"
 
-    @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "tab_nan", "config_value",
-                                      "config_missing", "config_bool", "config_algorithm",
-                                      "out_is_file"])
+    @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "tab_nan", "out_is_file"])
     def test_bad_input_file_is_one(self, tmp_path, case):
         table = tmp_path / "data.csv"
         table.write_text("x,y\n" + "\n".join(f"{x},{x}" for x in range(-4, 4))
@@ -216,36 +202,15 @@ class TestExitCodes:
         nantable = tmp_path / "nan.csv"
         nantable.write_text("x,y\n" + "\n".join(
             f"{x},{'nan' if i == 4 else x}" for i, x in enumerate(equispaced(9))))
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("grid = many\n")
-        boolfile = tmp_path / "bool.cfg"
-        boolfile.write_text("no_stop = ture\n")
-        algofile = tmp_path / "algo.cfg"
-        algofile.write_text("algorithm = lgreedy\n")
         missing = str(tmp_path / "missing")
         extra = {
             "tab_cell": ["--fn", f"tab:{table}"],
             "tab_missing": ["--fn", f"tab:{missing}"],
             "tab_nan": ["--fn", f"tab:{nantable}"],
-            "config_value": ["--config", str(cfgfile)],
-            "config_missing": ["--config", missing],
-            "config_bool": ["--config", str(boolfile)],
-            "config_algorithm": ["--config", str(algofile)],
-            "out_is_file": ["--out", str(cfgfile)],
+            "out_is_file": ["--out", str(table)],
         }[case]
         assert main(["fgreedy", "--nodes", "equispaced:9",
                      "--out", str(tmp_path / "bad"), *extra]) == 1
-
-    @pytest.mark.parametrize("value,expect", [("1", True), ("TRUE", True), ("Yes", True),
-                                              ("on", True), ("0", False), ("False", False),
-                                              ("NO", False), ("off", False)])
-    def test_config_bool_spellings(self, tmp_path, value, expect):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"no_stop = {value}\nmax_iter = 6\n")
-        out = tmp_path / "run"
-        assert main(["lgreedy", "--nodes", "equispaced:8", "--config", str(cfgfile),
-                     "--out", str(out)]) == 0
-        assert read_summary(out)["config"]["no_stop"] is expect
 
     def test_greedy_failure_writes_partial_trace(self, tmp_path, monkeypatch):
         import epspline.greedy as greedy_mod

@@ -199,3 +199,20 @@ class TestConfigValidation:
         config = cfg(tau=1.0, alpha=-2.0)
         with pytest.raises(InvalidInputError):
             lambda_greedy(np.linspace(0, 1, 10), config)
+
+    @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy", "kernel_f_greedy"])
+    def test_max_iter_counts_the_initial_set(self, model):
+        # every greedy starts from 4 nodes: a cap below that cannot hold
+        from epspline import kernel_f_greedy
+
+        cand = np.linspace(-1, 1, 20)
+        vals = np.sin(9 * cand)
+        run = {
+            "f_greedy": lambda k: f_greedy(cand, vals, cfg(max_iter=k))[0],
+            "lambda_greedy": lambda k: lambda_greedy(cand, cfg(max_iter=k))[0],
+            "kernel_f_greedy": lambda k: kernel_f_greedy(cand, vals, max_iter=k)[0],
+        }[model]
+        for k in (1, 2, 3):
+            with pytest.raises(InvalidInputError, match="initial set"):
+                run(k)
+        assert len(run(4)) == 4

@@ -18,7 +18,7 @@ from epspline import (
     lebesgue_constant,
     lebesgue_function,
 )
-from epspline.interpolate import OUTER_BAND_RTOL
+from epspline.interpolate import OUTER_BAND_RTOL, basis_matrix
 from epspline.nodes import chebyshev_lobatto, halton
 from epspline.space import segment_basis_eval
 from oracle import evaluate, segment_value
@@ -36,6 +36,25 @@ def dense_collocation(basis):
     for j in range(max(n - 3, 0), n):
         out[-1, j] = segment_value(basis, j, n - j, 1.0)  # interval ending at the last knot
     return out
+
+
+# knot gaps spread over six orders of magnitude, alpha * (largest gap) up to 30
+across_gap_ratios = given(
+    log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
+    log_alpha_h=st.floats(-3.0, np.log10(30.0)),
+)
+
+
+def gap_ratio_basis(log_gaps, log_alpha_h):
+    """The basis on the drawn knot gaps; a failed build is skipped."""
+    gaps = 10.0 ** np.array(log_gaps)
+    space = ExpSpace(10.0 ** log_alpha_h / gaps.max())
+    try:
+        basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]), space)
+    except BasisConstructionError:
+        basis = None
+    assume(basis is not None)
+    return basis
 
 
 class TestCollocationMatrix:
@@ -61,16 +80,9 @@ class TestCollocationMatrix:
                            dense_collocation(basis), rtol=0.0, atol=1e-13)
 
     @settings(deadline=None)
-    @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
-           log_alpha_h=st.floats(-3.0, np.log10(30.0)))
+    @across_gap_ratios
     def test_matches_oracle_across_gap_ratios(self, log_gaps, log_alpha_h):
-        gaps = 10.0 ** np.array(log_gaps)
-        space = ExpSpace(10.0 ** log_alpha_h / gaps.max())
-        try:
-            basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]), space)
-        except BasisConstructionError:
-            basis = None
-        assume(basis is not None)
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
         mat = collocation_matrix(basis)
         # both sides take the last row from cancelling segment terms at tau = 1,
         # summed in another order: allow twice the rounding bound of a 4-term sum
@@ -188,6 +200,26 @@ class TestCardinal:
     def test_outside_interval_rejected(self, basis8, lu8):
         with pytest.raises(DomainError):
             cardinal_values(basis8, lu8, 2.0)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_cardinal_conditions_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # At the knots the cardinal values are F A^-1 = I + (F - A) A^-1, where
+        # F holds every basis value there and A keeps its three diagonals. F - A
+        # has one value per row, so the gap to I is at most kappa_inf(A) * delta
+        # plus the rounding of the solve, delta being the largest dropped value
+        # relative to |A|_inf.
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        knots = basis.knots.interior
+        mat = collocation_matrix(basis)
+        dense = mat.to_dense()
+        delta = np.abs(basis_matrix(basis, knots).T - dense).max() / mat.norm_inf()
+        kappa = mat.norm_inf() * np.abs(np.linalg.inv(dense)).sum(axis=1).max()
+        bound = 2 * kappa * (delta + np.finfo(float).eps)
+        lu = factorize(mat)
+        psi = cardinal_values(basis, lu, knots)
+        assert np.all(np.abs(psi - np.eye(basis.n)) <= bound)
+        assert np.all(np.abs(lebesgue_function(basis, lu, knots) - 1.0) <= bound)
 
 
 class TestLebesgue:

@@ -53,3 +53,13 @@ def test_unknown_kind():
 def test_bad_interval():
     with pytest.raises(InvalidInputError):
         NodeSpec("equispaced", 5, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("count", [2.5, 8.0, "8"])
+def test_count_not_integer(count):
+    with pytest.raises(InvalidInputError, match="integer"):
+        NodeSpec("equispaced", count)
+
+
+def test_numpy_integer_count():
+    assert np.array_equal(generate(NodeSpec("equispaced", np.int64(3))), [-1.0, 0.0, 1.0])
