@@ -8,9 +8,15 @@ support endpoints, and is normalized to 1 at its central knot. The normalized
 representation keeps the per-function linear systems well conditioned even
 when neighboring knot gaps differ by orders of magnitude or are very small
 relative to ``1/alpha``.
+
+Evaluation goes through one per-interval table, the pp-form of de Boor's
+``bsplpp`` (*A Practical Guide to Splines*, 2001): on each interval of
+``[a, b]`` the four live functions are a 4x4 matrix times the four segment
+functions there. The table is gathered from ``coef`` once, when the basis is
+constructed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,11 +78,25 @@ class GBSplineBasis:
     ``coef[j, s, k]`` multiplies the ``k``-th normalized segment function on
     the ``s``-th interval of the support of basis function ``j``; the support
     of function ``j`` (0-based) is ``[extended[j], extended[j+4]]``.
+
+    ``table[i, s]``, shape ``(n - 1, 4, 4)``, holds the coefficients of
+    function ``i + s - 1`` on the ``i``-th interval ``[interior[i],
+    interior[i+1]]``, and is exactly zero where that function does not exist.
+    It is computed from ``coef`` at construction and never changes.
     """
 
     knots: AugmentedKnots
     space: ExpSpace
     coef: np.ndarray
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # function i + s - 1 lives on its (3 - s)-th support interval; padding
+        # coef with a zero function at each end fills the slots of i = -1 and n
+        padded = np.zeros((self.n + 2, 4, 4))
+        padded[1:-1] = self.coef
+        s = np.arange(4)
+        object.__setattr__(self, "table", padded[np.arange(self.n - 1)[:, None] + s, 3 - s])
 
     @property
     def n(self) -> int:
@@ -90,6 +110,14 @@ class GBSplineBasis:
     def b(self) -> float:
         return self.knots.b
 
+    def _locate(self, x):
+        """Interval index ``i`` of each point and the 4 segment functions there."""
+        E = self.knots.extended
+        xa = np.asarray(x, dtype=float)
+        i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, self.n)
+        h = E[i0 + 1] - E[i0]
+        return i0 - 2, segment_basis_eval(self.space.alpha * h, (xa - E[i0]) / h)
+
     def active_values(self, x):
         """Values of the (at most 4) basis functions alive at each point.
 
@@ -98,21 +126,11 @@ class GBSplineBasis:
         values : numpy.ndarray, shape (m, 4)
         indices : numpy.ndarray, shape (m, 4)
             Basis indices matching ``values``; entries outside ``[0, n)`` mark
-            slots with no active function (their value is set to 0).
+            slots with no active function (their value is 0).
         """
-        E = self.knots.extended
-        xa = np.asarray(x, dtype=float)
-        i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, self.n)
-        h = E[i0 + 1] - E[i0]
-        tau = (xa - E[i0]) / h
-        g = segment_basis_eval(self.space.alpha * h, tau)
-        indices = i0[..., None] - np.arange(3, -1, -1)
-        valid = (indices >= 0) & (indices < self.n)
-        jc = np.clip(indices, 0, self.n - 1)
-        seg = i0[..., None] - jc
-        values = np.einsum("...k,...sk->...s", g, self.coef[jc, seg])
-        values = np.where(valid, values, 0.0)
-        return values, indices
+        i, g = self._locate(x)
+        values = np.einsum("...k,...sk->...s", g, self.table[i])
+        return values, i[..., None] + np.arange(-1, 3)
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import build_basis
 from .diagnostics import cond2, sparsity
-from .errors import InvalidInputError, SplineError
+from .errors import InvalidInputError, SplineError, check_integer
 from .greedy import (
     GreedyConfig,
     GreedyError,
@@ -69,6 +69,8 @@ class ExperimentConfig:
             )
         if not (np.isfinite(self.alpha) and self.alpha > 0.0):
             raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
+        check_integer("grid", self.grid)
+        check_integer("seed", self.seed)
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
         if self.seed < 0:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all epspline modules."""
 
+import operator
+
 
 class SplineError(Exception):
     """Base class for all errors raised by this package."""
@@ -19,3 +21,15 @@ class BasisConstructionError(SplineError):
 
 class SingularSystemError(SplineError):
     """The collocation system is singular to working precision."""
+
+
+def check_integer(name: str, value):
+    """Raise ``InvalidInputError`` unless ``value`` is an integer.
+
+    The test is ``operator.index``: Python and numpy integers pass, while
+    ``2.5``, ``2.0`` and ``"8"`` do not.
+    """
+    try:
+        operator.index(value)
+    except TypeError as exc:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc

@@ -21,19 +21,21 @@ import numpy as np
 
 from .basis import augment_knots, build_basis
 from .diagnostics import cond2, sparsity
-from .errors import InvalidInputError, SplineError
+from .errors import InvalidInputError, SplineError, check_integer
 from .interpolate import collocation_matrix, factorize, fit, lebesgue_function
 from .space import ExpSpace
 
 
 def check_stop_rule(tau: float | None, max_iter: int | None):
-    """Range checks of the stop rule shared by every greedy run."""
+    """Type and range checks of the stop rule shared by every greedy run."""
     if tau is not None and not (np.isfinite(tau) and tau >= 0.0):
         raise InvalidInputError(f"tau must be nonnegative, got {tau}")
-    if max_iter is not None and max_iter < 4:
-        raise InvalidInputError(
-            f"max_iter must be at least 4, the size of the initial set (the two "
-            f"smallest and two largest candidates), got {max_iter}")
+    if max_iter is not None:
+        check_integer("max_iter", max_iter)
+        if max_iter < 4:
+            raise InvalidInputError(
+                f"max_iter must be at least 4, the size of the initial set (the two "
+                f"smallest and two largest candidates), got {max_iter}")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,14 @@ last knot), sits at an end of its support and vanishes in exact arithmetic.
 Assembly stores the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
+
+An interpolant is one row of 4 numbers per knot interval, ``pp[i] = sum_s
+c[i+s-1] * table[i, s]`` (see ``GBSplineBasis.table``), formed when it is
+constructed; evaluating it at a point is one dot product of that row with the
+4 segment functions there.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,18 +91,26 @@ class Interpolant:
     """Spline interpolant: basis plus solved coefficient vector.
 
     At every interior knot the interpolant reproduces the data it was fitted
-    to within roundoff of the collocation solve.
+    to within roundoff of the collocation solve. ``pp[i]`` holds its
+    coefficients on the ``i``-th knot interval in the segment basis, computed
+    at construction.
     """
 
     basis: GBSplineBasis
     coefficients: np.ndarray
+    pp: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = np.asarray(self.coefficients, dtype=float)
+        if c.shape != (self.basis.n,):
+            raise InvalidInputError(f"expected {self.basis.n} coefficients, got shape {c.shape}")
+        window = np.lib.stride_tricks.sliding_window_view(np.pad(c, 1), 4)  # c[i-1 .. i+2]
+        object.__setattr__(self, "pp", np.einsum("is,isk->ik", window, self.basis.table))
 
     def __call__(self, x):
-        """Evaluate at ``x`` in ``[a, b]`` using at most 4 local basis terms."""
-        xa = _in_domain(self.basis, x)
-        values, indices = self.basis.active_values(xa)
-        jc = np.clip(indices, 0, self.basis.n - 1)
-        out = np.sum(values * self.coefficients[jc], axis=-1)
+        """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
+        i, g = self.basis._locate(_in_domain(self.basis, x))
+        out = np.einsum("...k,...k->...", g, self.pp[i])
         return out if np.ndim(x) else float(out[0])
 
 

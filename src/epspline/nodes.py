@@ -1,11 +1,10 @@
 """Candidate point-set generators on an interval: equispaced, Chebyshev, Halton."""
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_integer
 
 KINDS = ("equispaced", "chebyshev", "halton")
 
@@ -21,10 +20,7 @@ class NodeSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown node kind {self.kind!r}, expected one of {KINDS}")
-        try:
-            operator.index(self.count)  # numpy integers pass, 2.5 and "8" do not
-        except TypeError as exc:
-            raise InvalidInputError(f"node count must be an integer, got {self.count!r}") from exc
+        check_integer("node count", self.count)
         if self.count < 2:
             raise InvalidInputError(f"need at least 2 points, got {self.count}")
         a, b = self.interval

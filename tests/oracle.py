@@ -1,12 +1,19 @@
-"""Slow per-function evaluation of the spline basis: a reference for the tests.
+"""Slow evaluations of the spline basis: references for the tests.
 
-The library evaluates the basis one way only, ``GBSplineBasis.active_values``,
-which gathers the (at most four) functions alive at each point and contracts
-their coefficients in one ``einsum``. The functions here evaluate one basis
-function at a time, one support interval at a time, with a matrix product of
-``segment_basis_eval`` and ``coef[j, s]``. The tests check the library
-against them. ``raw_generators`` evaluates the four exponential generators
-directly, the reference for the span of the normalized segment basis.
+The library evaluates the basis one way only: ``GBSplineBasis.active_values``
+contracts the segment functions at each point with one 4x4 block of the
+per-interval table ``GBSplineBasis.table``. The functions here evaluate it
+without that table:
+
+- ``evaluate`` takes one basis function at a time, one support interval at a
+  time, with a matrix product of ``segment_basis_eval`` and ``coef[j, s]``;
+- ``active_values_by_gather`` gathers the 4x4 block of every point from
+  ``coef`` and zeroes the slots with no function afterwards. Its ``einsum``
+  runs over the same numbers in the same order as the library's, so the two
+  must agree bit for bit.
+
+``raw_generators`` evaluates the four exponential generators directly, the
+reference for the span of the normalized segment basis.
 """
 
 import numpy as np
@@ -47,6 +54,22 @@ def evaluate(basis, j: int, x, deriv_order: int = 0):
         if np.any(sel):
             out[sel] = segment_value(basis, j, s, (xa[sel] - lo) / (hi - lo), deriv_order)
     return out if np.ndim(x) else float(out[0])
+
+
+def active_values_by_gather(basis, x):
+    """``active_values`` computed by gathering ``coef[j, seg]`` at every point."""
+    E = basis.knots.extended
+    xa = np.asarray(x, dtype=float)
+    i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, basis.n)
+    h = E[i0 + 1] - E[i0]
+    tau = (xa - E[i0]) / h
+    g = segment_basis_eval(basis.space.alpha * h, tau)
+    indices = i0[..., None] - np.arange(3, -1, -1)
+    valid = (indices >= 0) & (indices < basis.n)
+    jc = np.clip(indices, 0, basis.n - 1)
+    seg = i0[..., None] - jc
+    values = np.einsum("...k,...sk->...s", g, basis.coef[jc, seg])
+    return np.where(valid, values, 0.0), indices
 
 
 def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:

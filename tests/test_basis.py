@@ -188,6 +188,7 @@ class TestPriorReuse:
         reused = build_basis(knots, space2, prior=prior)
         assert sum(points) <= 5 * per_function
         assert np.array_equal(reused.coef, scratch.coef)
+        assert np.array_equal(reused.table, scratch.table)
 
     def test_prior_in_another_space_is_ignored(self, space2):
         knots = np.linspace(-1.0, 1.0, 12)
@@ -230,4 +231,5 @@ class TestPriorReuse:
                 continue
             reused = build_basis(knots, space, prior=prior)
             assert np.array_equal(reused.coef, scratch.coef)
+            assert np.array_equal(reused.table, scratch.table)
             prior = reused

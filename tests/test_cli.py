@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from epspline import InvalidInputError
 from epspline.cli import (
     ExperimentConfig,
     main,
@@ -118,6 +119,19 @@ class TestRunExperiment:
         code = main(["fgreedy", "--fn", f"tab:{table}", "--nodes", "equispaced:40",
                      "--out", str(tmp_path / "bad")])
         assert code == 1
+
+    @pytest.mark.parametrize("setting", [
+        {"algorithm": "lebesgue", "grid": 2.5},
+        {"algorithm": "fgreedy", "fn": "inspace", "seed": 1.5},
+        {"algorithm": "lgreedy", "max_iter": 5.5},
+    ], ids=["grid", "seed", "max_iter"])
+    def test_non_integral_setting_rejected(self, tmp_path, setting):
+        # a library caller is not behind argparse's int type
+        name = next(k for k in setting if k not in ("algorithm", "fn"))
+        cfg = ExperimentConfig(nodes="equispaced:20", out=str(tmp_path / "out"), **setting)
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("algorithm", ["fgreedy", "lgreedy", "kernel", "lebesgue"])
     def test_spline_matrix_never_dense(self, tmp_path, forbid_dense, algorithm):

@@ -216,3 +216,9 @@ class TestConfigValidation:
             with pytest.raises(InvalidInputError, match="initial set"):
                 run(k)
         assert len(run(4)) == 4
+
+    def test_non_integral_max_iter(self):
+        # a float cap would only be compared against the count of selected nodes
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer"):
+            cfg(max_iter=5.5)
+        assert cfg(max_iter=np.int64(5)).max_iter == 5

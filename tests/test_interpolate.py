@@ -18,10 +18,10 @@ from epspline import (
     lebesgue_constant,
     lebesgue_function,
 )
-from epspline.interpolate import OUTER_BAND_RTOL, basis_matrix
+from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, halton
 from epspline.space import segment_basis_eval
-from oracle import evaluate, segment_value
+from oracle import active_values_by_gather, evaluate, segment_value
 
 
 def dense_collocation(basis):
@@ -171,6 +171,82 @@ class TestEvaluation:
         interp = fit(basis, y)
         err = np.abs(interp(xs) - target(xs))
         assert err.max() <= 1e-7 * max(1.0, np.abs(target(xs)).max())
+
+
+def knots_and_inside(basis):
+    """Every knot (``a`` and ``b`` included) and 7 points inside each interval."""
+    x = basis.knots.interior
+    tau = np.linspace(0.0, 1.0, 9)[1:-1]
+    inside = (x[:-1, None] + np.diff(x)[:, None] * tau).ravel()
+    return x, inside
+
+
+class TestPerIntervalForm:
+    """The table ``GBSplineBasis.table`` and the interpolant's rows ``pp``."""
+
+    @staticmethod
+    def assert_active_values_equal_gather(basis):
+        x = np.concatenate(knots_and_inside(basis))
+        got, expect = basis.active_values(x), active_values_by_gather(basis, x)
+        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+    @pytest.mark.parametrize("knots", ["equispaced", "chebyshev"])
+    def test_active_values_equal_gather(self, basis8, space2, knots):
+        basis = basis8 if knots == "equispaced" else build_basis(chebyshev_lobatto(30), space2)
+        self.assert_active_values_equal_gather(basis)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_active_values_equal_gather_across_gap_ratios(self, log_gaps, log_alpha_h):
+        self.assert_active_values_equal_gather(gap_ratio_basis(log_gaps, log_alpha_h))
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_interpolant_matches_oracle_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # Points inside the intervals, and a: at an interior knot the oracle
+        # also evaluates the function whose support ends there, which is zero
+        # only to within the outer-band tolerance, not to rounding.
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        n = basis.n
+        c = np.random.default_rng(n).standard_normal(n)
+        x = np.concatenate([[basis.a], knots_and_inside(basis)[1]])
+        got = Interpolant(basis=basis, coefficients=c)(x)
+        expect = sum(c[j] * evaluate(basis, j, x) for j in range(n))
+        # Each side sums 16 products g_k * C[s, k] * c_s, so each is within
+        # 17 eps times the sum M of their absolute values (Higham's gamma_17).
+        i, g = basis._locate(x)
+        window = np.lib.stride_tricks.sliding_window_view(np.pad(np.abs(c), 1), 4)[i]
+        m = np.einsum("pk,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
+        assert np.all(np.abs(got - expect) <= 2 * 17 * np.finfo(float).eps * m)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_smallest_tables(self, space2, n):
+        basis = build_basis(np.linspace(-1.0, 1.0, n), space2)
+        assert basis.table.shape == (n - 1, 4, 4)
+        c = np.arange(1.0, n + 1)
+        pp = Interpolant(basis=basis, coefficients=c).pp
+        for i in range(n - 1):
+            live = [s for s in range(4) if 0 <= i + s - 1 < n]
+            for s in set(range(4)) - set(live):
+                assert np.array_equal(basis.table[i, s], np.zeros(4))
+            for s in live:
+                assert np.array_equal(basis.table[i, s], basis.coef[i + s - 1, 3 - s])
+            terms = np.array([c[i + s - 1] * basis.coef[i + s - 1, 3 - s] for s in live])
+            bound = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+            assert np.all(np.abs(pp[i] - terms.sum(axis=0)) <= bound)
+
+    def test_scalar_and_2d_input(self, basis8):
+        interp = fit(basis8, np.sin(np.arange(8.0)))
+        x = np.linspace(-1.0, 1.0, 12)
+        flat = interp(x)
+        scalar = interp(x[5])
+        assert type(scalar) is float and scalar == pytest.approx(flat[5], rel=0.0, abs=1e-14)
+        assert np.allclose(interp(x.reshape(3, 4)), flat.reshape(3, 4), rtol=0.0, atol=1e-14)
+        assert interp(x[:, None]).shape == (12, 1)
+
+    def test_wrong_coefficient_count_rejected(self, basis8):
+        with pytest.raises(InvalidInputError, match="expected 8 coefficients"):
+            Interpolant(basis=basis8, coefficients=np.zeros(7))
 
 
 class TestCardinal:
