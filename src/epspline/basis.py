@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisConstructionError, DomainError, InvalidInputError
+from .errors import BasisConstructionError, DomainError, check_points
 from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval
 
 # Condition-number ceiling for the per-function 16x16 local systems
@@ -56,13 +56,7 @@ def augment_knots(interior) -> AugmentedKnots:
     with the last gap. The uniform-extension rule is deterministic; the
     interpolant is not very sensitive to the exact placement.
     """
-    x = np.asarray(interior, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise InvalidInputError(f"need at least 2 interior knots, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("interior knots must be finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise InvalidInputError("interior knots must be strictly increasing and distinct")
+    x = check_points("interior knots", interior, 2)
     gl = x[1] - x[0]
     gr = x[-1] - x[-2]
     extended = np.concatenate(
@@ -111,9 +105,14 @@ class GBSplineBasis:
         return self.knots.b
 
     def _locate(self, x):
-        """Interval index ``i`` of each point and the 4 segment functions there."""
+        """Interval index ``i`` of each point and the 4 segment functions there.
+
+        Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
+        """
         E = self.knots.extended
         xa = np.asarray(x, dtype=float)
+        if not np.all((xa >= self.a) & (xa <= self.b)):
+            raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
         i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, self.n)
         h = E[i0 + 1] - E[i0]
         return i0 - 2, segment_basis_eval(self.space.alpha * h, (xa - E[i0]) / h)
@@ -127,6 +126,8 @@ class GBSplineBasis:
         indices : numpy.ndarray, shape (m, 4)
             Basis indices matching ``values``; entries outside ``[0, n)`` mark
             slots with no active function (their value is 0).
+
+        A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
         values = np.einsum("...k,...sk->...s", g, self.table[i])

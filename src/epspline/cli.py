@@ -7,10 +7,10 @@ failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ DEFAULT_TAU = {"fgreedy": 1e-3, "lgreedy": 3.0, "kernel": None}
 # ---------------------------------------------------------------------------
 # configuration
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     algorithm: str
     nodes: str = "equispaced:300"
@@ -61,14 +61,12 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise InvalidInputError(f"algorithm must be one of {ALGORITHMS}")
         parse_node_spec(self.nodes)
-        known_fn = ("atan55", "xsq", "inspace")
-        if self.fn is not None and self.fn not in known_fn \
+        if self.fn is not None and self.fn not in TARGETS \
                 and not self.fn.startswith("tab:"):
             raise InvalidInputError(
-                f"fn must be one of {known_fn} or tab:PATH, got {self.fn!r}"
+                f"fn must be one of {tuple(TARGETS)} or tab:PATH, got {self.fn!r}"
             )
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidInputError(f"alpha must be finite and positive, got {self.alpha}")
+        ExpSpace(self.alpha)
         check_integer("grid", self.grid)
         check_integer("seed", self.seed)
         if self.grid < 2:
@@ -109,7 +107,7 @@ def _read_text(path: str) -> str:
 # deterministic writers
 
 def fmt(value) -> str:
-    if value is None or (isinstance(value, float) and not np.isfinite(value) and np.isnan(value)):
+    if value is None or (isinstance(value, float) and np.isnan(value)):
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -171,9 +169,7 @@ def write_svg_chart(path: Path, xs, ys, title: str, logy: bool = False,
 
 def write_trace_csv(path: Path, trace: GreedyTrace):
     rows = [
-        (s.iteration, None if s.selected_x is None else float(s.selected_x),
-         s.criterion, s.kappa2, s.sparsity)
-        for s in trace.steps
+        (s.iteration, s.selected_x, s.criterion, s.kappa2, s.sparsity) for s in trace.steps
     ]
     write_csv(path, ["iter", "selected_x", "criterion", "kappa2", "sparsity"], rows)
 
@@ -181,28 +177,37 @@ def write_trace_csv(path: Path, trace: GreedyTrace):
 # ---------------------------------------------------------------------------
 # target functions
 
+def _inspace(cfg: ExperimentConfig, candidates: np.ndarray) -> Interpolant:
+    """A random spline on the candidates, its coefficients drawn from ``cfg.seed``."""
+    basis = build_basis(candidates, ExpSpace(cfg.alpha))
+    return Interpolant(basis, np.random.default_rng(cfg.seed).standard_normal(basis.n))
+
+
+# --fn target id -> maker(cfg, candidates) of the target, a callable on float
+# arrays; tab:PATH, read from a file, is the only other target
+TARGETS = {
+    "atan55": lambda cfg, candidates: lambda x: np.arctan(55.0 * x),
+    "xsq": lambda cfg, candidates: lambda x: x ** 2,
+    "inspace": _inspace,
+}
+
+
 def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
-    """Return (callable, values at candidates) for the configured target."""
+    """Return (callable, values at candidates) for the validated target.
+
+    A tabulated target is known only at the candidates: its callable is None.
+    """
     name = cfg.fn
     if name is None:
         name = "atan55" if cfg.algorithm == "fgreedy" else "xsq"
-    if name == "atan55":
-        f = lambda x: np.arctan(55.0 * np.asarray(x, dtype=float))  # noqa: E731
-    elif name == "xsq":
-        f = lambda x: np.asarray(x, dtype=float) ** 2  # noqa: E731
-    elif name == "inspace":
-        basis = build_basis(candidates, ExpSpace(cfg.alpha))
-        rng = np.random.default_rng(cfg.seed)
-        coef = rng.standard_normal(basis.n)
-        f = Interpolant(basis=basis, coefficients=coef)
-    elif name.startswith("tab:"):
-        return _load_tabulated(name[4:], candidates)
-    else:
-        raise InvalidInputError(f"unknown function id {name!r}")
+    if name.startswith("tab:"):
+        return None, _load_tabulated(name[4:], candidates)
+    f = TARGETS[name](cfg, candidates)
     return f, np.asarray(f(candidates), dtype=float)
 
 
-def _load_tabulated(path: str, candidates: np.ndarray):
+def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
+    """The file's y values, in candidate order; its x values must be the candidates."""
     rows = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -228,17 +233,7 @@ def _load_tabulated(path: str, candidates: np.ndarray):
     xs, ys = xs[order], ys[order]
     if not np.allclose(xs, candidates, rtol=0.0, atol=1e-12):
         raise InvalidInputError("tabulated abscissas do not match the candidate set")
-    # keyed by the candidates: the file's abscissas may differ in the last digits
-    lookup = dict(zip(candidates.tolist(), ys.tolist()))
-
-    def f(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        try:
-            return np.array([lookup[float(v)] for v in xa])
-        except KeyError as exc:
-            raise InvalidInputError("tabulated target sampled off its grid") from exc
-
-    return f, ys
+    return ys
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     t0 = time.perf_counter()
     out = Path(cfg.out)
     _make_dir(out)
-    summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": _config_dict(cfg)}
+    summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": dataclasses.asdict(cfg)}
     try:
         result = _dispatch(cfg, out)
         summary.update(result)
@@ -265,10 +260,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary["wall_time_s"] = time.perf_counter() - t0
     _write_summary(out, summary)
     return summary
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    return {k: getattr(cfg, k) for k in ExperimentConfig.__dataclass_fields__}
 
 
 def _write_summary(out: Path, summary: dict):
@@ -336,9 +327,9 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     if predict is None:
         predict = fit(basis, values[np.searchsorted(candidates, selected)], lu=lu)
     write_trace_csv(out / "trace.csv", trace)
-    # tabulated targets are only known at the candidate abscissas
-    err_grid = candidates if (cfg.fn or "").startswith("tab:") else eval_grid
-    abs_err = np.abs(np.asarray(f(err_grid), dtype=float) - predict(err_grid))
+    # a tabulated target is known only at the candidates
+    err_grid, target = (candidates, values) if f is None else (eval_grid, f(eval_grid))
+    abs_err = np.abs(np.asarray(target, dtype=float) - predict(err_grid))
     write_csv(out / "error.csv", ["x", "abs_error"],
               zip(err_grid.tolist(), abs_err.tolist()))
     write_svg_chart(out / "plot_error.svg", err_grid, abs_err, "absolute error")
@@ -428,7 +419,7 @@ def _add_common(sub: argparse.ArgumentParser, with_fn: bool = True):
                      help="seed for the random in-space target")
     if with_fn:
         sub.add_argument("--fn", default=None,
-                         help="target: atan55 | xsq | inspace | tab:PATH")
+                         help=f"target: {' | '.join(TARGETS)} | tab:PATH")
 
 
 def build_parser() -> _Parser:

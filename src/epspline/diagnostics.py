@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 
 from .banded import BandedMatrix, factorize
-from .errors import InvalidInputError, SplineError
+from .errors import InvalidInputError, SplineError, check_values
 from .interpolate import Interpolant, basis_matrix, collocation_matrix, lebesgue_function
 
 SPARSITY_TOL = 1e-14
@@ -113,13 +113,6 @@ class BoundCheck:
     proxy: float
 
 
-def _target_values(f, x) -> np.ndarray:
-    fx = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise InvalidInputError("target function values must be finite")
-    return fx
-
-
 def minimax_proxy(basis, f) -> float:
     """Discrete sup-norm distance from ``f`` to the basis span.
 
@@ -139,7 +132,7 @@ def minimax_proxy(basis, f) -> float:
 
     t = np.linspace(basis.a, basis.b, PROXY_GRID_SIZE)
     design = basis_matrix(basis, t).T
-    ft = _target_values(f, t)
+    ft = check_values("target function values", f(t), PROXY_GRID_SIZE)
     ones = np.ones((PROXY_GRID_SIZE, 1))
     # variables (c, e): design @ c - e <= f and -design @ c - e <= -f
     res = linprog(np.r_[np.zeros(basis.n), 1.0], bounds=(None, None),
@@ -163,7 +156,7 @@ def check_error_bound(f, interp: Interpolant, grid) -> BoundCheck:
     proxy = minimax_proxy(basis, f)
     lu = factorize(collocation_matrix(basis))
     lam = lebesgue_function(basis, lu, grid)
-    f_grid = _target_values(f, grid)
+    f_grid = check_values("target function values", f(grid), grid.size)
     lhs = np.abs(f_grid - interp(grid))
     rhs = (1.0 + lam) * proxy * (1.0 + BOUND_SLACK)
     floor = 1e-7 * max(1.0, float(np.abs(f_grid).max()))

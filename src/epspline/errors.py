@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all epspline modules."""
+"""Exception hierarchy shared by all epspline modules, and the one check of each
+input kind: ``check_integer``, ``check_points`` and ``check_values``."""
 
 import operator
+
+import numpy as np
 
 
 class SplineError(Exception):
@@ -33,3 +36,27 @@ def check_integer(name: str, value):
         operator.index(value)
     except TypeError as exc:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def check_points(name: str, x, min_count: int) -> np.ndarray:
+    """``x`` as a float array; ``InvalidInputError`` unless it holds at least
+    ``min_count`` points, 1-d, finite and strictly increasing."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < min_count:
+        raise InvalidInputError(
+            f"need a 1-d array of at least {min_count} {name}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{name} must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise InvalidInputError(f"{name} must be sorted, strictly increasing and distinct")
+    return x
+
+
+def check_values(name: str, y, n: int) -> np.ndarray:
+    """``y`` as a float array; ``InvalidInputError`` unless it holds ``n`` finite values."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise InvalidInputError(f"expected {n} {name}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInputError(f"{name} must be finite")
+    return y

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import augment_knots, build_basis
 from .diagnostics import cond2, sparsity
-from .errors import InvalidInputError, SplineError, check_integer
+from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
 from .interpolate import collocation_matrix, factorize, fit, lebesgue_function
 from .space import ExpSpace
 
@@ -96,27 +96,6 @@ class GreedyError(SplineError):
         self.trace = trace
 
 
-def _validated_candidates(candidates) -> np.ndarray:
-    cand = np.asarray(candidates, dtype=float)
-    if cand.ndim != 1 or len(cand) < 4:
-        # the initial set takes the two smallest and the two largest
-        raise InvalidInputError(f"need a 1-d candidate vector of length >= 4, got {cand.shape}")
-    if not np.all(np.isfinite(cand)):
-        raise InvalidInputError("candidates must be finite")
-    if np.any(np.diff(cand) <= 0.0):
-        raise InvalidInputError("candidates must be sorted, strictly increasing and distinct")
-    return cand
-
-
-def _validated_values(values, cand: np.ndarray) -> np.ndarray:
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != cand.shape:
-        raise InvalidInputError(f"values must match candidates, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise InvalidInputError("values must be finite")
-    return vals
-
-
 def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     """Insert one candidate per iteration until a stop rule fires.
 
@@ -135,7 +114,8 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     -------
     (selected points, state of the last fit, trace)
     """
-    cand = _validated_candidates(candidates)
+    # the initial set takes the two smallest and the two largest
+    cand = check_points("candidates", candidates, 4)
     m = len(cand)
     if max_iter is not None and max_iter > m:
         raise InvalidInputError(f"max_iter {max_iter} exceeds candidate count {m}")
@@ -218,7 +198,7 @@ def f_greedy(candidates, values, config: GreedyConfig):
         candidates is at most ``config.tau``.
     """
     cand = np.asarray(candidates, dtype=float)
-    values = _validated_values(values, cand)
+    values = check_values("values", values, cand.size)
 
     def residual(basis, lu, selected):
         interp = fit(basis, values[selected], lu=lu)

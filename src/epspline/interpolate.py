@@ -21,7 +21,7 @@ import numpy as np
 
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
-from .errors import BasisConstructionError, DomainError, InvalidInputError
+from .errors import BasisConstructionError, InvalidInputError, check_values
 
 # A basis value outside the three diagonals above this multiple of the
 # collocation matrix norm means the basis does not vanish at its support ends.
@@ -78,14 +78,6 @@ def basis_matrix(basis: GBSplineBasis, x) -> np.ndarray:
     return out
 
 
-def _in_domain(basis: GBSplineBasis, x) -> np.ndarray:
-    """``x`` as a 1-d float array, checked to lie in ``[a, b]`` (NaN does not)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xa >= basis.a) & (xa <= basis.b)):
-        raise DomainError(f"evaluation outside [{basis.a:g}, {basis.b:g}]")
-    return xa
-
-
 @dataclass(frozen=True)
 class Interpolant:
     """Spline interpolant: basis plus solved coefficient vector.
@@ -109,7 +101,7 @@ class Interpolant:
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
-        i, g = self.basis._locate(_in_domain(self.basis, x))
+        i, g = self.basis._locate(np.atleast_1d(x))
         out = np.einsum("...k,...k->...", g, self.pp[i])
         return out if np.ndim(x) else float(out[0])
 
@@ -125,11 +117,7 @@ def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
     lu : BandedLU, optional
         Reuse an existing factorization of the collocation matrix.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (basis.n,):
-        raise InvalidInputError(f"expected {basis.n} data values, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("data values must be finite")
+    y = check_values("data values", y, basis.n)
     if lu is None:
         lu = factorize(collocation_matrix(basis))
     return Interpolant(basis=basis, coefficients=lu.solve(y))
@@ -146,9 +134,7 @@ def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:
     """
     if np.ndim(x) > 1:
         raise InvalidInputError(f"expected a scalar or a 1-d array, got shape {np.shape(x)}")
-    xa = _in_domain(basis, x)
-    rhs = basis_matrix(basis, xa)
-    u = lu.solve(rhs, transpose=True)
+    u = lu.solve(basis_matrix(basis, x), transpose=True)
     return u[:, 0] if np.ndim(x) == 0 else u.T
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularSystemError
-from .greedy import _greedy_loop, _validated_values, check_stop_rule
+from .errors import SingularSystemError, check_points, check_values
+from .greedy import _greedy_loop, check_stop_rule
 
 __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
 
@@ -58,17 +58,8 @@ def tps_fit(x, y) -> KernelInterpolant:
     constants and linears, which makes the saddle system nonsingular and the
     tail reproduce linear data exactly.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or len(x) < 3:
-        raise InvalidInputError(f"need at least 3 points, got {x.shape}")
-    if y.shape != x.shape:
-        raise InvalidInputError("x and y must have matching shapes")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("points and values must be finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise InvalidInputError("points must be sorted, strictly increasing and distinct")
-    return _solve_saddle(x, y)[0]
+    x = check_points("points", x, 3)
+    return _solve_saddle(x, check_values("values", y, len(x)))[0]
 
 
 def _solve_saddle(x: np.ndarray, y: np.ndarray) -> tuple[KernelInterpolant, np.ndarray]:
@@ -100,7 +91,7 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
         per-iteration trace.
     """
     cand = np.asarray(candidates, dtype=float)
-    vals = _validated_values(values, cand)
+    vals = check_values("values", values, cand.size)
     check_stop_rule(tau, max_iter)
 
     def refit(selected):

@@ -19,6 +19,18 @@ def cfg(**kw):
     return GreedyConfig(**kw)
 
 
+def jittered(m: int, seed: int) -> np.ndarray:
+    """Equispaced points on [-1, 1], the interior ones moved by up to a third of a step."""
+    x = np.linspace(-1.0, 1.0, m)
+    x[1:-1] += np.random.default_rng(seed).uniform(-1.0, 1.0, m - 2) * (x[1] - x[0]) / 3.0
+    return x
+
+
+def assert_same_trace(a, b):
+    # GreedyStep equality compares the picks, criteria, kappa2 and sparsity exactly
+    assert a.steps == b.steps and a.stop_reason == b.stop_reason
+
+
 def test_spline_greedies_never_densify(forbid_dense):
     cand = np.linspace(-1, 1, 60)
     _, _, trace = f_greedy(cand, np.arctan(20 * cand), cfg(max_iter=15))
@@ -65,12 +77,11 @@ class TestFGreedy:
             assert step.n_nodes == 4 + k
 
     def test_determinism(self):
-        f = lambda x: np.arctan(8 * x)  # noqa: E731
-        cand = np.linspace(-1, 1, 90)
-        runs = [f_greedy(cand, f(cand), cfg(tau=1e-5)) for _ in range(2)]
+        cand = jittered(90, seed=3)
+        runs = [f_greedy(cand, np.arctan(8 * cand), cfg(tau=1e-5)) for _ in range(2)]
         assert np.array_equal(runs[0][0], runs[1][0])
-        assert [s.selected_index for s in runs[0][2].steps] == \
-               [s.selected_index for s in runs[1][2].steps]
+        assert_same_trace(runs[0][2], runs[1][2])
+        assert runs[0][2].stop_reason == "tau"
 
     def test_values_length_checked(self):
         with pytest.raises(InvalidInputError):
@@ -101,6 +112,13 @@ class TestFGreedy:
 
 
 class TestLambdaGreedy:
+    def test_determinism(self):
+        cand = jittered(90, seed=3)
+        runs = [lambda_greedy(cand, cfg(tau=3.0)) for _ in range(2)]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert_same_trace(runs[0][1], runs[1][1])
+        assert runs[0][1].stop_reason == "tau"
+
     def test_selection_independent_of_values(self):
         # identical index sequences no matter what data the caller holds
         cand = np.linspace(-1, 1, 60)

@@ -57,6 +57,42 @@ def gap_ratio_basis(log_gaps, log_alpha_h):
     return basis
 
 
+# every evaluator of a basis, called as (basis, lu, x); all go through GBSplineBasis._locate
+EVALUATORS = {
+    "_locate": lambda basis, lu, x: basis._locate(x),
+    "active_values": lambda basis, lu, x: basis.active_values(x),
+    "Interpolant": lambda basis, lu, x: Interpolant(basis, np.ones(basis.n))(x),
+    "cardinal_values": cardinal_values,
+    "lebesgue_function": lebesgue_function,
+}
+
+
+def assert_domain_is_a_to_b(basis, evaluate_at):
+    """``evaluate_at`` takes a and b exactly, and raises ``DomainError`` just outside, far
+    outside (5.0 on [-1, 1]) and at NaN, for a scalar and inside an array."""
+    a, b = basis.a, basis.b
+    lu = factorize(collocation_matrix(basis))
+    for inside in (a, b, np.array([a, b])):
+        evaluate_at(basis, lu, inside)
+    for x in (np.nextafter(b, np.inf), np.nextafter(a, -np.inf), a + 3.0 * (b - a), np.nan):
+        for points in (x, np.array([a, x])):
+            with pytest.raises(DomainError):
+                evaluate_at(basis, lu, points)
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_domain_is_a_to_b(basis8, name):
+    assert_domain_is_a_to_b(basis8, EVALUATORS[name])
+
+
+@settings(deadline=None)
+@across_gap_ratios
+def test_domain_is_a_to_b_across_gap_ratios(log_gaps, log_alpha_h):
+    basis = gap_ratio_basis(log_gaps, log_alpha_h)
+    for evaluate_at in EVALUATORS.values():
+        assert_domain_is_a_to_b(basis, evaluate_at)
+
+
 class TestCollocationMatrix:
     def test_unit_diagonal(self, colloc8):
         dense = colloc8.to_dense()
