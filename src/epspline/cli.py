@@ -1,12 +1,13 @@
 """Experiment runner: greedy selections, Lebesgue scans, node generation.
 
-Every run writes CSV traces (the contract: deterministic, floats at 17
-significant digits), simple SVG polyline charts (best-effort presentation),
-and a summary.json. Exit codes: 0 success, 1 invalid input, 2 numerical
-failure.
+Each subcommand has a flag for each setting it reads (``SUBCOMMANDS``) and no
+other. A run writes CSV traces (the contract: deterministic, floats at 17
+significant digits), SVG charts (best-effort presentation) and summary.json.
+Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import sys
@@ -37,12 +38,23 @@ from .kernel import kernel_f_greedy
 from .nodes import NodeSpec, generate
 from .space import ExpSpace
 
-ALGORITHMS = ("fgreedy", "lgreedy", "kernel", "lebesgue", "nodes")
-DEFAULT_TAU = {"fgreedy": 1e-3, "lgreedy": 3.0, "kernel": None}
-
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# per experiment subcommand: the ExperimentConfig settings it reads, each one a
+# flag, and the tau and --fn target it uses when none is given
+Subcommand = collections.namedtuple("Subcommand", "reads tau fn", defaults=(None, None))
+
+GREEDY_READS = ("nodes", "fn", "alpha", "tau", "no_stop", "max_iter", "grid", "out")
+SUBCOMMANDS = {
+    "fgreedy": Subcommand(GREEDY_READS, tau=1e-3, fn="atan55"),
+    "lgreedy": Subcommand(GREEDY_READS, tau=3.0, fn="xsq"),
+    "kernel": Subcommand(GREEDY_READS, fn="xsq"),
+    "lebesgue": Subcommand(("nodes", "alpha", "grid", "out")),
+    "nodes": Subcommand(("nodes", "out")),
+}
+
 
 @dataclasses.dataclass
 class ExperimentConfig:
@@ -55,11 +67,16 @@ class ExperimentConfig:
     max_iter: int | None = None
     grid: int = 400
     out: str = "out"
-    seed: int = 0
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise InvalidInputError(f"algorithm must be one of {ALGORITHMS}")
+        if self.algorithm not in SUBCOMMANDS:
+            raise InvalidInputError(f"algorithm must be one of {tuple(SUBCOMMANDS)}")
+        reads = SUBCOMMANDS[self.algorithm].reads
+        for field in dataclasses.fields(self)[1:]:  # every setting but algorithm
+            if field.name not in reads and getattr(self, field.name) != field.default:
+                raise InvalidInputError(f"{self.algorithm} does not read {field.name}")
+        if self.tau is not None and self.no_stop:
+            raise InvalidInputError("tau and no_stop cannot both be set")
         parse_node_spec(self.nodes)
         if self.fn is not None and self.fn not in TARGETS \
                 and not self.fn.startswith("tab:"):
@@ -68,11 +85,8 @@ class ExperimentConfig:
             )
         ExpSpace(self.alpha)
         check_integer("grid", self.grid)
-        check_integer("seed", self.seed)
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         check_stop_rule(self.tau, self.max_iter)
 
 
@@ -94,13 +108,6 @@ def _make_dir(path: Path):
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidInputError(f"cannot create output directory {path}: {exc}") from exc
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +185,9 @@ def write_trace_csv(path: Path, trace: GreedyTrace):
 # target functions
 
 def _inspace(cfg: ExperimentConfig, candidates: np.ndarray) -> Interpolant:
-    """A random spline on the candidates, its coefficients drawn from ``cfg.seed``."""
+    """One fixed random spline on the candidates: its coefficients are drawn from seed 0."""
     basis = build_basis(candidates, ExpSpace(cfg.alpha))
-    return Interpolant(basis, np.random.default_rng(cfg.seed).standard_normal(basis.n))
+    return Interpolant(basis, np.random.default_rng(0).standard_normal(basis.n))
 
 
 # --fn target id -> maker(cfg, candidates) of the target, a callable on float
@@ -197,9 +204,7 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
 
     A tabulated target is known only at the candidates: its callable is None.
     """
-    name = cfg.fn
-    if name is None:
-        name = "atan55" if cfg.algorithm == "fgreedy" else "xsq"
+    name = cfg.fn if cfg.fn is not None else SUBCOMMANDS[cfg.algorithm].fn
     if name.startswith("tab:"):
         return None, _load_tabulated(name[4:], candidates)
     f = TARGETS[name](cfg, candidates)
@@ -208,8 +213,12 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
 
 def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
     """The file's y values, in candidate order; its x values must be the candidates."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith("x,"):
             continue
@@ -247,9 +256,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     _make_dir(out)
     summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": dataclasses.asdict(cfg)}
     try:
-        result = _dispatch(cfg, out)
-        summary.update(result)
-        summary["status"] = "ok"
+        summary.update(_dispatch(cfg, out), status="ok")
     except SplineError as exc:
         if isinstance(exc, GreedyError):
             write_trace_csv(out / "trace.csv", exc.trace)
@@ -291,7 +298,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     if cfg.algorithm != "lebesgue":
         f, values = resolve_function(cfg, candidates)
         tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
-                                        else DEFAULT_TAU[cfg.algorithm])
+                                        else SUBCOMMANDS[cfg.algorithm].tau)
         if cfg.algorithm == "kernel":
             selected, predict, trace = kernel_f_greedy(candidates, values, tau=tau,
                                                        max_iter=cfg.max_iter)
@@ -345,31 +352,23 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
 # ---------------------------------------------------------------------------
 # reproduce-all
 
+# the paper's three experiments on each node family, then its saturation trace
+# and its spline-against-kernel comparison
 REPRODUCE_RUNS = [
-    ("lebesgue_scan_equispaced", dict(algorithm="lebesgue", nodes="equispaced:8")),
-    ("lebesgue_scan_halton", dict(algorithm="lebesgue", nodes="halton:8")),
-    ("lebesgue_scan_chebyshev", dict(algorithm="lebesgue", nodes="chebyshev:8")),
-    ("fgreedy_atan_equispaced",
-     dict(algorithm="fgreedy", fn="atan55", nodes="equispaced:300", tau=1e-3)),
-    ("fgreedy_atan_halton",
-     dict(algorithm="fgreedy", fn="atan55", nodes="halton:300", tau=1e-3)),
-    ("fgreedy_atan_chebyshev",
-     dict(algorithm="fgreedy", fn="atan55", nodes="chebyshev:300", tau=1e-3)),
-    ("lgreedy_equispaced",
-     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", tau=3.0)),
-    ("lgreedy_halton",
-     dict(algorithm="lgreedy", fn="xsq", nodes="halton:300", tau=3.0)),
-    ("lgreedy_chebyshev",
-     dict(algorithm="lgreedy", fn="xsq", nodes="chebyshev:300", tau=3.0)),
+    (f"{name}_{kind}", dict(settings, nodes=f"{kind}:{count}"))
+    for name, count, settings in (
+        ("lebesgue_scan", 8, dict(algorithm="lebesgue")),
+        ("fgreedy_atan", 300, dict(algorithm="fgreedy", fn="atan55", tau=1e-3)),
+        ("lgreedy", 300, dict(algorithm="lgreedy", fn="xsq", tau=3.0)),
+    )
+    for kind in ("equispaced", "halton", "chebyshev")
+] + [
     ("saturation_trace",
-     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True,
-          max_iter=300)),
+     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=300)),
     ("comparison_spline_32",
-     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True,
-          max_iter=32)),
+     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=32)),
     ("comparison_kernel_32",
-     dict(algorithm="kernel", fn="xsq", nodes="equispaced:300", no_stop=True,
-          max_iter=32)),
+     dict(algorithm="kernel", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=32)),
 ]
 
 
@@ -380,17 +379,10 @@ def reproduce_all(out_root: str | None = None) -> dict:
     root = Path(out_root)
     _make_dir(root)
     manifest = {}
-    for name, overrides in REPRODUCE_RUNS:
-        overrides = dict(overrides)
-        cfg = ExperimentConfig(algorithm=overrides.pop("algorithm"),
-                               out=str(root / name), **overrides)
-        summary = run_experiment(cfg)
-        manifest[name] = {
-            "n_selected": summary.get("n_selected"),
-            "final_criterion": summary.get("final_criterion"),
-            "lebesgue_constant": summary.get("lebesgue_constant"),
-            "kappa2": summary.get("kappa2"),
-        }
+    for name, settings in REPRODUCE_RUNS:
+        summary = run_experiment(ExperimentConfig(out=str(root / name), **settings))
+        manifest[name] = {key: summary.get(key) for key in
+                          ("n_selected", "final_criterion", "lebesgue_constant", "kappa2")}
     root.joinpath("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n"
     )
@@ -405,29 +397,25 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_fn: bool = True):
-    sub.add_argument("--nodes", default=None, help="node spec kind:count on [-1, 1]")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--tau", type=float, default=None)
-    sub.add_argument("--no-stop", action="store_true", default=None,
-                     help="ignore tau; run until max-iter or exhaustion")
-    sub.add_argument("--max-iter", type=int, default=None,
-                     help="cap on the total number of selected nodes")
-    sub.add_argument("--grid", type=int, default=None, help="evaluation grid size")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for the random in-space target")
-    if with_fn:
-        sub.add_argument("--fn", default=None,
-                         help=f"target: {' | '.join(TARGETS)} | tab:PATH")
+FLAGS = {
+    "nodes": dict(help="node spec kind:count on [-1, 1]"),
+    "fn": dict(help=f"target: {' | '.join(TARGETS)} | tab:PATH"),
+    "alpha": dict(type=float),
+    "tau": dict(type=float),
+    "no_stop": dict(action="store_true", help="ignore tau; run until max-iter or exhaustion"),
+    "max_iter": dict(type=int, help="cap on the total number of selected nodes"),
+    "grid": dict(type=int, help="evaluation grid size"),
+    "out": dict(help="output directory"),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="epspline", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("fgreedy", "lgreedy", "kernel", "lebesgue", "nodes"):
+    for name, subcommand in SUBCOMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub, with_fn=name in ("fgreedy", "lgreedy", "kernel"))
+        for setting in subcommand.reads:
+            sub.add_argument("--" + setting.replace("_", "-"), default=None, **FLAGS[setting])
     rep = subs.add_parser("reproduce-all")
     rep.add_argument("--out", default=None, help="output root (default: timestamped)")
     return parser

@@ -53,6 +53,7 @@ class GreedyConfig:
     max_iter: int | None = None
 
     def __post_init__(self):
+        ExpSpace(self.alpha)
         check_stop_rule(self.tau, self.max_iter)
 
 

@@ -23,8 +23,12 @@ class NodeSpec:
         check_integer("node count", self.count)
         if self.count < 2:
             raise InvalidInputError(f"need at least 2 points, got {self.count}")
-        a, b = self.interval
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        try:
+            a, b = self.interval
+            ok = np.isfinite(a) and np.isfinite(b) and a < b
+        except (TypeError, ValueError):  # not a pair of real numbers
+            ok = False
+        if not ok:
             raise InvalidInputError(f"bad interval {self.interval}")
 
 

@@ -6,6 +6,8 @@ fixed rate ``a > 0``, always evaluated in segment-local coordinates so the
 exponents stay small.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,13 @@ class ExpSpace:
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise InvalidInputError(f"alpha must be a positive finite real, got {self.alpha}")
+        try:  # bool is an int, so numbers.Real takes True; numpy's bool_ is not a Real
+            ok = isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool) \
+                and 0.0 < self.alpha and math.isfinite(self.alpha)
+        except OverflowError:  # an int or Fraction beyond the largest double
+            ok = False
+        if not ok:
+            raise InvalidInputError(f"alpha must be a positive finite real, got {self.alpha!r}")
 
 
 def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from epspline import InvalidInputError
 from epspline.cli import (
+    SUBCOMMANDS,
     ExperimentConfig,
     main,
     parse_node_spec,
@@ -17,6 +18,10 @@ GREEDY_FILES = {
     "plot_selected.svg", "plot_error.svg", "plot_lebesgue.svg", "plot_trace.svg",
     "summary.json",
 }
+
+# for each setting but out, a valid value other than the ExperimentConfig default
+OTHER_VALUE = {"nodes": "halton:9", "fn": "xsq", "alpha": 3.0, "tau": 1.0,
+               "no_stop": True, "max_iter": 9, "grid": 100}
 
 
 def read_summary(out):
@@ -32,6 +37,20 @@ class TestParsing:
         assert main(["lgreedy", "--nodes", "equispaced"]) == 1
         assert main(["lgreedy", "--nodes", "equispaced:x"]) == 1
         assert main(["lgreedy", "--nodes", "weird:10"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["nodes", "--alpha", "2"],
+        ["lebesgue", "--tau", "3"],
+        ["lgreedy", "--seed", "1"],
+        ["lgreedy", "--tau", "3", "--no-stop"],
+    ], ids=["nodes-alpha", "lebesgue-tau", "lgreedy-seed", "tau-and-no-stop"])
+    def test_setting_not_read_is_rejected(self, tmp_path, capsys, argv):
+        # a flag a subcommand would ignore, or tau beside no-stop, is not dropped silently
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_file_flag_is_gone(self, tmp_path, capsys):
         # flags are the one way to configure a run; there is no config file
@@ -94,9 +113,26 @@ class TestRunExperiment:
             "selected.csv", "plot_selected.svg", "summary.json",
         }
 
+    @pytest.mark.parametrize("algorithm, setting", [
+        (algorithm, setting) for algorithm, sub in SUBCOMMANDS.items()
+        for setting in OTHER_VALUE if setting not in sub.reads
+    ])
+    def test_setting_not_read_is_rejected(self, tmp_path, algorithm, setting):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(algorithm, out=str(out), **{setting: OTHER_VALUE[setting]})
+        with pytest.raises(InvalidInputError, match=f"{algorithm} does not read {setting}"):
+            run_experiment(cfg)
+        assert not out.exists()
+
+    def test_tau_with_no_stop_rejected(self, tmp_path):
+        cfg = ExperimentConfig("lgreedy", tau=3.0, no_stop=True, out=str(tmp_path / "out"))
+        with pytest.raises(InvalidInputError, match="tau and no_stop"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_inspace_target_fgreedy_stops_fast(self, tmp_path):
         out = tmp_path / "ins"
-        cfg = ExperimentConfig(algorithm="fgreedy", fn="inspace", seed=3,
+        cfg = ExperimentConfig(algorithm="fgreedy", fn="inspace",
                                nodes="equispaced:50", tau=1e-3, out=str(out))
         summary = run_experiment(cfg)
         assert summary["status"] == "ok"
@@ -122,12 +158,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("setting", [
         {"algorithm": "lebesgue", "grid": 2.5},
-        {"algorithm": "fgreedy", "fn": "inspace", "seed": 1.5},
         {"algorithm": "lgreedy", "max_iter": 5.5},
-    ], ids=["grid", "seed", "max_iter"])
+    ], ids=["grid", "max_iter"])
     def test_non_integral_setting_rejected(self, tmp_path, setting):
         # a library caller is not behind argparse's int type
-        name = next(k for k in setting if k not in ("algorithm", "fn"))
+        name = next(k for k in setting if k != "algorithm")
         cfg = ExperimentConfig(nodes="equispaced:20", out=str(tmp_path / "out"), **setting)
         with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
             run_experiment(cfg)
@@ -135,8 +170,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm", ["fgreedy", "lgreedy", "kernel", "lebesgue"])
     def test_spline_matrix_never_dense(self, tmp_path, forbid_dense, algorithm):
-        cfg = ExperimentConfig(algorithm=algorithm, nodes="equispaced:40", max_iter=12,
-                               out=str(tmp_path / algorithm))
+        cap = {} if algorithm == "lebesgue" else {"max_iter": 12}
+        cfg = ExperimentConfig(algorithm=algorithm, nodes="equispaced:40",
+                               out=str(tmp_path / algorithm), **cap)
         assert run_experiment(cfg)["status"] == "ok"
 
     def test_csv_determinism(self, tmp_path):
@@ -170,10 +206,6 @@ class TestExitCodes:
         assert main(["lgreedy", "--grid", "1"]) == 1
         assert main(["fgreedy", "--fn", "nope"]) == 1
         capsys.readouterr()
-        # numpy's default_rng would raise its own ValueError for a negative seed
-        assert main(["fgreedy", "--fn", "inspace", "--seed", "-1",
-                     "--nodes", "equispaced:20", "--out", str(tmp_path / "seed")]) == 1
-        assert capsys.readouterr().err == "invalid input: seed must be nonnegative, got -1\n"
         # every greedy starts from 4 nodes, so a smaller cap cannot hold
         assert main(["lgreedy", "--no-stop", "--max-iter", "3",
                      "--out", str(tmp_path / "cap")]) == 1
@@ -181,7 +213,7 @@ class TestExitCodes:
         assert err.startswith("invalid input: max_iter must be at least 4") \
             and err.count("\n") == 1
         # NaN would be written into summary.json, which is then not JSON
-        assert main(["nodes", "--nodes", "equispaced:5", "--alpha", "nan",
+        assert main(["lebesgue", "--nodes", "equispaced:5", "--alpha", "nan",
                      "--out", str(tmp_path / "nan")]) == 1
         afile = tmp_path / "afile"
         afile.write_text("")

@@ -214,9 +214,15 @@ class TestConfigValidation:
             cfg(tau=-1.0)
 
     def test_bad_alpha(self):
-        config = cfg(tau=1.0, alpha=-2.0)
-        with pytest.raises(InvalidInputError):
-            lambda_greedy(np.linspace(0, 1, 10), config)
+        # rejected on construction, not on the loop's first refit
+        with pytest.raises(InvalidInputError, match="alpha"):
+            cfg(tau=1.0, alpha=-2.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, np.nan, np.inf, "2", True, None])
+    def test_alpha_checked_like_exp_space(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha must be a positive finite real"):
+            cfg(alpha=alpha)
+        assert cfg(alpha=np.float32(2.0)).alpha == 2.0
 
     @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy", "kernel_f_greedy"])
     def test_max_iter_counts_the_initial_set(self, model):

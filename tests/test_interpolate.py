@@ -131,6 +131,20 @@ class TestCollocationMatrix:
         gap = np.abs(mat.to_dense() - dense_collocation(basis))
         assert np.all(gap <= OUTER_BAND_RTOL * mat.norm_inf() + rounding)
 
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_forward_pivots_positive_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # Elimination without row exchanges is stable on a totally positive
+        # matrix, and positive forward pivots are the cheap check of that
+        # (ROADMAP item 4). The entries are not checked for sign: beside a
+        # large alpha * h, a neighbour value that is tiny in exact arithmetic
+        # can come out about -1e-13 from cancelling segment terms.
+        upper, diag, lower = collocation_matrix(gap_ratio_basis(log_gaps, log_alpha_h)).bands
+        pivots = [diag[0]]
+        for i in range(1, len(diag)):
+            pivots.append(diag[i] - lower[i - 1] * upper[i] / pivots[-1])
+        assert min(pivots) > 0.0, pivots
+
 
 class TestFit:
     def test_zero_data_zero_coefficients(self, basis8):

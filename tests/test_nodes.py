@@ -55,6 +55,13 @@ def test_bad_interval():
         NodeSpec("equispaced", 5, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (0.0,), 1.0, None, ("a", "b")],
+                         ids=["triple", "single", "scalar", "None", "strings"])
+def test_interval_not_a_pair_of_reals(interval):
+    with pytest.raises(InvalidInputError, match="bad interval"):
+        NodeSpec("equispaced", 5, interval)
+
+
 @pytest.mark.parametrize("count", [2.5, 8.0, "8"])
 def test_count_not_integer(count):
     with pytest.raises(InvalidInputError, match="integer"):

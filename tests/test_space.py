@@ -59,6 +59,18 @@ def test_alpha_must_be_positive():
         ExpSpace(float("nan"))
 
 
+@pytest.mark.parametrize("alpha", ["2", True, np.bool_(True), None, [2.0], 2 + 0j, 10 ** 400],
+                         ids=["str", "bool", "numpy-bool", "None", "list", "complex", "huge-int"])
+def test_alpha_must_be_a_real_number(alpha):
+    with pytest.raises(InvalidInputError, match="alpha must be a positive finite real"):
+        ExpSpace(alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_python_and_numpy_reals_accepted(alpha):
+    assert ExpSpace(alpha).alpha == 2.0
+
+
 def test_overflow_guard():
     with pytest.raises(DomainError):
         segment_basis_eval(800.0, 0.9, 0)
