@@ -51,7 +51,11 @@ class BandedMatrix:
 
 
 class BandedLU:
-    """LU factorization of a BandedMatrix, reusable for many solves."""
+    """LU factorization of a BandedMatrix, reusable for many solves.
+
+    ``matrix`` is the matrix it factored; the Lebesgue function reads its
+    three diagonals.
+    """
 
     def __init__(self, matrix: BandedMatrix):
         n = matrix.n
@@ -73,6 +77,7 @@ class BandedLU:
                 f"(pivot {diag_u.min():.3g} below {pivot_floor:.3g})"
             )
         self.n = n
+        self.matrix = matrix
         self._lu = lu
         self._ipiv = ipiv
 

@@ -78,8 +78,9 @@ class ExperimentConfig:
         if self.tau is not None and self.no_stop:
             raise InvalidInputError("tau and no_stop cannot both be set")
         parse_node_spec(self.nodes)
-        if self.fn is not None and self.fn not in TARGETS \
-                and not self.fn.startswith("tab:"):
+        if self.fn is not None and self.fn.startswith("tab:"):
+            _read_tabulated(self.fn[4:])  # a bad file fails before the output directory is made
+        elif self.fn is not None and self.fn not in TARGETS:
             raise InvalidInputError(
                 f"fn must be one of {tuple(TARGETS)} or tab:PATH, got {self.fn!r}"
             )
@@ -211,8 +212,8 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
     return f, np.asarray(f(candidates), dtype=float)
 
 
-def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
-    """The file's y values, in candidate order; its x values must be the candidates."""
+def _read_tabulated(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The file's finite x and y columns, sorted by x."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -231,15 +232,20 @@ def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
             raise InvalidInputError(f"{path}:{lineno}: non-numeric x,y") from exc
         if not np.all(np.isfinite(rows[-1])):
             raise InvalidInputError(f"{path}:{lineno}: non-finite x,y")
-    if len(rows) != len(candidates):
-        raise InvalidInputError(
-            f"tabulated function has {len(rows)} rows but there are "
-            f"{len(candidates)} candidates; supply matching data"
-        )
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
     order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
+    return xs[order], ys[order]
+
+
+def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
+    """The file's y values, in candidate order; its x values must be the candidates."""
+    xs, ys = _read_tabulated(path)
+    if len(xs) != len(candidates):
+        raise InvalidInputError(
+            f"tabulated function has {len(xs)} rows but there are "
+            f"{len(candidates)} candidates; supply matching data"
+        )
     if not np.allclose(xs, candidates, rtol=0.0, atol=1e-12):
         raise InvalidInputError("tabulated abscissas do not match the candidate set")
     return ys

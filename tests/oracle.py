@@ -14,10 +14,15 @@ without that table:
 
 ``raw_generators`` evaluates the four exponential generators directly, the
 reference for the span of the normalized segment basis.
+
+``lebesgue_by_solve`` is the Lebesgue function as the sum of the absolute
+cardinal values from the transposed collocation solve, the reference for the
+per-interval table form of ``lebesgue_function``.
 """
 
 import numpy as np
 
+from epspline import cardinal_values
 from epspline.space import segment_basis_eval
 
 
@@ -90,3 +95,8 @@ def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
         a2 = a * a
         cols = (a2 * ep, a * (2.0 + at) * ep, a2 * em, a * (at - 2.0) * em)
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
+
+
+def lebesgue_by_solve(basis, lu, x):
+    """Σ|``cardinal_values``| at each point of ``x``: one transposed solve per point."""
+    return np.abs(cardinal_values(basis, lu, np.atleast_1d(x))).sum(axis=1)

@@ -257,6 +257,7 @@ class TestExitCodes:
         }[case]
         assert main(["fgreedy", "--nodes", "equispaced:9",
                      "--out", str(tmp_path / "bad"), *extra]) == 1
+        assert not (tmp_path / "bad").exists()
 
     def test_greedy_failure_writes_partial_trace(self, tmp_path, monkeypatch):
         import epspline.greedy as greedy_mod

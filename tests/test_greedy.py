@@ -12,6 +12,7 @@ from epspline import (
 )
 from epspline.interpolate import Interpolant
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
+from oracle import lebesgue_by_solve
 
 
 def cfg(**kw):
@@ -144,6 +145,23 @@ class TestLambdaGreedy:
         selected, trace = lambda_greedy(cand, cfg(tau=0.0))
         assert len(selected) == 10
         assert trace.stop_reason == "exhausted"
+
+    @pytest.mark.parametrize("tau, max_iter", [(3.0, None), (None, 300)])
+    def test_picks_equal_solve_scored_loop(self, monkeypatch, tau, max_iter):
+        # The reproduce-all runs lgreedy_equispaced and saturation_trace. The
+        # first pick of each is one of a mirror pair, tied in exact
+        # arithmetic, and saturation_trace has near-ties at 3e-15 from step
+        # 274 on. The table scores, with near-ties scored again by the solve,
+        # pick as a loop scored by the solve alone.
+        import epspline.greedy as greedy_mod
+
+        cand = equispaced(300)
+        _, fast = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
+        monkeypatch.setattr(greedy_mod, "lebesgue_function", lebesgue_by_solve)
+        _, solve = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
+        assert fast.selected_indices() == solve.selected_indices()
+        assert fast.stop_reason == solve.stop_reason
+        assert np.allclose(fast.criteria(), solve.criteria(), rtol=1e-13, atol=0.0)
 
 
 class TestBasisReuse:

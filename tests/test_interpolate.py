@@ -6,10 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epspline import (
+    BandedMatrix,
     BasisConstructionError,
     DomainError,
     ExpSpace,
     InvalidInputError,
+    SingularSystemError,
     build_basis,
     cardinal_values,
     collocation_matrix,
@@ -18,10 +20,11 @@ from epspline import (
     lebesgue_constant,
     lebesgue_function,
 )
+from epspline.banded import BandedLU
 from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, halton
 from epspline.space import segment_basis_eval
-from oracle import active_values_by_gather, evaluate, segment_value
+from oracle import active_values_by_gather, evaluate, lebesgue_by_solve, segment_value
 
 
 def dense_collocation(basis):
@@ -345,10 +348,94 @@ class TestCardinal:
         lu = factorize(mat)
         psi = cardinal_values(basis, lu, knots)
         assert np.all(np.abs(psi - np.eye(basis.n)) <= bound)
-        assert np.all(np.abs(lebesgue_function(basis, lu, knots) - 1.0) <= bound)
+        # the Lebesgue function through the same solve; the table form
+        # (lebesgue_function) has its own bound in TestLebesgue
+        assert np.all(np.abs(lebesgue_by_solve(basis, lu, knots) - 1.0) <= bound)
+
+
+def kappa_inf(matrix):
+    return matrix.norm_inf() * np.abs(np.linalg.inv(matrix.to_dense())).sum(axis=1).max()
+
+
+def lebesgue_rounding(basis, matrix, x, lam):
+    """Bound on the gap between the table form and the solve form of Λ at ``x``.
+
+    Both forms contract the 4 segment functions with a 4x4 block, so each
+    rounds by about 4 eps times that contraction's absolute mass, amplified by
+    at most ||A^-1||_inf <= kappa_inf (A has unit diagonal), and each solve
+    adds about eps * kappa_inf * Λ. The stated multiple is 4; the worst of
+    3 000 random draws (n up to 400) reached 0.62.
+    """
+    i, g = basis._locate(x)
+    mass = np.einsum("psk,pk->p", np.abs(basis.table[i]), np.abs(g))
+    return 4 * np.finfo(float).eps * kappa_inf(matrix) * (lam + mass)
 
 
 class TestLebesgue:
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_matches_solve_across_gap_ratios(self, log_gaps, log_alpha_h):
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        mat = collocation_matrix(basis)
+        lu = factorize(mat)
+        x = np.concatenate(knots_and_inside(basis))
+        expect = lebesgue_by_solve(basis, lu, x)
+        got = lebesgue_function(basis, lu, x)
+        assert np.all(np.abs(got - expect) <= lebesgue_rounding(basis, mat, x, expect))
+
+    @settings(deadline=None)
+    @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
+           log_alpha_h=st.floats(-3.0, np.log10(30.0)),
+           where=st.lists(st.floats(0.0, 1.0), max_size=20), knot=st.integers(0))
+    def test_one_at_knots_across_gap_ratios(self, log_gaps, log_alpha_h, where, knot):
+        # Λ(x_j) = 1 up to the dropped outer-band values (the bound of
+        # test_cardinal_conditions_across_gap_ratios) and the table rounding;
+        # so on any grid holding a knot the Lebesgue constant is at least 1
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        knots = basis.knots.interior
+        mat = collocation_matrix(basis)
+        lu = factorize(mat)
+        delta = np.abs(basis_matrix(basis, knots).T - mat.to_dense()).max() / mat.norm_inf()
+        bound = 2 * kappa_inf(mat) * (delta + np.finfo(float).eps) \
+            + lebesgue_rounding(basis, mat, knots, 1.0)
+        assert np.all(np.abs(lebesgue_function(basis, lu, knots) - 1.0) <= bound)
+        j = knot % basis.n
+        grid = np.append(basis.a + (basis.b - basis.a) * np.array(where), knots[j])
+        assert lebesgue_constant(basis, lu, grid) >= 1.0 - bound[j]
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_input_errors_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # points outside [a, b] are covered by test_domain_is_a_to_b_across_gap_ratios
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        lu = factorize(collocation_matrix(basis))
+        with pytest.raises(InvalidInputError, match="1-d"):
+            lebesgue_function(basis, lu, np.full((2, 2), basis.a))
+        with pytest.raises(InvalidInputError, match="empty"):
+            lebesgue_constant(basis, lu, [])
+        assert lebesgue_function(basis, lu, []).shape == (0,)
+
+    def test_no_solve_and_no_basis_matrix(self, basis8, lu8, grid400, monkeypatch):
+        expect = lebesgue_function(basis8, lu8, grid400)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Lebesgue function used the solve path")
+
+        monkeypatch.setattr(BandedLU, "solve", refuse)
+        monkeypatch.setattr("epspline.interpolate.basis_matrix", refuse)
+        assert np.array_equal(lebesgue_function(basis8, lu8, grid400), expect)
+
+    def test_negative_pivot_without_row_exchanges_rejected(self, space2):
+        # [[1, 2], [2, 1]] has a partial-pivoting LU, but eliminating without
+        # row exchanges meets the pivot 1 - 2 * 2 / 1 = -3 in row 1
+        basis = build_basis(np.array([-1.0, 1.0]), space2)
+        mat = BandedMatrix(2)
+        mat.bands[:] = [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]
+        assert np.array_equal(mat.to_dense(), [[1.0, 2.0], [2.0, 1.0]])
+        lu = factorize(mat)
+        with pytest.raises(SingularSystemError, match="row 1: forward pivot -3"):
+            lebesgue_function(basis, lu, [0.0])
+
     def test_equals_one_at_knots(self, basis8, lu8):
         lam = lebesgue_function(basis8, lu8, basis8.knots.interior)
         assert np.allclose(lam, 1.0, atol=1e-9)
