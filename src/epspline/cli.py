@@ -78,9 +78,8 @@ class ExperimentConfig:
         if self.tau is not None and self.no_stop:
             raise InvalidInputError("tau and no_stop cannot both be set")
         parse_node_spec(self.nodes)
-        if self.fn is not None and self.fn.startswith("tab:"):
-            _read_tabulated(self.fn[4:])  # a bad file fails before the output directory is made
-        elif self.fn is not None and self.fn not in TARGETS:
+        if self.fn is not None and self.fn not in TARGETS \
+                and not self.fn.startswith("tab:"):
             raise InvalidInputError(
                 f"fn must be one of {tuple(TARGETS)} or tab:PATH, got {self.fn!r}"
             )
@@ -200,14 +199,16 @@ TARGETS = {
 }
 
 
-def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray):
+def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray, tabulated):
     """Return (callable, values at candidates) for the validated target.
 
-    A tabulated target is known only at the candidates: its callable is None.
+    A tabulated target is known only at the candidates: its callable is None,
+    and ``tabulated`` holds the file's columns from ``_read_tabulated`` (None
+    for any other target).
     """
     name = cfg.fn if cfg.fn is not None else SUBCOMMANDS[cfg.algorithm].fn
     if name.startswith("tab:"):
-        return None, _load_tabulated(name[4:], candidates)
+        return None, _tabulated_values(tabulated, candidates)
     f = TARGETS[name](cfg, candidates)
     return f, np.asarray(f(candidates), dtype=float)
 
@@ -238,9 +239,12 @@ def _read_tabulated(path: str) -> tuple[np.ndarray, np.ndarray]:
     return xs[order], ys[order]
 
 
-def _load_tabulated(path: str, candidates: np.ndarray) -> np.ndarray:
-    """The file's y values, in candidate order; its x values must be the candidates."""
-    xs, ys = _read_tabulated(path)
+def _tabulated_values(tabulated, candidates: np.ndarray) -> np.ndarray:
+    """The y values read by ``_read_tabulated``, in candidate order.
+
+    Its x values must be the candidates.
+    """
+    xs, ys = tabulated
     if len(xs) != len(candidates):
         raise InvalidInputError(
             f"tabulated function has {len(xs)} rows but there are "
@@ -258,11 +262,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
     cfg.validate()
     t0 = time.perf_counter()
+    # read once, so that a bad file fails before the output directory is made
+    tabulated = _read_tabulated(cfg.fn[4:]) if cfg.fn and cfg.fn.startswith("tab:") else None
     out = Path(cfg.out)
     _make_dir(out)
     summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": dataclasses.asdict(cfg)}
     try:
-        summary.update(_dispatch(cfg, out), status="ok")
+        summary.update(_dispatch(cfg, out, tabulated), status="ok")
     except SplineError as exc:
         if isinstance(exc, GreedyError):
             write_trace_csv(out / "trace.csv", exc.trace)
@@ -291,7 +297,7 @@ def _sized(make, *args):
         raise InvalidInputError(f"size too large: {exc}") from exc
 
 
-def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
+def _dispatch(cfg: ExperimentConfig, out: Path, tabulated) -> dict:
     candidates = _sized(generate, parse_node_spec(cfg.nodes))
     if cfg.algorithm == "nodes":
         write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
@@ -302,7 +308,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path) -> dict:
     # selection: a scan keeps every candidate and has no trace or predictor
     selected, trace, predict = candidates, None, None
     if cfg.algorithm != "lebesgue":
-        f, values = resolve_function(cfg, candidates)
+        f, values = resolve_function(cfg, candidates, tabulated)
         tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
                                         else SUBCOMMANDS[cfg.algorithm].tau)
         if cfg.algorithm == "kernel":

@@ -10,7 +10,7 @@ sup-norm error as the exact discrete minimax, a linear program on 2001 points.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvals_banded
 
 from .banded import BandedMatrix, factorize
 from .errors import InvalidInputError, SplineError, check_values
@@ -48,20 +48,8 @@ def _banded_extreme_singular_values(matrix: BandedMatrix):
     # kd = 3), whose eigenvalues are ±σ_i
     jw = np.zeros((4, 2 * n))
     jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, sub, sup
-    s_max2 = _banded_eigenvalue(gram, n - 1)
-    return np.sqrt(max(s_max2, 0.0)), _banded_eigenvalue(jw, n)
-
-
-def _banded_eigenvalue(upper_band, k: int) -> float:
-    """Eigenvalue ``k`` (0-based, ascending) of a symmetric band matrix given by
-    its upper band: ``eigvals_banded(upper_band, select="i", select_range=(k, k))``
-    with the same ``dsbevx`` arguments, less its argument handling."""
-    w, _, m, _, info = lapack.dsbevx(upper_band, 0.0, 1.0, k + 1, k + 1, compute_v=0,
-                                     mmax=1, range=2, lower=0, overwrite_ab=1,
-                                     abstol=2 * lapack.dlamch("s"))
-    if info != 0 or m != 1:
-        raise np.linalg.LinAlgError(f"dsbevx failed with info={info}")
-    return w[0]
+    s_max2 = eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0]
+    return np.sqrt(max(s_max2, 0.0)), eigvals_banded(jw, select="i", select_range=(n, n))[0]
 
 
 def cond2(matrix) -> float:
@@ -69,7 +57,7 @@ def cond2(matrix) -> float:
 
     For a ``BandedMatrix``, σ_max² is the top eigenvalue of the banded AᵀA and
     σ_min eigenvalue n of the banded [[0, A], [Aᵀ, 0]] (Golub & Kahan, 1965),
-    each from one LAPACK ``dsbevx`` call in O(n²), within a small multiple of
+    each from one LAPACK ``sbevx`` call in O(n²), within a small multiple of
     eps·κ₂ relative of a dense SVD. Returns ``inf`` for a non-finite entry,
     or when σ_min is at most ``n * eps * σ_max``.
     """

@@ -14,16 +14,21 @@ c[i+s-1] * table[i, s]`` (see ``GBSplineBasis.table``), formed when it is
 constructed; evaluating it at a point is one dot product of that row with the
 4 segment functions there.
 
-The Lebesgue function is ``||R[i] @ g(x)||_1`` with one 4x4 table ``R[i]`` per
-knot interval, formed per call in O(n) from ``table`` and the three diagonals:
-the cardinal vector at x solves ``Aᵀ u = β(x)``, whose right side lives on the
-4 functions of the interval, and outside them u is a geometric tail of its end
-entries (the inverse of a tridiagonal matrix has rank-one off-diagonal blocks;
-Meurant, SIAM J. Matrix Anal. Appl. 13, 1992). The tables come from
-elimination without row exchanges, which is backward stable on totally
-positive matrices (de Boor & Pinkus, Numer. Math. 27, 1977); a pivot not above
-``PIVOT_RTOL`` times the matrix norm raises ``SingularSystemError`` naming the
-row. ``cardinal_values`` keeps the transposed solve and is the reference.
+The Lebesgue function is ``||R[i] @ g(x)||_1`` with ``R[i] = S[i] @ table[i]``
+and ``S[i]`` one 4x4 table per knot interval, formed per call in O(n) from
+the three diagonals: the cardinal vector at x solves ``Aᵀ u = β(x)``, whose
+right side lives on the 4 functions of the interval, and outside them u is a
+geometric tail of its end entries (the inverse of a tridiagonal matrix has
+rank-one off-diagonal blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).
+It is applied as ``S[i] @ β(x)``, the basis values first: at a knot they are
+then the collocation row itself, rounding included, so Λ = 1 there to the
+accuracy of the solve. Forming ``R[i]`` first would round differently where
+the contraction with g cancels heavily, at the right end of an interval with
+a large α·h. The tables come from elimination without row exchanges, which is
+backward stable on totally positive matrices (de Boor & Pinkus, Numer. Math.
+27, 1977); a pivot not above ``PIVOT_RTOL`` times the matrix norm raises
+``SingularSystemError`` naming the row. ``cardinal_values`` keeps the
+transposed solve and is the reference.
 """
 
 from dataclasses import dataclass, field
@@ -153,15 +158,38 @@ def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:
     return u[:, 0] if np.ndim(x) == 0 else u.T
 
 
-def _not_totally_positive(name, row, pivot, floor):
-    return SingularSystemError(
-        f"collocation row {row}: {name} pivot {pivot:.3g} without row exchanges is not "
-        f"above {floor:.3g}, so the matrix is not totally positive")
+def _check_pivots(name, pivots, floor, row_of):
+    """Raise ``SingularSystemError`` at the first pivot not above ``floor`` (NaN included)."""
+    bad = np.flatnonzero(~(pivots > floor))
+    if len(bad):
+        raise SingularSystemError(
+            f"collocation row {row_of(bad[0])}: {name} pivot {pivots[bad[0]]:.3g} without row "
+            f"exchanges is not above {floor:.3g}, so the matrix is not totally positive")
 
 
-def _lebesgue_tables(basis: GBSplineBasis, matrix: BandedMatrix) -> np.ndarray:
-    """``R``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||R[i] @ g(x)||_1`` on interval ``i``.
+def _sweep(diag, num, other, floor):
+    """Pivots and tail sums of one elimination sweep without row exchanges.
 
+    From a decoupled 1, ``p = diag - other * num / p_prev`` and ``t = |num /
+    p_prev| * (1 + t_prev)``, on Python floats; stops after the first pivot
+    not above ``floor``.
+    """
+    p, t = 1.0, 0.0
+    pivots, tails = [p], [t]
+    for a_k, y, x in zip(diag, num, other):
+        r = y / p
+        p, t = a_k - x * r, abs(r) * (1.0 + t)
+        pivots.append(p)
+        tails.append(t)
+        if not p > floor:
+            break
+    return np.array(pivots), np.array(tails)
+
+
+def _lebesgue_tables(matrix: BandedMatrix) -> np.ndarray:
+    """``S``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||S[i] @ β(x)||_1`` on interval ``i``.
+
+    ``β(x)`` holds the values at x of the 4 functions alive on interval ``i``.
     Works on ``M = Aᵀ`` padded with a decoupled 1 at each end, so that index
     ``k + 1`` is basis function ``k`` and interval ``i`` owns the 4-row window
     ``i .. i + 3``, the indices of its 4 live functions. Raises
@@ -170,38 +198,27 @@ def _lebesgue_tables(basis: GBSplineBasis, matrix: BandedMatrix) -> np.ndarray:
     """
     n = matrix.n
     upper, diag, lower = matrix.bands
-    dia = np.concatenate([[1.0], diag, [1.0]])
     sup = np.concatenate([[0.0], lower[:-1], [0.0]])  # M[k, k + 1]
     sub = np.concatenate([[0.0], upper[1:], [0.0]])  # M[k + 1, k]
     # forward (d) and backward (e) pivots of the factorizations without row
     # exchanges; SL[k] = sum over j < k of |u_j / u_k|, where u solves M u = β
     # for any β that is zero below k (u_j = -sup[j] / d[j] * u_{j+1} there),
-    # and SR[k] the same above k; the loops run on Python floats
-    a, b, c = dia.tolist(), sup.tolist(), sub.tolist()
+    # and SR[k] the same above k
+    a, b, c = diag.tolist(), sup.tolist(), sub.tolist()
     floor = PIVOT_RTOL * matrix.norm_inf()
-    d, sl = [1.0] * (n + 1), [0.0] * (n + 1)
-    for k in range(1, n + 1):
-        d[k] = a[k] - c[k - 1] * b[k - 1] / d[k - 1]
-        if not d[k] > floor:
-            raise _not_totally_positive("forward", k - 1, d[k], floor)
-        sl[k] = abs(b[k - 1] / d[k - 1]) * (1.0 + sl[k - 1])
-    e, sr = [1.0] * (n + 2), [0.0] * (n + 2)
-    for k in range(n, 0, -1):
-        e[k] = a[k] - b[k] * c[k] / e[k + 1]
-        if not e[k] > floor:
-            raise _not_totally_positive("backward", k - 1, e[k], floor)
-        sr[k] = abs(c[k] / e[k + 1]) * (1.0 + sr[k + 1])
-    d, e, sl, sr = np.array(d), np.array(e), np.array(sl), np.array(sr)
+    d, sl = _sweep(a, b, c, floor)
+    _check_pivots("forward", d[1:], floor, lambda j: j)
+    e, sr = _sweep(a[::-1], c[:0:-1], b[:0:-1], floor)
+    _check_pivots("backward", e[1:], floor, lambda j: n - 1 - j)
+    e, sr = np.append(1.0, e[::-1]), np.append(0.0, sr[::-1])
     twisted = e[1:] - sub * sup / d  # the last pivot of a window ending at k + 1
-    bad = np.flatnonzero(~(twisted[:-1] > floor))
-    if len(bad):
-        raise _not_totally_positive("twisted", bad[0], twisted[bad[0]], floor)
+    _check_pivots("twisted", twisted[:-1], floor, lambda j: j)
     # The 4x4 block of M⁻¹ on window i inverts M's window with its corners
     # replaced by d[i] and e[i + 3]; its Thomas pivots are d[i], d[i + 1],
-    # d[i + 2] and twisted[i + 2]. Solve it against table[i], all i at once.
+    # d[i + 2] and twisted[i + 2]. Invert it, all i at once.
     w = n - 1
     piv = [d[:w, None], d[1:w + 1, None], d[2:w + 2, None], twisted[2:w + 2, None]]
-    y = basis.table.copy()
+    y = np.broadcast_to(np.eye(4), (w, 4, 4)).copy()
     for r in range(1, 4):
         y[:, r] -= sub[r - 1:r - 1 + w, None] / piv[r - 1] * y[:, r - 1]
     y[:, 3] /= piv[3]
@@ -216,7 +233,8 @@ def _lebesgue_tables(basis: GBSplineBasis, matrix: BandedMatrix) -> np.ndarray:
 def lebesgue_function(basis: GBSplineBasis, lu: BandedLU, grid) -> np.ndarray:
     """Sum of absolute cardinal values at each grid point.
 
-    Computed as ``||R[i] @ g(x)||_1`` from one 4x4 table per knot interval
+    Computed as ``||S[i] @ β(x)||_1`` from the basis values ``β(x)`` of
+    ``basis.active_values`` and one 4x4 table per knot interval
     (``_lebesgue_tables``), in O(n + m) for m points; it forms no n x m array
     and does not call ``lu.solve``. It agrees with ``sum |cardinal_values|``
     up to rounding.
@@ -228,9 +246,9 @@ def lebesgue_function(basis: GBSplineBasis, lu: BandedLU, grid) -> np.ndarray:
         not above ``PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
-    i, g = basis._locate(np.atleast_1d(grid))
-    tables = _lebesgue_tables(basis, lu.matrix)
-    return np.abs(np.einsum("psk,pk->ps", tables[i], g)).sum(axis=1)
+    beta, indices = basis.active_values(np.atleast_1d(grid))
+    tables = _lebesgue_tables(lu.matrix)
+    return np.abs(np.einsum("prs,ps->pr", tables[indices[:, 0] + 1], beta)).sum(axis=1)
 
 
 def lebesgue_constant(basis: GBSplineBasis, lu: BandedLU, grid) -> float:

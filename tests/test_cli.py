@@ -149,6 +149,20 @@ class TestRunExperiment:
             summary = run_experiment(cfg)
             assert summary["status"] == "ok"
 
+    def test_tabulated_file_read_once(self, tmp_path, monkeypatch):
+        import epspline.cli as cli_mod
+
+        table = tmp_path / "data.csv"
+        table.write_text("x,y\n" + "\n".join(f"{x},{x * x}" for x in np.linspace(-1, 1, 40)))
+        reads = []
+        read = cli_mod._read_tabulated
+        monkeypatch.setattr(cli_mod, "_read_tabulated",
+                            lambda path: reads.append(path) or read(path))
+        cfg = ExperimentConfig(algorithm="fgreedy", fn=f"tab:{table}",
+                               nodes="equispaced:40", tau=1e-4, out=str(tmp_path / "tab"))
+        assert run_experiment(cfg)["status"] == "ok"
+        assert reads == [str(table)]
+
     def test_tabulated_mismatch_rejected(self, tmp_path):
         table = tmp_path / "data.csv"
         table.write_text("x,y\n0.0,0.0\n0.5,0.25\n")

@@ -163,6 +163,21 @@ class TestLambdaGreedy:
         assert fast.stop_reason == solve.stop_reason
         assert np.allclose(fast.criteria(), solve.criteria(), rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("tilt", [1e-13, -1e-13])
+    def test_near_ties_scored_again_by_the_solve(self, monkeypatch, tilt):
+        # A scorer off the solve by 1e-13 relative, up on one side of 0,
+        # breaks the mirror tie of the first pick one way or the other; the
+        # candidates within RESCORE_RTOL of the top go to the solve instead.
+        import epspline.greedy as greedy_mod
+
+        cand = equispaced(300)
+        monkeypatch.setattr(greedy_mod, "lebesgue_function", lebesgue_by_solve)
+        _, solve = lambda_greedy(cand, cfg(tau=3.0))
+        monkeypatch.setattr(greedy_mod, "lebesgue_function", lambda basis, lu, x:
+                            lebesgue_by_solve(basis, lu, x) * (1.0 + tilt * np.sign(x)))
+        _, tilted = lambda_greedy(cand, cfg(tau=3.0))
+        assert tilted.selected_indices() == solve.selected_indices()
+
 
 class TestBasisReuse:
     """The loop reuses the previous basis; the from-scratch build is the oracle."""
