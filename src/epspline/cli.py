@@ -203,12 +203,12 @@ def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray, tabulated):
     """Return (callable, values at candidates) for the validated target.
 
     A tabulated target is known only at the candidates: its callable is None,
-    and ``tabulated`` holds the file's columns from ``_read_tabulated`` (None
+    and ``tabulated`` holds its values there from ``_tabulated_values`` (None
     for any other target).
     """
     name = cfg.fn if cfg.fn is not None else SUBCOMMANDS[cfg.algorithm].fn
     if name.startswith("tab:"):
-        return None, _tabulated_values(tabulated, candidates)
+        return None, tabulated
     f = TARGETS[name](cfg, candidates)
     return f, np.asarray(f(candidates), dtype=float)
 
@@ -258,17 +258,31 @@ def _tabulated_values(tabulated, candidates: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiment driver
 
+def _sized(make, *args):
+    """``make(*args)``, sized by the user: a size numpy or the host can't hold is invalid input."""
+    try:
+        return make(*args)
+    except SplineError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInputError(f"size too large: {exc}") from exc
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
     cfg.validate()
     t0 = time.perf_counter()
-    # read once, so that a bad file fails before the output directory is made
-    tabulated = _read_tabulated(cfg.fn[4:]) if cfg.fn and cfg.fn.startswith("tab:") else None
+    # the candidates, and a tab: file read once and matched to them, come
+    # first, so that bad input fails before the output directory is made
+    candidates = _sized(generate, parse_node_spec(cfg.nodes))
+    tabulated = None
+    if cfg.fn and cfg.fn.startswith("tab:"):
+        tabulated = _tabulated_values(_read_tabulated(cfg.fn[4:]), candidates)
     out = Path(cfg.out)
     _make_dir(out)
     summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": dataclasses.asdict(cfg)}
     try:
-        summary.update(_dispatch(cfg, out, tabulated), status="ok")
+        summary.update(_dispatch(cfg, out, candidates, tabulated), status="ok")
     except SplineError as exc:
         if isinstance(exc, GreedyError):
             write_trace_csv(out / "trace.csv", exc.trace)
@@ -287,18 +301,7 @@ def _write_summary(out: Path, summary: dict):
     )
 
 
-def _sized(make, *args):
-    """``make(*args)``, sized by the user: a size numpy or the host can't hold is invalid input."""
-    try:
-        return make(*args)
-    except SplineError:
-        raise
-    except (ValueError, MemoryError) as exc:
-        raise InvalidInputError(f"size too large: {exc}") from exc
-
-
-def _dispatch(cfg: ExperimentConfig, out: Path, tabulated) -> dict:
-    candidates = _sized(generate, parse_node_spec(cfg.nodes))
+def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulated) -> dict:
     if cfg.algorithm == "nodes":
         write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
         write_svg_chart(out / "plot_selected.svg", candidates,

@@ -13,16 +13,34 @@ the five whose support contains the new knot. Each spline refit therefore
 passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
 assembled and factorized from scratch every iteration.
+
+The spline loop also carries two arrays per candidate across insertions: its
+knot-interval index and 4 values there, the basis values from
+``active_values`` for the Lebesgue criterion and the segment functions from
+``_locate`` for the residual. After a refit it compares the new basis with
+the previous one and evaluates again, with the same call, only the
+candidates in intervals whose knots or ``table`` row changed, so every value
+has the bits a fresh evaluation would give; the others' interval index is
+only shifted. A score is then one contraction per remaining candidate:
+``||S[i] @ β||_1`` with the interval's Lebesgue table, or the residual's
+4-term dot with ``Interpolant.pp``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import augment_knots, build_basis
+from .basis import GBSplineBasis, augment_knots, build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
-from .interpolate import cardinal_values, collocation_matrix, factorize, fit, lebesgue_function
+from .interpolate import (
+    _lebesgue_at,
+    _located_values,
+    cardinal_values,
+    collocation_matrix,
+    factorize,
+    fit,
+)
 from .space import ExpSpace
 
 # Lebesgue scores within this fraction of the top one are scored again by the
@@ -168,23 +186,53 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         in_selected[pick] = True
 
 
-def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
+def _carried_intervals(prior, basis) -> np.ndarray:
+    """Each knot interval of ``prior``: its index in ``basis``, or -1 if it changed.
+
+    An interval is carried when ``basis`` has one with the same two knots and
+    the same ``table`` row, so its segment functions and basis values at any
+    point are the same bits.
+    """
+    old, new = prior.knots.interior, basis.knots.interior
+    at = np.minimum(np.searchsorted(new, old[:-1]), basis.n - 2)
+    same = (new[at] == old[:-1]) & (new[at + 1] == old[1:]) \
+        & (basis.table[at] == prior.table).all(axis=(1, 2))
+    return np.where(same, at, -1)
+
+
+def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
     """Run the loop on the spline over the selected candidates.
 
-    ``model(basis, lu, selected) -> (state, score)`` supplies the criterion.
-    Each basis is built with the previous one as ``prior``, so only the
-    functions an insertion changed are solved again.
+    Each basis is built with the previous one as ``prior``. ``locate(basis,
+    x) -> (interval, values)`` gives the values carried per candidate; it is
+    called again only for the candidates of intervals that
+    ``_carried_intervals`` marks changed. ``model(basis, lu, selected) ->
+    (state, score)`` supplies the criterion ``score(rest, interval, values)``
+    at the remaining indices.
     """
     space = ExpSpace(config.alpha)
-    prior = None
+    prior = interval = values = None
 
     def refit(selected):
-        nonlocal prior
-        basis = prior = build_basis(augment_knots(cand[selected]), space, prior=prior)
+        nonlocal prior, interval, values
+        basis = build_basis(augment_knots(cand[selected]), space, prior=prior)
         phi = collocation_matrix(basis)
         lu = factorize(phi)
         state, score = model(basis, lu, selected)
-        return state, phi, score
+        rest = np.ones(len(cand), dtype=bool)
+        rest[selected] = False
+        stale = rest = np.flatnonzero(rest)
+        if prior is None:
+            interval, values = np.empty(len(cand), dtype=np.intp), np.empty((len(cand), 4))
+        else:
+            carried = _carried_intervals(prior, basis)[interval[rest]]
+            interval[rest] = carried
+            stale = rest[carried < 0]
+        interval[stale], values[stale] = locate(basis, cand[stale])
+        prior = basis
+        # np.take: a fancy index of the rows costs ten times as much
+        return state, phi, lambda remaining: score(
+            remaining, interval[remaining], np.take(values, remaining, axis=0))
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)
 
@@ -212,9 +260,9 @@ def f_greedy(candidates, values, config: GreedyConfig):
 
     def residual(basis, lu, selected):
         interp = fit(basis, values[selected], lu=lu)
-        return interp, lambda rest: np.abs(values[rest] - interp(cand[rest]))
+        return interp, lambda rest, interval, g: np.abs(values[rest] - interp._at(interval, g))
 
-    return _spline_loop(cand, config, residual)
+    return _spline_loop(cand, config, GBSplineBasis._locate, residual)
 
 
 def lambda_greedy(candidates, config: GreedyConfig):
@@ -234,8 +282,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
 
     def lebesgue(basis, lu, selected):
-        def score(rest):
-            lam = lebesgue_function(basis, lu, cand[rest])
+        def score(rest, interval, beta):
+            lam = _lebesgue_at(basis, lu, cand[rest], (interval, beta))
             near = np.flatnonzero(lam >= (1.0 - RESCORE_RTOL) * lam.max())
             if len(near) > 1:
                 lam[near] = np.abs(cardinal_values(basis, lu, cand[rest[near]])).sum(axis=1)
@@ -243,5 +291,5 @@ def lambda_greedy(candidates, config: GreedyConfig):
 
         return None, score
 
-    selected, _, trace = _spline_loop(cand, config, lebesgue)
+    selected, _, trace = _spline_loop(cand, config, _located_values, lebesgue)
     return selected, trace

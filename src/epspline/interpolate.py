@@ -117,9 +117,12 @@ class Interpolant:
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
-        i, g = self.basis._locate(np.atleast_1d(x))
-        out = np.einsum("...k,...k->...", g, self.pp[i])
+        out = self._at(*self.basis._locate(np.atleast_1d(x)))
         return out if np.ndim(x) else float(out[0])
+
+    def _at(self, i, g):
+        """Values at points of intervals ``i`` with segment functions ``g``, as from ``_locate``."""
+        return np.einsum("...k,...k->...", g, self.pp[i])
 
 
 def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
@@ -246,9 +249,25 @@ def lebesgue_function(basis: GBSplineBasis, lu: BandedLU, grid) -> np.ndarray:
         not above ``PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
-    beta, indices = basis.active_values(np.atleast_1d(grid))
-    tables = _lebesgue_tables(lu.matrix)
-    return np.abs(np.einsum("prs,ps->pr", tables[indices[:, 0] + 1], beta)).sum(axis=1)
+    return _lebesgue_at(basis, lu, np.atleast_1d(grid))
+
+
+def _lebesgue_at(basis: GBSplineBasis, lu: BandedLU, x, located=None) -> np.ndarray:
+    """``lebesgue_function`` at the 1-d points ``x``.
+
+    ``located``, if given, is ``_located_values(basis, x)``, kept from
+    earlier, so that ``x`` is not evaluated again.
+    """
+    interval, beta = _located_values(basis, x) if located is None else located
+    # np.take: a fancy index of the rows costs twice as much
+    tables = np.take(_lebesgue_tables(lu.matrix), interval, axis=0)
+    return np.abs(np.einsum("prs,ps->pr", tables, beta)).sum(axis=1)
+
+
+def _located_values(basis: GBSplineBasis, x):
+    """The interval index and the ``active_values`` of each point."""
+    beta, indices = basis.active_values(x)
+    return indices[:, 0] + 1, beta
 
 
 def lebesgue_constant(basis: GBSplineBasis, lu: BandedLU, grid) -> float:

@@ -18,11 +18,25 @@ reference for the span of the normalized segment basis.
 ``lebesgue_by_solve`` is the Lebesgue function as the sum of the absolute
 cardinal values from the transposed collocation solve, the reference for the
 per-interval table form of ``lebesgue_function``.
+
+``greedy_uncached`` runs either greedy with nothing carried from one
+insertion to the next: each step builds the basis from scratch and scores
+every remaining candidate through ``Interpolant.__call__`` or
+``lebesgue_function``, the reference for the loop's carried values.
 """
 
 import numpy as np
 
-from epspline import cardinal_values
+from epspline import (
+    ExpSpace,
+    build_basis,
+    cardinal_values,
+    collocation_matrix,
+    factorize,
+    fit,
+    lebesgue_function,
+)
+from epspline.greedy import RESCORE_RTOL, _greedy_loop
 from epspline.space import segment_basis_eval
 
 
@@ -100,3 +114,33 @@ def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
 def lebesgue_by_solve(basis, lu, x):
     """Σ|``cardinal_values``| at each point of ``x``: one transposed solve per point."""
     return np.abs(cardinal_values(basis, lu, np.atleast_1d(x))).sum(axis=1)
+
+
+def greedy_uncached(candidates, config, values=None):
+    """The trace of ``f_greedy`` on ``values``, or of ``lambda_greedy`` if they are None.
+
+    Every step locates and evaluates every remaining candidate again. Near
+    ties of the Lebesgue scores are scored again by the solve, as in
+    ``lambda_greedy``.
+    """
+    cand = np.asarray(candidates, dtype=float)
+    space = ExpSpace(config.alpha)
+
+    def refit(selected):
+        basis = build_basis(cand[selected], space)
+        phi = collocation_matrix(basis)
+        lu = factorize(phi)
+        if values is not None:
+            interp = fit(basis, values[selected], lu=lu)
+            return None, phi, lambda rest: np.abs(values[rest] - interp(cand[rest]))
+
+        def score(rest):
+            lam = lebesgue_function(basis, lu, cand[rest])
+            near = np.flatnonzero(lam >= (1.0 - RESCORE_RTOL) * lam.max())
+            if len(near) > 1:
+                lam[near] = lebesgue_by_solve(basis, lu, cand[rest[near]])
+            return lam
+
+        return None, phi, score
+
+    return _greedy_loop(cand, refit, config.tau, config.max_iter)[2]

@@ -163,12 +163,20 @@ class TestRunExperiment:
         assert run_experiment(cfg)["status"] == "ok"
         assert reads == [str(table)]
 
-    def test_tabulated_mismatch_rejected(self, tmp_path):
-        table = tmp_path / "data.csv"
-        table.write_text("x,y\n0.0,0.0\n0.5,0.25\n")
-        code = main(["fgreedy", "--fn", f"tab:{table}", "--nodes", "equispaced:40",
-                     "--out", str(tmp_path / "bad")])
-        assert code == 1
+    def test_tabulated_mismatch_rejected(self, tmp_path, capsys):
+        # a table is matched to the candidates before the output directory is made
+        tables = {"one-row": ["0.0,0.0"], "two-rows": ["0.0,0.0", "0.5,0.25"],
+                  "moved": [f"{x + 1e-9},{x}" for x in np.linspace(-1, 1, 40)]}
+        for name, rows in tables.items():
+            table = tmp_path / f"{name}.csv"
+            table.write_text("x,y\n" + "\n".join(rows) + "\n")
+            out = tmp_path / f"bad-{name}"
+            code = main(["fgreedy", "--fn", f"tab:{table}", "--nodes", "equispaced:40",
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input: tabulated ") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("setting", [
         {"algorithm": "lebesgue", "grid": 2.5},

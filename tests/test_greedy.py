@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, settings
 
 from epspline import (
     ExpSpace,
     GreedyConfig,
+    GreedyError,
     InvalidInputError,
     build_basis,
     f_greedy,
@@ -12,7 +16,8 @@ from epspline import (
 )
 from epspline.interpolate import Interpolant
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
-from oracle import lebesgue_by_solve
+from oracle import greedy_uncached, lebesgue_by_solve
+from strategies import across_gap_ratios
 
 
 def cfg(**kw):
@@ -146,6 +151,28 @@ class TestLambdaGreedy:
         assert len(selected) == 10
         assert trace.stop_reason == "exhausted"
 
+    @staticmethod
+    def score_by_solve(monkeypatch, tilt=0.0):
+        """Score the loop's Λ by the transposed solve, times 1 + tilt·sign(x).
+
+        Returns the list of scored point counts, one per call, so that a test
+        sees whether the patch reached the loop.
+        """
+        import epspline.greedy as greedy_mod
+
+        calls = []
+
+        def by_solve(basis, lu, x, located=None):
+            calls.append(len(x))
+            return lebesgue_by_solve(basis, lu, x) * (1.0 + tilt * np.sign(x))
+
+        monkeypatch.setattr(greedy_mod, "_lebesgue_at", by_solve)
+        return calls
+
+    @staticmethod
+    def scored_counts(cand, trace):
+        return [len(cand) - s.n_nodes for s in trace.steps if s.criterion is not None]
+
     @pytest.mark.parametrize("tau, max_iter", [(3.0, None), (None, 300)])
     def test_picks_equal_solve_scored_loop(self, monkeypatch, tau, max_iter):
         # The reproduce-all runs lgreedy_equispaced and saturation_trace. The
@@ -153,12 +180,11 @@ class TestLambdaGreedy:
         # arithmetic, and saturation_trace has near-ties at 3e-15 from step
         # 274 on. The table scores, with near-ties scored again by the solve,
         # pick as a loop scored by the solve alone.
-        import epspline.greedy as greedy_mod
-
         cand = equispaced(300)
         _, fast = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
-        monkeypatch.setattr(greedy_mod, "lebesgue_function", lebesgue_by_solve)
+        calls = self.score_by_solve(monkeypatch)
         _, solve = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
+        assert calls == self.scored_counts(cand, solve)
         assert fast.selected_indices() == solve.selected_indices()
         assert fast.stop_reason == solve.stop_reason
         assert np.allclose(fast.criteria(), solve.criteria(), rtol=1e-13, atol=0.0)
@@ -168,14 +194,13 @@ class TestLambdaGreedy:
         # A scorer off the solve by 1e-13 relative, up on one side of 0,
         # breaks the mirror tie of the first pick one way or the other; the
         # candidates within RESCORE_RTOL of the top go to the solve instead.
-        import epspline.greedy as greedy_mod
-
         cand = equispaced(300)
-        monkeypatch.setattr(greedy_mod, "lebesgue_function", lebesgue_by_solve)
+        calls = self.score_by_solve(monkeypatch)
         _, solve = lambda_greedy(cand, cfg(tau=3.0))
-        monkeypatch.setattr(greedy_mod, "lebesgue_function", lambda basis, lu, x:
-                            lebesgue_by_solve(basis, lu, x) * (1.0 + tilt * np.sign(x)))
+        assert calls == self.scored_counts(cand, solve)
+        calls = self.score_by_solve(monkeypatch, tilt)
         _, tilted = lambda_greedy(cand, cfg(tau=3.0))
+        assert calls == self.scored_counts(cand, tilted)
         assert tilted.selected_indices() == solve.selected_indices()
 
 
@@ -198,6 +223,90 @@ class TestBasisReuse:
         scratch = lambda_greedy(cand, cfg(tau=0.0))
         assert reused[1].stop_reason == "exhausted"
         assert reused[1].steps == scratch[1].steps
+
+
+def outcome(run):
+    """``(trace, None)`` from ``run()``, or the trace and message of its ``GreedyError``."""
+    try:
+        return run(), None
+    except GreedyError as exc:
+        return exc.trace, str(exc)
+
+
+def assert_same_as_uncached(cand, config, values=None):
+    """The greedy's trace, every float compared with ==, against ``oracle.greedy_uncached``."""
+    if values is None:
+        carried = outcome(lambda: lambda_greedy(cand, config)[1])
+    else:
+        carried = outcome(lambda: f_greedy(cand, values, config)[2])
+    uncached = outcome(lambda: greedy_uncached(cand, config, values))
+    assert_same_trace(carried[0], uncached[0])
+    assert carried[1] == uncached[1]
+    return carried[0]
+
+
+class TestCarriedValues:
+    """The loop carries each candidate's interval and values across insertions;
+    the oracle locates and evaluates every candidate again at each step."""
+
+    @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton, "jittered"])
+    @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy"])
+    def test_saturation_equals_uncached(self, family, model):
+        # running to exhaustion inserts everywhere, beside both ends too: there
+        # the new knot enters the support of the end functions, which reach
+        # the mirrored outer knots (those stay, since the initial set fixes
+        # the end gaps)
+        cand = jittered(64, seed=5) if family == "jittered" else family(64)
+        values = np.arctan(9 * cand) if model == "f_greedy" else None
+        trace = assert_same_as_uncached(cand, cfg(alpha=5.0, tau=0.0), values)
+        assert trace.stop_reason == "exhausted"
+        assert {2, len(cand) - 3} <= set(trace.selected_indices())
+
+    @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy"])
+    def test_insertions_beside_both_ends_first(self, model):
+        # a gap beside each end draws early picks to indices 2 and m - 3, the
+        # residual's by spikes there, while the end intervals are still wide
+        cand = np.concatenate([[-1.0, -0.999], np.linspace(-0.6, 0.6, 30), [0.999, 1.0]])
+        values = np.zeros(len(cand))
+        values[[2, -3]] = 1.0
+        trace = assert_same_as_uncached(cand, cfg(max_iter=20),
+                                        values if model == "f_greedy" else None)
+        assert {2, len(cand) - 3} <= set(trace.selected_indices()[:4])
+
+    @settings(deadline=None, max_examples=40)
+    @across_gap_ratios
+    def test_equals_uncached_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # alpha * (b - a) is the drawn alpha * h, so the first fits are in
+        # range; a fit that fails must fail the same way in both
+        assume(len(log_gaps) >= 3)
+        cand = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_gaps))])
+        config = cfg(alpha=10.0 ** log_alpha_h / cand[-1], tau=0.0)
+        assert_same_as_uncached(cand, config)
+        assert_same_as_uncached(cand, config, np.cos(7.0 * cand / cand[-1]))
+
+
+class TestExactInvariance:
+    """Scalings by powers of two that leave every rounding the same."""
+
+    @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton])
+    def test_lambda_greedy_under_x_times_4(self, family):
+        # 4·x with α/4 leaves every α·h and every local coordinate as it was
+        cand = family(300)
+        _, trace = lambda_greedy(cand, cfg(alpha=2.0, max_iter=60))
+        _, scaled = lambda_greedy(4.0 * cand, cfg(alpha=0.5, max_iter=60))
+        assert scaled.steps == [dataclasses.replace(s, selected_x=4.0 * s.selected_x)
+                                for s in trace.steps[:-1]] + [trace.steps[-1]]
+        assert scaled.stop_reason == trace.stop_reason == "max_iter"
+
+    @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton])
+    def test_f_greedy_under_values_times_8(self, family):
+        cand = family(300)
+        values = np.arctan(55.0 * cand)
+        _, _, trace = f_greedy(cand, values, cfg(tau=1e-3))
+        _, _, scaled = f_greedy(cand, 8.0 * values, cfg(tau=8e-3))
+        assert scaled.steps == [dataclasses.replace(s, criterion=8.0 * s.criterion)
+                                for s in trace.steps]
+        assert scaled.stop_reason == trace.stop_reason == "tau"
 
 
 class TestFailureMidLoop:

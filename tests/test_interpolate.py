@@ -25,6 +25,7 @@ from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, halton
 from epspline.space import segment_basis_eval
 from oracle import active_values_by_gather, evaluate, lebesgue_by_solve, segment_value
+from strategies import across_gap_ratios
 
 
 def dense_collocation(basis):
@@ -39,13 +40,6 @@ def dense_collocation(basis):
     for j in range(max(n - 3, 0), n):
         out[-1, j] = segment_value(basis, j, n - j, 1.0)  # interval ending at the last knot
     return out
-
-
-# knot gaps spread over six orders of magnitude, alpha * (largest gap) up to 30
-across_gap_ratios = given(
-    log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
-    log_alpha_h=st.floats(-3.0, np.log10(30.0)),
-)
 
 
 def gap_ratio_basis(log_gaps, log_alpha_h):
