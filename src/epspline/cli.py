@@ -272,17 +272,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
     cfg.validate()
     t0 = time.perf_counter()
-    # the candidates, and a tab: file read once and matched to them, come
-    # first, so that bad input fails before the output directory is made
+    # the candidates, a tab: file read once and matched to them, and the
+    # evaluation grid come first, so that bad input fails before the output
+    # directory is made
     candidates = _sized(generate, parse_node_spec(cfg.nodes))
-    tabulated = None
+    tabulated = eval_grid = None
     if cfg.fn and cfg.fn.startswith("tab:"):
         tabulated = _tabulated_values(_read_tabulated(cfg.fn[4:]), candidates)
+    if "grid" in SUBCOMMANDS[cfg.algorithm].reads:
+        eval_grid = _sized(np.linspace, candidates[0], candidates[-1], cfg.grid)
     out = Path(cfg.out)
     _make_dir(out)
     summary = {"status": "FAILED", "algorithm": cfg.algorithm, "config": dataclasses.asdict(cfg)}
     try:
-        summary.update(_dispatch(cfg, out, candidates, tabulated), status="ok")
+        summary.update(_dispatch(cfg, out, candidates, tabulated, eval_grid), status="ok")
     except SplineError as exc:
         if isinstance(exc, GreedyError):
             write_trace_csv(out / "trace.csv", exc.trace)
@@ -301,7 +304,8 @@ def _write_summary(out: Path, summary: dict):
     )
 
 
-def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulated) -> dict:
+def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulated,
+              eval_grid) -> dict:
     if cfg.algorithm == "nodes":
         write_csv(out / "selected.csv", ["x"], [(float(x),) for x in candidates])
         write_svg_chart(out / "plot_selected.svg", candidates,
@@ -328,7 +332,6 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
     basis = build_basis(selected, ExpSpace(cfg.alpha))
     phi = collocation_matrix(basis)
     lu = factorize(phi)
-    eval_grid = _sized(np.linspace, candidates[0], candidates[-1], cfg.grid)
     lam = lebesgue_function(basis, lu, eval_grid)
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
     write_csv(out / "lebesgue.csv", ["x", "lebesgue"],

@@ -33,24 +33,8 @@ import numpy as np
 from .basis import GBSplineBasis, augment_knots, build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
-from .interpolate import (
-    _lebesgue_at,
-    _located_values,
-    cardinal_values,
-    collocation_matrix,
-    factorize,
-    fit,
-)
+from .interpolate import _lebesgue_at, _located_values, collocation_matrix, factorize, fit
 from .space import ExpSpace
-
-# Lebesgue scores within this fraction of the top one are scored again by the
-# transposed solve before the pick. The pick is then the one the solve alone
-# would make whenever the table form and the solve differ by less than this,
-# which holds where eps * kappa_inf is well below it: on the paper and
-# benchmark runs they differ by at most 1.9e-13 relative, and the top two
-# scores differ by less than 6e-15 (pairs tied in exact arithmetic) or by
-# more than 1.7e-9. It is not a guarantee for every input.
-RESCORE_RTOL = 1e-10
 
 
 def check_stop_rule(tau: float | None, max_iter: int | None):
@@ -134,7 +118,9 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     go into the trace (the spline's tridiagonal ``BandedMatrix``, never made
     dense, or the kernel's dense saddle matrix), and ``score(remaining)`` is
     the selection criterion at the remaining indices.
-    Ties go to the smallest index. A ``SplineError`` raised by ``refit``
+    Ties go to the smallest index when the scores are equal floats (the first
+    maximum of ``np.argmax``); a tie that is exact only in exact arithmetic
+    is decided by rounding. A ``SplineError`` raised by ``refit``
     becomes a ``GreedyError`` carrying the trace so far; its message names the
     iteration, the knot inserted just before it and the check that tripped.
 
@@ -270,10 +256,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
 
     The selected sequence is a pure function of the candidate set and the
     configuration, which makes the resulting nodes reusable across target
-    functions. Candidates scoring within ``RESCORE_RTOL`` of the top one are
-    scored again by ``cardinal_values``, so a near-tie is decided as by a
-    loop that scores every candidate through the transposed solve, as long
-    as the two scorings differ by less than ``RESCORE_RTOL``.
+    functions. Every candidate is scored by the interval's Lebesgue table
+    applied to its carried basis values.
 
     Returns
     -------
@@ -282,14 +266,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
 
     def lebesgue(basis, lu, selected):
-        def score(rest, interval, beta):
-            lam = _lebesgue_at(basis, lu, cand[rest], (interval, beta))
-            near = np.flatnonzero(lam >= (1.0 - RESCORE_RTOL) * lam.max())
-            if len(near) > 1:
-                lam[near] = np.abs(cardinal_values(basis, lu, cand[rest[near]])).sum(axis=1)
-            return lam
-
-        return None, score
+        return None, lambda rest, interval, beta: _lebesgue_at(
+            basis, lu, cand[rest], (interval, beta))
 
     selected, _, trace = _spline_loop(cand, config, _located_values, lebesgue)
     return selected, trace

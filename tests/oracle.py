@@ -36,7 +36,7 @@ from epspline import (
     fit,
     lebesgue_function,
 )
-from epspline.greedy import RESCORE_RTOL, _greedy_loop
+from epspline.greedy import _greedy_loop
 from epspline.space import segment_basis_eval
 
 
@@ -119,9 +119,7 @@ def lebesgue_by_solve(basis, lu, x):
 def greedy_uncached(candidates, config, values=None):
     """The trace of ``f_greedy`` on ``values``, or of ``lambda_greedy`` if they are None.
 
-    Every step locates and evaluates every remaining candidate again. Near
-    ties of the Lebesgue scores are scored again by the solve, as in
-    ``lambda_greedy``.
+    Every step locates and evaluates every remaining candidate again.
     """
     cand = np.asarray(candidates, dtype=float)
     space = ExpSpace(config.alpha)
@@ -133,14 +131,6 @@ def greedy_uncached(candidates, config, values=None):
         if values is not None:
             interp = fit(basis, values[selected], lu=lu)
             return None, phi, lambda rest: np.abs(values[rest] - interp(cand[rest]))
-
-        def score(rest):
-            lam = lebesgue_function(basis, lu, cand[rest])
-            near = np.flatnonzero(lam >= (1.0 - RESCORE_RTOL) * lam.max())
-            if len(near) > 1:
-                lam[near] = lebesgue_by_solve(basis, lu, cand[rest[near]])
-            return lam
-
-        return None, phi, score
+        return None, phi, lambda rest: lebesgue_function(basis, lu, cand[rest])
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)[2]

@@ -317,6 +317,7 @@ class TestExitCodes:
         assert main(["lebesgue", *argv, "--out", str(tmp_path / "big")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid input: size too large") and err.count("\n") == 1
+        assert not (tmp_path / "big").exists()
 
     def test_size_past_host_memory_is_one(self, tmp_path, capsys, monkeypatch):
         # the 745 GiB grid of --grid 1e11, refused by a stand-in for the
@@ -333,6 +334,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "big")]) == 1
         err = capsys.readouterr().err
         assert err == "invalid input: size too large: Unable to allocate 745 GiB\n"
+        assert not (tmp_path / "big").exists()
 
     def test_success_is_zero(self, tmp_path):
         assert main(["nodes", "--nodes", "equispaced:5",

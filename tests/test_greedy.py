@@ -54,14 +54,21 @@ class TestFGreedy:
         assert trace.selected_indices() == []
 
     def test_in_span_of_initial_basis_terminates_at_once(self):
-        cand = np.linspace(-1, 1, 40)
-        init = cand[[0, 1, 38, 39]]
-        basis = build_basis(init, ExpSpace(2.0))
-        coef = np.array([0.3, -1.2, 0.8, 0.5])
-        target = Interpolant(basis=basis, coefficients=coef)
-        selected, interp, trace = f_greedy(cand, target(cand), cfg(tau=1e-6))
-        assert len(selected) == 4
-        assert trace.steps[-1].criterion <= 1e-9
+        # data that are a spline on the initial four nodes are reproduced: the
+        # first residual is rounding, at most 1e-13 of the data at α ≤ 2. At
+        # α = 5 (α·h = 10 on the middle interval) some coefficients leave
+        # 2e-11, and at α = 10 the four-node basis does not build.
+        cand = equispaced(64)
+        init = [0, 1, 62, 63]
+        for alpha in (0.5, 2.0):
+            basis = build_basis(cand[init], ExpSpace(alpha))
+            coef = np.random.default_rng(7).standard_normal(4)
+            values = Interpolant(basis=basis, coefficients=coef)(cand)
+            tau = 1e-12 * np.abs(values).max()
+            selected, _, trace = f_greedy(cand, values, cfg(alpha=alpha, tau=tau))
+            assert trace.stop_reason == "tau"
+            assert len(trace.steps) == 1 and trace.selected_indices() == []
+            assert np.array_equal(selected, cand[init])
 
     def test_tau_guarantee_on_termination(self):
         f = lambda x: np.sin(4 * x)  # noqa: E731
@@ -152,8 +159,8 @@ class TestLambdaGreedy:
         assert trace.stop_reason == "exhausted"
 
     @staticmethod
-    def score_by_solve(monkeypatch, tilt=0.0):
-        """Score the loop's Λ by the transposed solve, times 1 + tilt·sign(x).
+    def score_by_solve(monkeypatch):
+        """Score the loop's Λ by the transposed solve.
 
         Returns the list of scored point counts, one per call, so that a test
         sees whether the patch reached the loop.
@@ -164,7 +171,7 @@ class TestLambdaGreedy:
 
         def by_solve(basis, lu, x, located=None):
             calls.append(len(x))
-            return lebesgue_by_solve(basis, lu, x) * (1.0 + tilt * np.sign(x))
+            return lebesgue_by_solve(basis, lu, x)
 
         monkeypatch.setattr(greedy_mod, "_lebesgue_at", by_solve)
         return calls
@@ -173,14 +180,19 @@ class TestLambdaGreedy:
     def scored_counts(cand, trace):
         return [len(cand) - s.n_nodes for s in trace.steps if s.criterion is not None]
 
-    @pytest.mark.parametrize("tau, max_iter", [(3.0, None), (None, 300)])
-    def test_picks_equal_solve_scored_loop(self, monkeypatch, tau, max_iter):
-        # The reproduce-all runs lgreedy_equispaced and saturation_trace. The
-        # first pick of each is one of a mirror pair, tied in exact
+    @pytest.mark.parametrize("family, tau, max_iter", [
+        (equispaced, 3.0, None),
+        (equispaced, None, 300),
+        (chebyshev_lobatto, 3.0, None),
+        (halton, 3.0, None),
+    ], ids=["3.0-None", "None-300", "chebyshev-3.0-None", "halton-3.0-None"])
+    def test_picks_equal_solve_scored_loop(self, monkeypatch, family, tau, max_iter):
+        # The λ runs of reproduce-all: lgreedy on each family, and
+        # saturation_trace (comparison_spline_32 is its first 32 nodes). The
+        # first equispaced pick is one of a mirror pair, tied in exact
         # arithmetic, and saturation_trace has near-ties at 3e-15 from step
-        # 274 on. The table scores, with near-ties scored again by the solve,
-        # pick as a loop scored by the solve alone.
-        cand = equispaced(300)
+        # 274 on. The table scores alone pick as a loop scored by the solve.
+        cand = family(300)
         _, fast = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
         calls = self.score_by_solve(monkeypatch)
         _, solve = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
@@ -188,20 +200,6 @@ class TestLambdaGreedy:
         assert fast.selected_indices() == solve.selected_indices()
         assert fast.stop_reason == solve.stop_reason
         assert np.allclose(fast.criteria(), solve.criteria(), rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("tilt", [1e-13, -1e-13])
-    def test_near_ties_scored_again_by_the_solve(self, monkeypatch, tilt):
-        # A scorer off the solve by 1e-13 relative, up on one side of 0,
-        # breaks the mirror tie of the first pick one way or the other; the
-        # candidates within RESCORE_RTOL of the top go to the solve instead.
-        cand = equispaced(300)
-        calls = self.score_by_solve(monkeypatch)
-        _, solve = lambda_greedy(cand, cfg(tau=3.0))
-        assert calls == self.scored_counts(cand, solve)
-        calls = self.score_by_solve(monkeypatch, tilt)
-        _, tilted = lambda_greedy(cand, cfg(tau=3.0))
-        assert calls == self.scored_counts(cand, tilted)
-        assert tilted.selected_indices() == solve.selected_indices()
 
 
 class TestBasisReuse:
