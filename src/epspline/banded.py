@@ -53,12 +53,14 @@ class BandedMatrix:
 class BandedLU:
     """LU factorization of a BandedMatrix, reusable for many solves.
 
-    ``matrix`` is the matrix it factored; the Lebesgue function reads its
-    three diagonals.
+    Only solves need it: the Lebesgue function works on the matrix itself.
     """
 
     def __init__(self, matrix: BandedMatrix):
         n = matrix.n
+        norm = matrix.norm_inf()
+        if not np.isfinite(norm):
+            raise SingularSystemError(f"collocation matrix has a non-finite entry (norm {norm})")
         # gbtrf needs KL extra superdiagonal rows for pivoting fill-in
         ab = np.zeros((2 * KL + KU + 1, n))
         ab[KL:, :] = matrix.bands
@@ -69,15 +71,14 @@ class BandedLU:
             raise SingularSystemError(
                 f"collocation matrix is exactly singular (zero pivot at {info - 1})"
             )
-        pivot_floor = PIVOT_RTOL * matrix.norm_inf()
+        pivot_floor = PIVOT_RTOL * norm
         diag_u = np.abs(lu[KL + KU, :])
-        if diag_u.min() < pivot_floor:
+        if not diag_u.min() >= pivot_floor:
             raise SingularSystemError(
                 f"collocation matrix is singular to working precision "
                 f"(pivot {diag_u.min():.3g} below {pivot_floor:.3g})"
             )
         self.n = n
-        self.matrix = matrix
         self._lu = lu
         self._ipiv = ipiv
 
@@ -94,5 +95,5 @@ class BandedLU:
 
 
 def factorize(matrix: BandedMatrix) -> BandedLU:
-    """Factor once; reuse for fits, cardinal values and Lebesgue evaluations."""
+    """Factor once; reuse for fits of many data vectors."""
     return BandedLU(matrix)

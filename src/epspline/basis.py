@@ -210,12 +210,14 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
         A[:, 12 + d, 12:16] = beta(3, 1.0, d)
     for m in range(1, 4):
         # C2 continuity at the m-th interior support knot; rows scaled by
-        # min(h_left, h_right)^d so entries stay bounded
+        # min(h_left, h_right)^d so entries stay bounded (an extension knot
+        # rounded onto its neighbour leaves h = 0, a NaN row ranked singular)
         h_min = np.minimum(h[:, m - 1], h[:, m])
         for d in range(3):
             r = 3 + 3 * (m - 1) + d
-            left_scale = (h_min / h[:, m - 1]) ** d
-            right_scale = (h_min / h[:, m]) ** d
+            with np.errstate(invalid="ignore"):
+                left_scale = (h_min / h[:, m - 1]) ** d
+                right_scale = (h_min / h[:, m]) ** d
             A[:, r, 4 * (m - 1): 4 * m] = beta(m - 1, 1.0, d) * left_scale[:, None]
             A[:, r, 4 * m: 4 * m + 4] = -beta(m, 0.0, d) * right_scale[:, None]
     # unit value at the central support knot (left end of the third interval)

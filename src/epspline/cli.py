@@ -30,7 +30,6 @@ from .greedy import (
 from .interpolate import (
     Interpolant,
     collocation_matrix,
-    factorize,
     fit,
     lebesgue_function,
 )
@@ -331,8 +330,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
     # the spline on the selected nodes, for every algorithm (the kernel's too)
     basis = build_basis(selected, ExpSpace(cfg.alpha))
     phi = collocation_matrix(basis)
-    lu = factorize(phi)
-    lam = lebesgue_function(basis, lu, eval_grid)
+    lam = lebesgue_function(basis, eval_grid)
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
     write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
               zip(eval_grid.tolist(), lam.tolist()))
@@ -350,7 +348,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
         return summary
 
     if predict is None:
-        predict = fit(basis, values[np.searchsorted(candidates, selected)], lu=lu)
+        predict = fit(basis, values[np.searchsorted(candidates, selected)])
     write_trace_csv(out / "trace.csv", trace)
     # a tabulated target is known only at the candidates
     err_grid, target = (candidates, values) if f is None else (eval_grid, f(eval_grid))

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvals_banded
 
-from .banded import BandedMatrix, factorize
+from .banded import BandedMatrix
 from .errors import InvalidInputError, SplineError, check_values
-from .interpolate import Interpolant, basis_matrix, collocation_matrix, lebesgue_function
+from .interpolate import Interpolant, basis_matrix, lebesgue_function
 
 SPARSITY_TOL = 1e-14
 PROXY_GRID_SIZE = 2001  # points of the discrete minimax problem
@@ -154,8 +154,7 @@ def check_error_bound(f, interp: Interpolant, grid) -> BoundCheck:
         raise InvalidInputError("empty evaluation grid")
     basis = interp.basis
     proxy = minimax_proxy(basis, f)
-    lu = factorize(collocation_matrix(basis))
-    lam = lebesgue_function(basis, lu, grid)
+    lam = lebesgue_function(basis, grid)
     f_grid = check_values("target function values", f(grid), grid.size)
     lhs = np.abs(f_grid - interp(grid))
     rhs = (1.0 + lam) * proxy * (1.0 + BOUND_SLACK)

@@ -12,7 +12,7 @@ An insertion changes only the basis functions whose support knots it moves:
 the five whose support contains the new knot. Each spline refit therefore
 passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
-assembled and factorized from scratch every iteration.
+assembled from scratch every iteration; only the residual model factorizes it.
 
 The spline loop also carries two arrays per candidate across insertions: its
 knot-interval index and 4 values there, the basis values from
@@ -33,7 +33,8 @@ import numpy as np
 from .basis import GBSplineBasis, augment_knots, build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
-from .interpolate import _lebesgue_at, _located_values, collocation_matrix, factorize, fit
+from .interpolate import (_lebesgue_from_tables, _lebesgue_tables, _located_values,
+                          collocation_matrix, factorize, fit)
 from .space import ExpSpace
 
 
@@ -192,9 +193,9 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
     Each basis is built with the previous one as ``prior``. ``locate(basis,
     x) -> (interval, values)`` gives the values carried per candidate; it is
     called again only for the candidates of intervals that
-    ``_carried_intervals`` marks changed. ``model(basis, lu, selected) ->
-    (state, score)`` supplies the criterion ``score(rest, interval, values)``
-    at the remaining indices.
+    ``_carried_intervals`` marks changed. ``model(basis, phi, selected) ->
+    (state, score)``, on the collocation matrix ``phi`` and inside ``refit``,
+    supplies the criterion ``score(rest, interval, values)``.
     """
     space = ExpSpace(config.alpha)
     prior = interval = values = None
@@ -203,8 +204,7 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
         nonlocal prior, interval, values
         basis = build_basis(augment_knots(cand[selected]), space, prior=prior)
         phi = collocation_matrix(basis)
-        lu = factorize(phi)
-        state, score = model(basis, lu, selected)
+        state, score = model(basis, phi, selected)
         rest = np.ones(len(cand), dtype=bool)
         rest[selected] = False
         stale = rest = np.flatnonzero(rest)
@@ -244,8 +244,8 @@ def f_greedy(candidates, values, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
     values = check_values("values", values, cand.size)
 
-    def residual(basis, lu, selected):
-        interp = fit(basis, values[selected], lu=lu)
+    def residual(basis, phi, selected):
+        interp = fit(basis, values[selected], lu=factorize(phi))
         return interp, lambda rest, interval, g: np.abs(values[rest] - interp._at(interval, g))
 
     return _spline_loop(cand, config, GBSplineBasis._locate, residual)
@@ -257,7 +257,7 @@ def lambda_greedy(candidates, config: GreedyConfig):
     The selected sequence is a pure function of the candidate set and the
     configuration, which makes the resulting nodes reusable across target
     functions. Every candidate is scored by the interval's Lebesgue table
-    applied to its carried basis values.
+    applied to its carried basis values; no matrix is factorized.
 
     Returns
     -------
@@ -265,9 +265,9 @@ def lambda_greedy(candidates, config: GreedyConfig):
     """
     cand = np.asarray(candidates, dtype=float)
 
-    def lebesgue(basis, lu, selected):
-        return None, lambda rest, interval, beta: _lebesgue_at(
-            basis, lu, cand[rest], (interval, beta))
+    def lebesgue(basis, phi, selected):
+        tables = _lebesgue_tables(phi)
+        return None, lambda rest, interval, beta: _lebesgue_from_tables(tables, interval, beta)
 
     selected, _, trace = _spline_loop(cand, config, _located_values, lebesgue)
     return selected, trace

@@ -27,8 +27,9 @@ the contraction with g cancels heavily, at the right end of an interval with
 a large α·h. The tables come from elimination without row exchanges, which is
 backward stable on totally positive matrices (de Boor & Pinkus, Numer. Math.
 27, 1977); a pivot not above ``PIVOT_RTOL`` times the matrix norm raises
-``SingularSystemError`` naming the row. ``cardinal_values`` keeps the
-transposed solve and is the reference.
+``SingularSystemError`` naming the row. The Lebesgue function takes only the
+basis and factors nothing; only ``fit`` accepts a factorization.
+``cardinal_values`` keeps the transposed solve and is the reference.
 """
 
 from dataclasses import dataclass, field
@@ -147,17 +148,18 @@ def _check_1d(x):
         raise InvalidInputError(f"expected a scalar or a 1-d array, got shape {np.shape(x)}")
 
 
-def cardinal_values(basis: GBSplineBasis, lu: BandedLU, x) -> np.ndarray:
+def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
     """Values of all n cardinal functions at ``x``.
 
     The cardinal functions interpolate the Kronecker data sets; their value
-    vector at ``x`` solves the transposed collocation system against the
-    sparse vector of basis values at ``x``.
+    vector at ``x`` solves the transposed collocation system, factored afresh
+    on every call, against the sparse vector of basis values at ``x``.
 
     Returns shape ``(n,)`` for scalar ``x`` and ``(m, n)`` for a 1-d array.
     """
     _check_1d(x)
-    u = lu.solve(basis_matrix(basis, x), transpose=True)
+    values = basis_matrix(basis, x)  # a point outside [a, b] raises before any factoring
+    u = factorize(collocation_matrix(basis)).solve(values, transpose=True)
     return u[:, 0] if np.ndim(x) == 0 else u.T
 
 
@@ -233,35 +235,31 @@ def _lebesgue_tables(matrix: BandedMatrix) -> np.ndarray:
     return y
 
 
-def lebesgue_function(basis: GBSplineBasis, lu: BandedLU, grid) -> np.ndarray:
+def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
     """Sum of absolute cardinal values at each grid point.
 
     Computed as ``||S[i] @ β(x)||_1`` from the basis values ``β(x)`` of
-    ``basis.active_values`` and one 4x4 table per knot interval
-    (``_lebesgue_tables``), in O(n + m) for m points; it forms no n x m array
-    and does not call ``lu.solve``. It agrees with ``sum |cardinal_values|``
-    up to rounding.
+    ``basis.active_values`` and one 4x4 table per knot interval, formed from
+    the collocation matrix (``_lebesgue_tables``), in O(n + m) for m points;
+    it factors nothing and forms no n x m array. It agrees with ``sum
+    |cardinal_values|`` up to rounding.
 
     Raises
     ------
     SingularSystemError
-        If elimination without row exchanges on ``lu.matrix`` meets a pivot
-        not above ``PIVOT_RTOL`` times its norm.
+        If elimination without row exchanges on the collocation matrix meets a
+        pivot not above ``PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
-    return _lebesgue_at(basis, lu, np.atleast_1d(grid))
+    interval, beta = _located_values(basis, np.atleast_1d(grid))
+    return _lebesgue_from_tables(_lebesgue_tables(collocation_matrix(basis)), interval, beta)
 
 
-def _lebesgue_at(basis: GBSplineBasis, lu: BandedLU, x, located=None) -> np.ndarray:
-    """``lebesgue_function`` at the 1-d points ``x``.
-
-    ``located``, if given, is ``_located_values(basis, x)``, kept from
-    earlier, so that ``x`` is not evaluated again.
-    """
-    interval, beta = _located_values(basis, x) if located is None else located
+def _lebesgue_from_tables(tables, interval, beta) -> np.ndarray:
+    """``||S[i] @ β||_1`` per point, from ``_lebesgue_tables`` and each point's
+    interval ``i`` and basis values ``β``, as from ``_located_values``."""
     # np.take: a fancy index of the rows costs twice as much
-    tables = np.take(_lebesgue_tables(lu.matrix), interval, axis=0)
-    return np.abs(np.einsum("prs,ps->pr", tables, beta)).sum(axis=1)
+    return np.abs(np.einsum("prs,ps->pr", np.take(tables, interval, axis=0), beta)).sum(axis=1)
 
 
 def _located_values(basis: GBSplineBasis, x):
@@ -270,7 +268,7 @@ def _located_values(basis: GBSplineBasis, x):
     return indices[:, 0] + 1, beta
 
 
-def lebesgue_constant(basis: GBSplineBasis, lu: BandedLU, grid) -> float:
+def lebesgue_constant(basis: GBSplineBasis, grid) -> float:
     """Maximum of the Lebesgue function over the grid.
 
     Grid resolution is the caller's responsibility; 400 equispaced points on
@@ -279,4 +277,4 @@ def lebesgue_constant(basis: GBSplineBasis, lu: BandedLU, grid) -> float:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise InvalidInputError("empty evaluation grid")
-    return float(lebesgue_function(basis, lu, grid).max())
+    return float(lebesgue_function(basis, grid).max())

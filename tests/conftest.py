@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epspline import BandedMatrix, ExpSpace, build_basis, collocation_matrix, factorize
+from epspline import BandedMatrix, ExpSpace, build_basis, collocation_matrix
 
 
 @pytest.fixture(scope="session")
@@ -17,11 +17,6 @@ def basis8(space2):
 @pytest.fixture(scope="session")
 def colloc8(basis8):
     return collocation_matrix(basis8)
-
-
-@pytest.fixture(scope="session")
-def lu8(colloc8):
-    return factorize(colloc8)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,6 @@ from epspline import (
     build_basis,
     cardinal_values,
     collocation_matrix,
-    factorize,
     fit,
     lebesgue_function,
 )
@@ -111,15 +110,17 @@ def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
-def lebesgue_by_solve(basis, lu, x):
+def lebesgue_by_solve(basis, x):
     """Σ|``cardinal_values``| at each point of ``x``: one transposed solve per point."""
-    return np.abs(cardinal_values(basis, lu, np.atleast_1d(x))).sum(axis=1)
+    return np.abs(cardinal_values(basis, np.atleast_1d(x))).sum(axis=1)
 
 
-def greedy_uncached(candidates, config, values=None):
+def greedy_uncached(candidates, config, values=None, lebesgue=lebesgue_function):
     """The trace of ``f_greedy`` on ``values``, or of ``lambda_greedy`` if they are None.
 
-    Every step locates and evaluates every remaining candidate again.
+    Every step locates and evaluates every remaining candidate again; the
+    Lebesgue criterion is ``lebesgue(basis, x)``, called once per step, the
+    last included.
     """
     cand = np.asarray(candidates, dtype=float)
     space = ExpSpace(config.alpha)
@@ -127,10 +128,12 @@ def greedy_uncached(candidates, config, values=None):
     def refit(selected):
         basis = build_basis(cand[selected], space)
         phi = collocation_matrix(basis)
-        lu = factorize(phi)
         if values is not None:
-            interp = fit(basis, values[selected], lu=lu)
+            interp = fit(basis, values[selected])
             return None, phi, lambda rest: np.abs(values[rest] - interp(cand[rest]))
-        return None, phi, lambda rest: lebesgue_function(basis, lu, cand[rest])
+        # scored inside refit, where lambda_greedy forms its tables, so that a
+        # failure carries the trace in both; the loop scores exactly the rest
+        scores = lebesgue(basis, cand[np.setdiff1d(np.arange(len(cand)), selected)])
+        return None, phi, lambda rest: scores
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)[2]

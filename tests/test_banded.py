@@ -84,6 +84,26 @@ def test_dependent_rows_rejected():
         factorize(mat)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slot", [(1, 1), (0, 2), (2, 0)], ids=["diagonal", "upper", "lower"])
+def test_non_finite_entry_rejected(value, slot):
+    # a NaN compares false against the pivot floor, and an infinite entry makes
+    # the floor infinite: both must be named as such, not factored
+    mat = BandedMatrix(3)
+    mat.bands[1] = 1.0
+    mat.bands[slot] = value
+    with pytest.raises(SingularSystemError, match="non-finite entry"):
+        factorize(mat)
+
+
+def test_unused_corners_are_not_entries():
+    # bands[0, 0] and bands[2, -1] lie outside the matrix
+    mat = BandedMatrix(3)
+    mat.bands[1] = 1.0
+    mat.bands[0, 0] = mat.bands[2, -1] = np.nan
+    assert np.array_equal(factorize(mat).solve(np.ones(3)), np.ones(3))
+
+
 def test_rhs_size_checked():
     lu = factorize(random_tridiagonal(5)[0])
     with pytest.raises(InvalidInputError):

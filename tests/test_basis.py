@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import epspline.basis as basis_mod
@@ -214,6 +214,8 @@ class TestPriorReuse:
         alpha_h=st.floats(1e-3, 30.0),
         inserts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
     )
+    # the right extension knot 1 + 1.1e-16 rounds onto 1: a zero-length interval
+    @example(gaps=[0.0], alpha_h=1.0, inserts=[0.9999999999999999])
     def test_bitwise_equal_to_scratch_build(self, gaps, alpha_h, inserts):
         knots = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(gaps))])
         space = ExpSpace(alpha_h / np.max(np.diff(knots)))

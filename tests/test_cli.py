@@ -285,16 +285,16 @@ class TestExitCodes:
         import epspline.greedy as greedy_mod
         from epspline import SingularSystemError
 
-        real_factorize = greedy_mod.factorize
+        real_collocation = greedy_mod.collocation_matrix
         calls = {"n": 0}
 
-        def flaky(matrix):
+        def flaky(basis):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise SingularSystemError("synthetic failure")
-            return real_factorize(matrix)
+            return real_collocation(basis)
 
-        monkeypatch.setattr(greedy_mod, "factorize", flaky)
+        monkeypatch.setattr(greedy_mod, "collocation_matrix", flaky)
         out = tmp_path / "partial"
         code = main(["lgreedy", "--nodes", "equispaced:40", "--no-stop",
                      "--max-iter", "30", "--out", str(out)])
@@ -302,6 +302,18 @@ class TestExitCodes:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "iter,selected_x,criterion,kappa2,sparsity"
         assert [row.split(",")[0] for row in trace[1:]] == ["0", "1", "2"]
+        summary = read_summary(out)
+        assert summary["status"] == "FAILED"
+        assert summary["stop_reason"] == "error"
+
+    def test_table_pivot_failure_writes_partial_trace(self, tmp_path, capsys, monkeypatch):
+        # the pivot floor of test_greedy's table failure: the second node set fails
+        monkeypatch.setattr("epspline.interpolate.PIVOT_RTOL", 0.3)
+        out = tmp_path / "pivot"
+        assert main(["lgreedy", "--nodes", "equispaced:40", "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in trace[1:]] == ["0"]
         summary = read_summary(out)
         assert summary["status"] == "FAILED"
         assert summary["stop_reason"] == "error"

@@ -158,27 +158,32 @@ class TestLambdaGreedy:
         assert len(selected) == 10
         assert trace.stop_reason == "exhausted"
 
+    def test_factors_nothing(self, monkeypatch):
+        def refuse(self, matrix):
+            raise AssertionError("a BandedLU was constructed")
+
+        monkeypatch.setattr("epspline.banded.BandedLU.__init__", refuse)
+        _, trace = lambda_greedy(np.linspace(-1, 1, 40), cfg(max_iter=30))
+        assert trace.stop_reason == "max_iter"
+
     @staticmethod
-    def score_by_solve(monkeypatch):
-        """Score the loop's Λ by the transposed solve.
+    def solve_scored(cand, config):
+        """The trace of a λ loop that scores Λ by the transposed solve.
 
-        Returns the list of scored point counts, one per call, so that a test
-        sees whether the patch reached the loop.
+        Also returns the list of scored point counts, one per call, so that a
+        test sees that the solve scored every step.
         """
-        import epspline.greedy as greedy_mod
-
         calls = []
 
-        def by_solve(basis, lu, x, located=None):
+        def by_solve(basis, x):
             calls.append(len(x))
-            return lebesgue_by_solve(basis, lu, x)
+            return lebesgue_by_solve(basis, x)
 
-        monkeypatch.setattr(greedy_mod, "_lebesgue_at", by_solve)
-        return calls
+        return greedy_uncached(cand, config, lebesgue=by_solve), calls
 
     @staticmethod
     def scored_counts(cand, trace):
-        return [len(cand) - s.n_nodes for s in trace.steps if s.criterion is not None]
+        return [len(cand) - s.n_nodes for s in trace.steps]
 
     @pytest.mark.parametrize("family, tau, max_iter", [
         (equispaced, 3.0, None),
@@ -186,7 +191,7 @@ class TestLambdaGreedy:
         (chebyshev_lobatto, 3.0, None),
         (halton, 3.0, None),
     ], ids=["3.0-None", "None-300", "chebyshev-3.0-None", "halton-3.0-None"])
-    def test_picks_equal_solve_scored_loop(self, monkeypatch, family, tau, max_iter):
+    def test_picks_equal_solve_scored_loop(self, family, tau, max_iter):
         # The λ runs of reproduce-all: lgreedy on each family, and
         # saturation_trace (comparison_spline_32 is its first 32 nodes). The
         # first equispaced pick is one of a mirror pair, tied in exact
@@ -194,8 +199,7 @@ class TestLambdaGreedy:
         # 274 on. The table scores alone pick as a loop scored by the solve.
         cand = family(300)
         _, fast = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
-        calls = self.score_by_solve(monkeypatch)
-        _, solve = lambda_greedy(cand, cfg(tau=tau, max_iter=max_iter))
+        solve, calls = self.solve_scored(cand, cfg(tau=tau, max_iter=max_iter))
         assert calls == self.scored_counts(cand, solve)
         assert fast.selected_indices() == solve.selected_indices()
         assert fast.stop_reason == solve.stop_reason
@@ -314,10 +318,11 @@ class TestFailureMidLoop:
         import epspline.kernel as kernel_mod
         from epspline import GreedyError, SingularSystemError, kernel_f_greedy
 
-        # the splines factorize a collocation matrix per fit, the kernel solves
-        # its saddle system
-        module, name = ((kernel_mod, "_solve_saddle") if model == "kernel_f_greedy"
-                        else (greedy_mod, "factorize"))
+        # f-greedy factorizes a collocation matrix per fit, λ-greedy forms
+        # its Lebesgue tables from one, the kernel solves its saddle system
+        module, name = {"f_greedy": (greedy_mod, "factorize"),
+                        "lambda_greedy": (greedy_mod, "_lebesgue_tables"),
+                        "kernel_f_greedy": (kernel_mod, "_solve_saddle")}[model]
         real = getattr(module, name)
         calls = {"n": 0}
 
@@ -342,6 +347,19 @@ class TestFailureMidLoop:
         last_x = err.value.trace.steps[-1].selected_x
         assert f"iteration 3, after inserting x = {last_x!r}: synthetic failure" \
             in str(err.value)
+
+    def test_table_pivot_failure_carries_partial_trace(self, monkeypatch):
+        # a pivot floor of 0.3 |A| passes the first node set of 40 equispaced
+        # candidates and fails the second, whose smallest forward pivot is 0.822
+        # against |A| = 2.97
+        monkeypatch.setattr("epspline.interpolate.PIVOT_RTOL", 0.3)
+        with pytest.raises(GreedyError) as err:
+            lambda_greedy(np.linspace(-1, 1, 40), cfg(max_iter=30))
+        assert len(err.value.trace.steps) == 1
+        assert err.value.trace.stop_reason == "error"
+        last_x = err.value.trace.steps[-1].selected_x
+        assert f"iteration 1, after inserting x = {last_x!r}: collocation row 1: forward " \
+            "pivot 0.822" in str(err.value)
 
     def test_too_few_candidates_for_default_init(self):
         with pytest.raises(InvalidInputError):
