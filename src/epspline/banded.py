@@ -1,12 +1,13 @@
-"""Tridiagonal matrix storage and LU factorization with partial pivoting.
+"""Tridiagonal matrix storage and LU factorization without row exchanges.
 
 The collocation matrix of the centre-normalized basis is tridiagonal, so three
 diagonals are stored, in the LAPACK general-band layout with ``kl = ku = 1``:
 entry ``(i, j)`` of the full matrix lives at ``bands[1 + i - j, j]``.
-Factorization and solves are delegated to the LAPACK ``gbtrf`` / ``gbtrs``
-pair, which performs banded LU with partial pivoting. The tridiagonal pair
-``gttrf`` / ``gttrs`` is not used: scipy's ``dgttrf`` wrapper rejects n <= 2,
-and two-node sets are legal input.
+Elimination runs without row exchanges (``_sweep``), which is backward stable
+on totally positive matrices (de Boor & Pinkus, Numer. Math. 27, 1977); every
+accepted collocation matrix is one. A pivot not above ``PIVOT_RTOL`` times the
+matrix norm raises ``SingularSystemError`` naming its row (``_check_pivots``),
+in ``factorize`` and in the Lebesgue tables of ``interpolate`` alike.
 """
 
 import numpy as np
@@ -14,11 +15,8 @@ from scipy.linalg import lapack
 
 from .errors import InvalidInputError, SingularSystemError
 
-# A pivot below this multiple of the matrix norm counts as singular.
+# A pivot not above this multiple of the matrix norm counts as singular.
 PIVOT_RTOL = 1e-14
-
-# lower and upper bandwidths of a tridiagonal matrix
-KL = KU = 1
 
 
 class BandedMatrix:
@@ -33,7 +31,7 @@ class BandedMatrix:
         if n < 1:
             raise InvalidInputError(f"bad tridiagonal size n={n}")
         self.n = n
-        self.bands = np.zeros((KL + KU + 1, n))
+        self.bands = np.zeros((3, n))
 
     def to_dense(self) -> np.ndarray:
         upper, diag, lower = self.bands
@@ -50,47 +48,73 @@ class BandedMatrix:
         return float(sums.max())
 
 
-class BandedLU:
-    """LU factorization of a BandedMatrix, reusable for many solves.
+def _check_pivots(name, pivots, floor, row_of):
+    """Raise ``SingularSystemError`` at the first pivot not above ``floor`` (NaN included)."""
+    bad = np.flatnonzero(~(pivots > floor))
+    if len(bad):
+        raise SingularSystemError(
+            f"collocation row {row_of(bad[0])}: {name} pivot {pivots[bad[0]]:.3g} without row "
+            f"exchanges is not above {floor:.3g}, so the matrix is not totally positive")
 
-    Only solves need it: the Lebesgue function works on the matrix itself.
+
+def _sweep(diag, num, other, floor):
+    """Pivots and tail sums of one elimination sweep without row exchanges.
+
+    From a decoupled 1, ``p = diag - other * num / p_prev`` and ``t = |num /
+    p_prev| * (1 + t_prev)``, on Python floats; stops after the first pivot
+    not above ``floor``.
+    """
+    p, t = 1.0, 0.0
+    pivots, tails = [p], [t]
+    for a_k, y, x in zip(diag, num, other):
+        r = y / p
+        p, t = a_k - x * r, abs(r) * (1.0 + t)
+        pivots.append(p)
+        tails.append(t)
+        if not p > floor:
+            break
+    return np.array(pivots), np.array(tails)
+
+
+class BandedLU:
+    """``A = L U`` without row exchanges, reusable for many solves.
+
+    ``L`` (unit lower bidiagonal) and ``U`` (the pivots, bit for bit the
+    forward pivots of the Lebesgue tables, and the superdiagonal of ``A``)
+    are ``(2, n)`` bands, each solved by LAPACK ``tbtrs``. Raises
+    ``SingularSystemError`` for a non-finite entry or a pivot not above
+    ``PIVOT_RTOL * ||A||_inf``; every accepted collocation matrix, being
+    totally positive, has positive pivots.
     """
 
     def __init__(self, matrix: BandedMatrix):
-        n = matrix.n
         norm = matrix.norm_inf()
         if not np.isfinite(norm):
             raise SingularSystemError(f"collocation matrix has a non-finite entry (norm {norm})")
-        # gbtrf needs KL extra superdiagonal rows for pivoting fill-in
-        ab = np.zeros((2 * KL + KU + 1, n))
-        ab[KL:, :] = matrix.bands
-        lu, ipiv, info = lapack.dgbtrf(ab, KL, KU)
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} passed to dgbtrf")
-        if info > 0:
-            raise SingularSystemError(
-                f"collocation matrix is exactly singular (zero pivot at {info - 1})"
-            )
-        pivot_floor = PIVOT_RTOL * norm
-        diag_u = np.abs(lu[KL + KU, :])
-        if not diag_u.min() >= pivot_floor:
-            raise SingularSystemError(
-                f"collocation matrix is singular to working precision "
-                f"(pivot {diag_u.min():.3g} below {pivot_floor:.3g})"
-            )
-        self.n = n
-        self._lu = lu
-        self._ipiv = ipiv
+        upper, diag, lower = matrix.bands
+        floor = PIVOT_RTOL * norm
+        # row k's entries A[k, k-1] and A[k-1, k], 0 in row 0
+        below, above = np.append(0.0, lower[:-1]), np.append(0.0, upper[1:])
+        d, _ = _sweep(diag.tolist(), below.tolist(), above.tolist(), floor)
+        _check_pivots("forward", d[1:], floor, lambda j: j)
+        self.n = matrix.n
+        self._lower = np.stack([np.ones(self.n), np.append(below[1:] / d[1:-1], 0.0)])
+        self._upper = np.stack([above, d[1:]])
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``A x = b`` (or ``A^T x = b``); ``b`` may hold several RHS columns."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise InvalidInputError(f"rhs has leading dimension {b.shape[0]}, expected {self.n}")
-        x, info = lapack.dgbtrs(self._lu, KL, KU, b, self._ipiv,
-                                trans=1 if transpose else 0)
-        if info != 0:
-            raise ValueError(f"dgbtrs failed with info={info}")
+        if b.size == 0:
+            return b.copy()  # scipy's tbtrs crashes the interpreter on zero right-hand sides
+        factors = [(self._lower, "L", "U"), (self._upper, "U", "N")]
+        x = b
+        for band, uplo, unit in factors[::-1] if transpose else factors:
+            x, info = lapack.dtbtrs(band, x, uplo=uplo, trans="T" if transpose else "N",
+                                    diag=unit)
+            if info != 0:
+                raise ValueError(f"dtbtrs failed with info={info}")
         return x
 
 

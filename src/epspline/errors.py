@@ -23,7 +23,8 @@ class BasisConstructionError(SplineError):
 
 
 class SingularSystemError(SplineError):
-    """The collocation system is singular to working precision."""
+    """A system cannot be solved; for a collocation matrix, a non-finite entry or a
+    pivot without row exchanges not above ``PIVOT_RTOL`` times its norm."""
 
 
 def check_integer(name: str, value):

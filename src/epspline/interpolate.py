@@ -24,11 +24,10 @@ It is applied as ``S[i] @ β(x)``, the basis values first: at a knot they are
 then the collocation row itself, rounding included, so Λ = 1 there to the
 accuracy of the solve. Forming ``R[i]`` first would round differently where
 the contraction with g cancels heavily, at the right end of an interval with
-a large α·h. The tables come from elimination without row exchanges, which is
-backward stable on totally positive matrices (de Boor & Pinkus, Numer. Math.
-27, 1977); a pivot not above ``PIVOT_RTOL`` times the matrix norm raises
-``SingularSystemError`` naming the row. The Lebesgue function takes only the
-basis and factors nothing; only ``fit`` accepts a factorization.
+a large α·h. The tables and ``fit``'s factorization both come from
+``banded._sweep``, elimination without row exchanges, and are rejected by the
+same pivot rule (see ``banded``). The Lebesgue function takes only the basis
+and factors nothing; only ``fit`` accepts a factorization.
 ``cardinal_values`` keeps the transposed solve and is the reference.
 """
 
@@ -36,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banded import PIVOT_RTOL, BandedLU, BandedMatrix, factorize
+from .banded import PIVOT_RTOL, BandedLU, BandedMatrix, _check_pivots, _sweep, factorize
 from .basis import GBSplineBasis
-from .errors import BasisConstructionError, InvalidInputError, SingularSystemError, check_values
+from .errors import BasisConstructionError, InvalidInputError, check_values
 
 # A basis value outside the three diagonals above this multiple of the
 # collocation matrix norm means the basis does not vanish at its support ends.
@@ -136,6 +135,9 @@ def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
         Finite data values at the interior knots, length ``n``.
     lu : BandedLU, optional
         Reuse an existing factorization of the collocation matrix.
+
+    The collocation matrix must have pivots without row exchanges above
+    ``PIVOT_RTOL`` times its norm, as every accepted one has.
     """
     y = check_values("data values", y, basis.n)
     if lu is None:
@@ -161,34 +163,6 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
     values = basis_matrix(basis, x)  # a point outside [a, b] raises before any factoring
     u = factorize(collocation_matrix(basis)).solve(values, transpose=True)
     return u[:, 0] if np.ndim(x) == 0 else u.T
-
-
-def _check_pivots(name, pivots, floor, row_of):
-    """Raise ``SingularSystemError`` at the first pivot not above ``floor`` (NaN included)."""
-    bad = np.flatnonzero(~(pivots > floor))
-    if len(bad):
-        raise SingularSystemError(
-            f"collocation row {row_of(bad[0])}: {name} pivot {pivots[bad[0]]:.3g} without row "
-            f"exchanges is not above {floor:.3g}, so the matrix is not totally positive")
-
-
-def _sweep(diag, num, other, floor):
-    """Pivots and tail sums of one elimination sweep without row exchanges.
-
-    From a decoupled 1, ``p = diag - other * num / p_prev`` and ``t = |num /
-    p_prev| * (1 + t_prev)``, on Python floats; stops after the first pivot
-    not above ``floor``.
-    """
-    p, t = 1.0, 0.0
-    pivots, tails = [p], [t]
-    for a_k, y, x in zip(diag, num, other):
-        r = y / p
-        p, t = a_k - x * r, abs(r) * (1.0 + t)
-        pivots.append(p)
-        tails.append(t)
-        if not p > floor:
-            break
-    return np.array(pivots), np.array(tails)
 
 
 def _lebesgue_tables(matrix: BandedMatrix) -> np.ndarray:

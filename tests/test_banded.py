@@ -74,13 +74,15 @@ def test_singular_matrix_rejected():
 
 def test_dependent_rows_rejected():
     # rows 2 and 3 agree up to a few rounding units and are decoupled from the
-    # other rows: no pivot is exactly zero, but one falls below the floor
+    # other rows: every pivot is positive, but the one of row 3, about 4 eps * b,
+    # falls below the floor
     mat, _ = random_tridiagonal(6, seed=14)
-    a, b = np.random.default_rng(15).normal(size=2)
+    a, b = np.random.default_rng(15).uniform(1.0, 2.0, size=2)
     mat.bands[:, 2] = [0.0, a, a]  # (1, 2), (2, 2), (3, 2)
     mat.bands[:, 3] = [b, b * (1 + 4 * np.finfo(float).eps), 0.0]  # (2, 3), (3, 3), (4, 3)
     mat.bands[2, 1] = mat.bands[0, 4] = 0.0  # (2, 1), (3, 4)
-    with pytest.raises(SingularSystemError, match="working precision"):
+    with pytest.raises(SingularSystemError,
+                       match=r"row 3: forward pivot \d\S* without row exchanges is not above"):
         factorize(mat)
 
 
@@ -102,6 +104,12 @@ def test_unused_corners_are_not_entries():
     mat.bands[1] = 1.0
     mat.bands[0, 0] = mat.bands[2, -1] = np.nan
     assert np.array_equal(factorize(mat).solve(np.ones(3)), np.ones(3))
+
+
+def test_empty_rhs():
+    mat, _ = random_tridiagonal(5)
+    for transpose in (False, True):
+        assert factorize(mat).solve(np.empty((5, 0)), transpose).shape == (5, 0)
 
 
 def test_rhs_size_checked():
