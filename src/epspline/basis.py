@@ -54,14 +54,19 @@ def augment_knots(interior) -> AugmentedKnots:
     With interior knots ``x1 < ... < xn`` the extension appends ``x1 - g``,
     ``x1 - 2g`` on the left (``g = x2 - x1``) and symmetrically on the right
     with the last gap. The uniform-extension rule is deterministic; the
-    interpolant is not very sensitive to the exact placement.
+    interpolant is not very sensitive to the exact placement. A knot span whose
+    extension overflows raises ``DomainError``.
     """
     x = check_points("interior knots", interior, 2)
-    gl = x[1] - x[0]
-    gr = x[-1] - x[-2]
-    extended = np.concatenate(
-        [[x[0] - 2.0 * gl, x[0] - gl], x, [x[-1] + gr, x[-1] + 2.0 * gr]]
-    )
+    with np.errstate(over="ignore"):
+        gl = x[1] - x[0]
+        gr = x[-1] - x[-2]
+        extended = np.concatenate(
+            [[x[0] - 2.0 * gl, x[0] - gl], x, [x[-1] + gr, x[-1] + 2.0 * gr]]
+        )
+        if not np.isfinite(extended[-1] - extended[0]):
+            raise DomainError(f"knot span [{x[0]:g}, {x[-1]:g}]: its extension by the "
+                              "mirrored end gaps overflows")
     return AugmentedKnots(interior=x, extended=extended)
 
 

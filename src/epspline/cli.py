@@ -1,9 +1,11 @@
 """Experiment runner: greedy selections, Lebesgue scans, node generation.
 
 Each subcommand has a flag for each setting it reads (``SUBCOMMANDS``) and no
-other. A run writes CSV traces (the contract: deterministic, floats at 17
-significant digits), SVG charts (best-effort presentation) and summary.json.
-Exit codes: 0 success, 1 invalid input, 2 numerical failure.
+other; a greedy run with --tau 0 runs to --max-iter. A run writes CSV traces
+(the contract: deterministic, floats at 17 significant digits), SVG charts
+(best-effort presentation) and summary.json, whose config holds the tau and
+--fn target the run used. Exit codes: 0 success, 1 invalid input, 2 numerical
+failure.
 """
 
 import argparse
@@ -45,7 +47,7 @@ from .space import ExpSpace
 # flag, and the tau and --fn target it uses when none is given
 Subcommand = collections.namedtuple("Subcommand", "reads tau fn", defaults=(None, None))
 
-GREEDY_READS = ("nodes", "fn", "alpha", "tau", "no_stop", "max_iter", "grid", "out")
+GREEDY_READS = ("nodes", "fn", "alpha", "tau", "max_iter", "grid", "out")
 SUBCOMMANDS = {
     "fgreedy": Subcommand(GREEDY_READS, tau=1e-3, fn="atan55"),
     "lgreedy": Subcommand(GREEDY_READS, tau=3.0, fn="xsq"),
@@ -62,20 +64,18 @@ class ExperimentConfig:
     fn: str | None = None
     alpha: float = 2.0
     tau: float | None = None
-    no_stop: bool = False
     max_iter: int | None = None
     grid: int = 400
     out: str = "out"
 
-    def validate(self):
+    def validate(self) -> "ExperimentConfig":
+        """Check every setting; return it with the subcommand's tau and fn where unset."""
         if self.algorithm not in SUBCOMMANDS:
             raise InvalidInputError(f"algorithm must be one of {tuple(SUBCOMMANDS)}")
-        reads = SUBCOMMANDS[self.algorithm].reads
+        sub = SUBCOMMANDS[self.algorithm]
         for field in dataclasses.fields(self)[1:]:  # every setting but algorithm
-            if field.name not in reads and getattr(self, field.name) != field.default:
+            if field.name not in sub.reads and getattr(self, field.name) != field.default:
                 raise InvalidInputError(f"{self.algorithm} does not read {field.name}")
-        if self.tau is not None and self.no_stop:
-            raise InvalidInputError("tau and no_stop cannot both be set")
         parse_node_spec(self.nodes)
         if self.fn is not None and self.fn not in TARGETS \
                 and not self.fn.startswith("tab:"):
@@ -87,6 +87,8 @@ class ExperimentConfig:
         if self.grid < 2:
             raise InvalidInputError(f"grid must have at least 2 points, got {self.grid}")
         check_stop_rule(self.tau, self.max_iter)
+        return dataclasses.replace(self, tau=sub.tau if self.tau is None else self.tau,
+                                   fn=sub.fn if self.fn is None else self.fn)
 
 
 def parse_node_spec(text: str) -> NodeSpec:
@@ -199,16 +201,15 @@ TARGETS = {
 
 
 def resolve_function(cfg: ExperimentConfig, candidates: np.ndarray, tabulated):
-    """Return (callable, values at candidates) for the validated target.
+    """Return (callable, values at candidates) for the target of the validated config.
 
     A tabulated target is known only at the candidates: its callable is None,
     and ``tabulated`` holds its values there from ``_tabulated_values`` (None
     for any other target).
     """
-    name = cfg.fn if cfg.fn is not None else SUBCOMMANDS[cfg.algorithm].fn
-    if name.startswith("tab:"):
+    if cfg.fn.startswith("tab:"):
         return None, tabulated
-    f = TARGETS[name](cfg, candidates)
+    f = TARGETS[cfg.fn](cfg, candidates)
     return f, np.asarray(f(candidates), dtype=float)
 
 
@@ -269,7 +270,7 @@ def _sized(make, *args):
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
-    cfg.validate()
+    cfg = cfg.validate()
     t0 = time.perf_counter()
     # the candidates, a tab: file read once and matched to them, and the
     # evaluation grid come first, so that bad input fails before the output
@@ -315,13 +316,11 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
     selected, trace, predict = candidates, None, None
     if cfg.algorithm != "lebesgue":
         f, values = resolve_function(cfg, candidates, tabulated)
-        tau = None if cfg.no_stop else (cfg.tau if cfg.tau is not None
-                                        else SUBCOMMANDS[cfg.algorithm].tau)
         if cfg.algorithm == "kernel":
-            selected, predict, trace = kernel_f_greedy(candidates, values, tau=tau,
+            selected, predict, trace = kernel_f_greedy(candidates, values, tau=cfg.tau,
                                                        max_iter=cfg.max_iter)
         else:
-            greedy_cfg = GreedyConfig(alpha=cfg.alpha, tau=tau, max_iter=cfg.max_iter)
+            greedy_cfg = GreedyConfig(alpha=cfg.alpha, tau=cfg.tau, max_iter=cfg.max_iter)
             if cfg.algorithm == "fgreedy":
                 selected, predict, trace = f_greedy(candidates, values, greedy_cfg)
             else:
@@ -380,11 +379,11 @@ REPRODUCE_RUNS = [
     for kind in ("equispaced", "halton", "chebyshev")
 ] + [
     ("saturation_trace",
-     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=300)),
+     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", tau=0.0, max_iter=300)),
     ("comparison_spline_32",
-     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=32)),
+     dict(algorithm="lgreedy", fn="xsq", nodes="equispaced:300", tau=0.0, max_iter=32)),
     ("comparison_kernel_32",
-     dict(algorithm="kernel", fn="xsq", nodes="equispaced:300", no_stop=True, max_iter=32)),
+     dict(algorithm="kernel", fn="xsq", nodes="equispaced:300", max_iter=32)),
 ]
 
 
@@ -417,8 +416,8 @@ FLAGS = {
     "nodes": dict(help="node spec kind:count on [-1, 1]"),
     "fn": dict(help=f"target: {' | '.join(TARGETS)} | tab:PATH"),
     "alpha": dict(type=float),
-    "tau": dict(type=float),
-    "no_stop": dict(action="store_true", help="ignore tau; run until max-iter or exhaustion"),
+    "tau": dict(type=float, help="stop once the criterion is at most this; 0 runs to "
+                "max-iter (the residual greedies stop at an all-zero residual)"),
     "max_iter": dict(type=int, help="cap on the total number of selected nodes"),
     "grid": dict(type=int, help="evaluation grid size"),
     "out": dict(help="output directory"),

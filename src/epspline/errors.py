@@ -48,7 +48,7 @@ def check_points(name: str, x, min_count: int) -> np.ndarray:
             f"need a 1-d array of at least {min_count} {name}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{name} must be finite")
-    if np.any(np.diff(x) <= 0.0):
+    if np.any(x[1:] <= x[:-1]):  # not np.diff, which overflows past 1.8e308
         raise InvalidInputError(f"{name} must be sorted, strictly increasing and distinct")
     return x
 

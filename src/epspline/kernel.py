@@ -42,7 +42,8 @@ class KernelInterpolant:
 def _saddle_matrix(x: np.ndarray) -> np.ndarray:
     n = len(x)
     a = np.zeros((n + 2, n + 2))
-    a[:n, :n] = tps_kernel(np.abs(x[:, None] - x[None, :]))
+    with np.errstate(over="ignore"):  # an overflow leaves an inf, which _solve_saddle rejects
+        a[:n, :n] = tps_kernel(np.abs(x[:, None] - x[None, :]))
     a[:n, n] = 1.0
     a[:n, n + 1] = x
     a[n, :n] = 1.0
@@ -63,13 +64,20 @@ def tps_fit(x, y) -> KernelInterpolant:
 
 
 def _solve_saddle(x: np.ndarray, y: np.ndarray) -> tuple[KernelInterpolant, np.ndarray]:
-    """Fit on checked sorted centres; also return the saddle matrix solved."""
+    """Fit on checked sorted centres; also return the saddle matrix solved.
+
+    A saddle matrix or solution that is not finite is a ``SingularSystemError``.
+    """
     a = _saddle_matrix(x)
+    if not np.all(np.isfinite(a)):
+        raise SingularSystemError("kernel saddle matrix has a non-finite entry")
     rhs = np.concatenate([y, [0.0, 0.0]])
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"singular kernel saddle system: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystemError("kernel saddle system has a non-finite solution")
     return KernelInterpolant(centers=x, weights=sol[:-2], tail=sol[-2:]), a
 
 

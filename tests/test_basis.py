@@ -42,6 +42,17 @@ class TestAugmentKnots:
         assert np.array_equal(got.extended[2:-2], got.interior)
         assert np.all(np.diff(got.extended) > 0)
 
+    @pytest.mark.parametrize("knots", [[0.0, 1e308], [-1e308, -0.9e308, 0.9e308, 1e308]])
+    def test_overflowing_extension_rejected(self, knots):
+        # a mirrored knot beyond the largest double, or a span past it
+        with pytest.raises(DomainError, match=r"knot span \[.*\]: its extension"):
+            augment_knots(knots)
+
+    def test_overflowing_extension_named_by_build_basis(self):
+        # not a segment argument past the overflow limit, reached through inf knots
+        with pytest.raises(DomainError, match="knot span"):
+            build_basis([-1e308, 0.0, 1e308], ExpSpace(1e-300))
+
 
 class TestBuildBasis:
     def test_support_endpoints_vanish(self, basis8):

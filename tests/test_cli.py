@@ -21,7 +21,7 @@ GREEDY_FILES = {
 
 # for each setting but out, a valid value other than the ExperimentConfig default
 OTHER_VALUE = {"nodes": "halton:9", "fn": "xsq", "alpha": 3.0, "tau": 1.0,
-               "no_stop": True, "max_iter": 9, "grid": 100}
+               "max_iter": 9, "grid": 100}
 
 
 def read_summary(out):
@@ -45,7 +45,7 @@ class TestParsing:
         ["lgreedy", "--tau", "3", "--no-stop"],
     ], ids=["nodes-alpha", "lebesgue-tau", "lgreedy-seed", "tau-and-no-stop"])
     def test_setting_not_read_is_rejected(self, tmp_path, capsys, argv):
-        # a flag a subcommand would ignore, or tau beside no-stop, is not dropped silently
+        # a flag a subcommand would ignore, or the removed --no-stop, is not dropped silently
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -88,7 +88,7 @@ class TestRunExperiment:
     def test_kernel_artifacts(self, tmp_path):
         out = tmp_path / "k"
         cfg = ExperimentConfig(algorithm="kernel", fn="xsq", nodes="equispaced:80",
-                               no_stop=True, max_iter=20, out=str(out))
+                               max_iter=20, out=str(out))
         summary = run_experiment(cfg)
         assert summary["n_selected"] == 20
         assert {p.name for p in out.iterdir()} == GREEDY_FILES
@@ -124,11 +124,38 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not out.exists()
 
-    def test_tau_with_no_stop_rejected(self, tmp_path):
-        cfg = ExperimentConfig("lgreedy", tau=3.0, no_stop=True, out=str(tmp_path / "out"))
-        with pytest.raises(InvalidInputError, match="tau and no_stop"):
-            run_experiment(cfg)
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("algorithm, tau, fn", [
+        ("fgreedy", 1e-3, "atan55"), ("lgreedy", 3.0, "xsq"), ("kernel", None, "xsq"),
+    ])
+    def test_summary_records_resolved_tau_and_fn(self, tmp_path, capsys, algorithm, tau, fn):
+        # a run with neither flag says which threshold and target it ran with
+        out = tmp_path / algorithm
+        assert main([algorithm, "--nodes", "equispaced:40", "--out", str(out)]) == 0
+        config = read_summary(out)["config"]
+        assert (config["tau"], config["fn"]) == (tau, fn)
+        assert json.loads(capsys.readouterr().out)["config"] == config
+
+    def test_tau_zero_runs_lgreedy_to_max_iter(self, tmp_path):
+        # the Lebesgue function is positive at every candidate, so tau = 0 never stops it
+        out = tmp_path / "lg0"
+        assert main(["lgreedy", "--nodes", "equispaced:40", "--tau", "0",
+                     "--max-iter", "12", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert (summary["n_selected"], summary["stop_reason"]) == (12, "max_iter")
+        assert len((out / "selected.csv").read_text().splitlines()) == 1 + 12
+
+    def test_tau_zero_stops_residual_greedy_at_zero_residual(self, tmp_path):
+        # every residual of an all-zero target is exactly 0, which is at most tau = 0
+        table = tmp_path / "zeros.csv"
+        table.write_text("x,y\n" + "\n".join(f"{x},0.0" for x in equispaced(40)) + "\n")
+        out = tmp_path / "zero"
+        assert main(["fgreedy", "--nodes", "equispaced:40", "--fn", f"tab:{table}",
+                     "--tau", "0", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert (summary["n_selected"], summary["stop_reason"]) == (4, "tau")
+        assert summary["final_criterion"] == 0.0
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in trace[1:]] == ["0"]
 
     def test_inspace_target_fgreedy_stops_fast(self, tmp_path):
         out = tmp_path / "ins"
@@ -229,7 +256,7 @@ class TestExitCodes:
         assert main(["fgreedy", "--fn", "nope"]) == 1
         capsys.readouterr()
         # every greedy starts from 4 nodes, so a smaller cap cannot hold
-        assert main(["lgreedy", "--no-stop", "--max-iter", "3",
+        assert main(["lgreedy", "--tau", "0", "--max-iter", "3",
                      "--out", str(tmp_path / "cap")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid input: max_iter must be at least 4") \
@@ -296,7 +323,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(greedy_mod, "collocation_matrix", flaky)
         out = tmp_path / "partial"
-        code = main(["lgreedy", "--nodes", "equispaced:40", "--no-stop",
+        code = main(["lgreedy", "--nodes", "equispaced:40", "--tau", "0",
                      "--max-iter", "30", "--out", str(out)])
         assert code == 2
         trace = (out / "trace.csv").read_text().splitlines()

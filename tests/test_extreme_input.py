@@ -1,0 +1,64 @@
+"""The documented error classes under extreme input.
+
+Every public entry point either returns finite values or raises a
+``SplineError`` subclass: never a numpy ``RuntimeWarning`` (an error under the
+test configuration), a NaN model or any other exception.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from epspline import ExpSpace, SplineError, build_basis, fit, lebesgue_function, tps_fit
+
+
+@st.composite
+def extreme_knots(draw):
+    """(knots, alpha): 2-12 knots, gap ratios up to 1e12, a span from 1e-300 to
+    1e300 placed anywhere in [-1e300, 1e300], and alpha * span from 1e-3 to 1e3."""
+    log_gaps = draw(st.lists(st.floats(0.0, 12.0), min_size=1, max_size=11))
+    span = 10.0 ** draw(st.floats(-300.0, 300.0))
+    left = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, 300.0))
+    left = min(left, 1e300 - span)
+    gaps = 10.0 ** np.array(log_gaps)
+    t = np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    knots = left + span * t
+    knots[-1] = left + span
+    return knots, 10.0 ** draw(st.floats(-3.0, 3.0)) / span
+
+
+def _finite_or_spline_error(compute):
+    """Check ``compute()`` returns finite values unless it raises a ``SplineError``."""
+    try:
+        values = compute()
+    except SplineError:
+        return
+    assert np.all(np.isfinite(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=extreme_knots())
+# the kernel's r^2 overflows: a NaN model at 1e200, a greedy fitting NaN weights at 1e160
+@example(case=(np.array([-1e200, 0.0, 1e200]), 1e-200))
+@example(case=(np.linspace(-1e160, 1e160, 6), 1e-160))
+# the mirrored end knots overflow to inf
+@example(case=(np.array([0.0, 1e308]), 1e-308))
+@example(case=(np.array([-1e308, 0.0, 1e308]), 1e-300))
+def test_extreme_input_is_finite_or_spline_error(case):
+    knots, alpha = case
+    y = np.cos(np.arange(len(knots)))
+    try:
+        basis = build_basis(knots, ExpSpace(alpha))
+    except SplineError:
+        basis = None
+    if basis is not None:
+        assert np.all(np.isfinite(basis.coef))
+        _finite_or_spline_error(lambda: fit(basis, y)(knots))
+        grid = np.sort(np.concatenate([knots, np.linspace(knots[0], knots[-1], 33)]))
+        _finite_or_spline_error(lambda: lebesgue_function(basis, grid))
+
+    def tps_parameters():
+        model = tps_fit(knots, y)
+        return np.concatenate([model.weights, model.tail])
+
+    _finite_or_spline_error(tps_parameters)

@@ -4,7 +4,9 @@ import pytest
 from epspline import (
     ExpSpace,
     GreedyConfig,
+    GreedyError,
     InvalidInputError,
+    SingularSystemError,
     build_basis,
     f_greedy,
     fit,
@@ -63,6 +65,12 @@ class TestTpsFit:
         with pytest.raises(InvalidInputError):
             tps_fit(x, y)
 
+    def test_overflowing_kernel_is_singular(self, capfd):
+        # r^2 overflows: an inf saddle matrix is refused before LAPACK sees it
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            tps_fit([-1e200, 0.0, 1e200], np.ones(3))
+        assert capfd.readouterr().err == ""
+
 
 class TestKernelGreedy:
     def test_zero_values_terminate_immediately(self):
@@ -70,6 +78,12 @@ class TestKernelGreedy:
         selected, _, trace = kernel_f_greedy(cand, np.zeros(40), tau=1e-8)
         assert len(selected) == 4
         assert trace.stop_reason == "tau"
+
+    def test_overflowing_kernel_fails_at_iteration_0(self):
+        # the initial set's saddle matrix overflows; no NaN model is ever fitted
+        with pytest.raises(GreedyError, match="^iteration 0: .*non-finite") as info:
+            kernel_f_greedy(np.linspace(-1e160, 1e160, 6), np.ones(6))
+        assert info.value.trace.steps == [] and info.value.trace.stop_reason == "error"
 
     def test_near_uniform_distribution_for_smooth_target(self):
         cand = np.linspace(-1, 1, 300)
