@@ -5,9 +5,9 @@ diagonals are stored, in the LAPACK general-band layout with ``kl = ku = 1``:
 entry ``(i, j)`` of the full matrix lives at ``bands[1 + i - j, j]``.
 Elimination runs without row exchanges (``_sweep``), which is backward stable
 on totally positive matrices (de Boor & Pinkus, Numer. Math. 27, 1977); every
-accepted collocation matrix is one. A pivot not above ``PIVOT_RTOL`` times the
-matrix norm raises ``SingularSystemError`` naming its row (``_check_pivots``),
-in ``factorize`` and in the Lebesgue tables of ``interpolate`` alike.
+accepted collocation matrix is one. ``BandedLU`` records it once per matrix,
+for ``fit`` and the Lebesgue tables alike; a pivot not above ``PIVOT_RTOL``
+times the matrix norm raises ``SingularSystemError`` naming its row.
 """
 
 import numpy as np
@@ -79,12 +79,12 @@ def _sweep(diag, num, other, floor):
 class BandedLU:
     """``A = L U`` without row exchanges, reusable for many solves.
 
-    ``L`` (unit lower bidiagonal) and ``U`` (the pivots, bit for bit the
-    forward pivots of the Lebesgue tables, and the superdiagonal of ``A``)
-    are ``(2, n)`` bands, each solved by LAPACK ``tbtrs``. Raises
-    ``SingularSystemError`` for a non-finite entry or a pivot not above
-    ``PIVOT_RTOL * ||A||_inf``; every accepted collocation matrix, being
-    totally positive, has positive pivots.
+    Keeps the forward sweep's pivots, in ``U``, its tail sums and the pivot
+    floor ``PIVOT_RTOL * ||A||_inf``. ``L`` (unit lower bidiagonal) and ``U``
+    (pivots and the superdiagonal of ``A``) are ``(2, n)`` bands, each solved
+    by LAPACK ``tbtrs``. A non-finite entry, or a pivot here or in
+    ``lebesgue_tables`` not above the floor, raises ``SingularSystemError``;
+    every accepted collocation matrix is totally positive, with positive pivots.
     """
 
     def __init__(self, matrix: BandedMatrix):
@@ -92,14 +92,46 @@ class BandedLU:
         if not np.isfinite(norm):
             raise SingularSystemError(f"collocation matrix has a non-finite entry (norm {norm})")
         upper, diag, lower = matrix.bands
-        floor = PIVOT_RTOL * norm
-        # row k's entries A[k, k-1] and A[k-1, k], 0 in row 0
-        below, above = np.append(0.0, lower[:-1]), np.append(0.0, upper[1:])
-        d, _ = _sweep(diag.tolist(), below.tolist(), above.tolist(), floor)
-        _check_pivots("forward", d[1:], floor, lambda j: j)
-        self.n = matrix.n
-        self._lower = np.stack([np.ones(self.n), np.append(below[1:] / d[1:-1], 0.0)])
-        self._upper = np.stack([above, d[1:]])
+        self.n, self._floor, self._diag = matrix.n, PIVOT_RTOL * norm, diag.tolist()
+        # M[k, k + 1] = A[k, k-1] and M[k + 1, k] = A[k-1, k], 0 at k = 0 and n
+        self._sup, self._sub = (np.concatenate([[0.0], v, [0.0]]) for v in (lower[:-1], upper[1:]))
+        d, self._tails = _sweep(self._diag, self._sup.tolist(), self._sub.tolist(), self._floor)
+        _check_pivots("forward", d[1:], self._floor, lambda j: j)
+        self._lower = np.stack([np.ones(self.n), np.append(self._sup[1:-1] / d[1:-1], 0.0)])
+        self._upper = np.stack([self._sub[:-1], d[1:]])
+
+    def lebesgue_tables(self) -> np.ndarray:
+        """``S``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||S[i] @ β(x)||_1`` on interval ``i``.
+
+        ``β(x)`` holds the values at x of the 4 functions alive on interval
+        ``i``. Works on ``M = Aᵀ`` padded with a decoupled 1 at each end, so
+        that index ``k + 1`` is basis function ``k`` and interval ``i`` owns
+        the 4-row window ``i .. i + 3``; adds a backward sweep to the forward.
+        """
+        w, floor, sup, sub = self.n - 1, self._floor, self._sup, self._sub
+        d, sl = np.append(1.0, self._upper[1]), self._tails  # U's diagonal after a 1
+        # forward (d) and backward (e) pivots; SL[k] = sum over j < k of |u_j /
+        # u_k|, where u solves M u = β for any β that is zero below k (u_j =
+        # -sup[j] / d[j] * u_{j+1} there), and SR[k] the same above k
+        e, sr = _sweep(self._diag[::-1], sub[:0:-1].tolist(), sup[:0:-1].tolist(), floor)
+        _check_pivots("backward", e[1:], floor, lambda j: w - j)
+        e, sr = np.append(1.0, e[::-1]), np.append(0.0, sr[::-1])
+        twisted = e[1:] - sub * sup / d  # the last pivot of a window ending at k + 1
+        _check_pivots("twisted", twisted[:-1], floor, lambda j: j)
+        # The 4x4 block of M⁻¹ on window i inverts M's window with its corners
+        # replaced by d[i] and e[i + 3]; its Thomas pivots are d[i], d[i + 1],
+        # d[i + 2] and twisted[i + 2]. Invert it, all i at once.
+        piv = [d[:w, None], d[1:w + 1, None], d[2:w + 2, None], twisted[2:w + 2, None]]
+        y = np.broadcast_to(np.eye(4), (w, 4, 4)).copy()
+        for r in range(1, 4):
+            y[:, r] -= sub[r - 1:r - 1 + w, None] / piv[r - 1] * y[:, r - 1]
+        y[:, 3] /= piv[3]
+        for r in range(2, -1, -1):
+            y[:, r] = (y[:, r] - sup[r:r + w, None] * y[:, r + 1]) / piv[r]
+        # the cardinal entries outside the window are the end rows' times the tail sums
+        y[:, 0] *= 1.0 + sl[:w, None]
+        y[:, 3] *= 1.0 + sr[3:w + 3, None]
+        return y
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``A x = b`` (or ``A^T x = b``); ``b`` may hold several RHS columns."""

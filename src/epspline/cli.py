@@ -25,6 +25,7 @@ from .greedy import (
     GreedyConfig,
     GreedyError,
     GreedyTrace,
+    check_candidates,
     check_stop_rule,
     f_greedy,
     lambda_greedy,
@@ -272,10 +273,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifact files, return the summary dict."""
     cfg = cfg.validate()
     t0 = time.perf_counter()
-    # the candidates, a tab: file read once and matched to them, and the
-    # evaluation grid come first, so that bad input fails before the output
-    # directory is made
+    # the candidates, checked against the greedy loop's rule, a tab: file read
+    # once and matched to them, and the evaluation grid come first, so that
+    # bad input fails before the output directory is made
     candidates = _sized(generate, parse_node_spec(cfg.nodes))
+    if "max_iter" in SUBCOMMANDS[cfg.algorithm].reads:
+        check_candidates(candidates, cfg.max_iter)
     tabulated = eval_grid = None
     if cfg.fn and cfg.fn.startswith("tab:"):
         tabulated = _tabulated_values(_read_tabulated(cfg.fn[4:]), candidates)

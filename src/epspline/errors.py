@@ -23,8 +23,8 @@ class BasisConstructionError(SplineError):
 
 
 class SingularSystemError(SplineError):
-    """A system cannot be solved; for a collocation matrix, a non-finite entry or a
-    pivot without row exchanges not above ``PIVOT_RTOL`` times its norm."""
+    """A system cannot be solved; for a collocation matrix, a non-finite entry or a pivot
+    of its one elimination (``BandedLU``) not above ``banded.PIVOT_RTOL`` times its norm."""
 
 
 def check_integer(name: str, value):

@@ -12,7 +12,7 @@ An insertion changes only the basis functions whose support knots it moves:
 the five whose support contains the new knot. Each spline refit therefore
 passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
-assembled from scratch every iteration; only the residual model factorizes it.
+assembled and factorized from scratch every iteration, once for both models.
 
 The spline loop also carries two arrays per candidate across insertions: its
 knot-interval index and 4 values there, the basis values from
@@ -33,8 +33,8 @@ import numpy as np
 from .basis import GBSplineBasis, augment_knots, build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
-from .interpolate import (_lebesgue_from_tables, _lebesgue_tables, _located_values,
-                          collocation_matrix, factorize, fit)
+from .interpolate import (_lebesgue_from_tables, _located_values, collocation_matrix,
+                          factorize, fit)
 from .space import ExpSpace
 
 
@@ -48,6 +48,14 @@ def check_stop_rule(tau: float | None, max_iter: int | None):
             raise InvalidInputError(
                 f"max_iter must be at least 4, the size of the initial set (the two "
                 f"smallest and two largest candidates), got {max_iter}")
+
+
+def check_candidates(candidates, max_iter: int | None) -> np.ndarray:
+    """``check_points`` for the initial set of 4, and at least ``max_iter`` candidates."""
+    cand = check_points("candidates", candidates, 4)
+    if max_iter is not None and max_iter > len(cand):
+        raise InvalidInputError(f"max_iter {max_iter} exceeds candidate count {len(cand)}")
+    return cand
 
 
 @dataclass(frozen=True)
@@ -129,11 +137,9 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     -------
     (selected points, state of the last fit, trace)
     """
-    # the initial set takes the two smallest and the two largest
-    cand = check_points("candidates", candidates, 4)
+    cand = check_candidates(candidates, max_iter)
     m = len(cand)
-    if max_iter is not None and max_iter > m:
-        raise InvalidInputError(f"max_iter {max_iter} exceeds candidate count {m}")
+    # the initial set takes the two smallest and the two largest
     in_selected = np.zeros(m, dtype=bool)
     in_selected[[0, 1, m - 2, m - 1]] = True
 
@@ -193,9 +199,9 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
     Each basis is built with the previous one as ``prior``. ``locate(basis,
     x) -> (interval, values)`` gives the values carried per candidate; it is
     called again only for the candidates of intervals that
-    ``_carried_intervals`` marks changed. ``model(basis, phi, selected) ->
-    (state, score)``, on the collocation matrix ``phi`` and inside ``refit``,
-    supplies the criterion ``score(rest, interval, values)``.
+    ``_carried_intervals`` marks changed. ``model(basis, lu, selected) ->
+    (state, score)``, on the collocation matrix's factorization ``lu`` and
+    inside ``refit``, supplies the criterion ``score(rest, interval, values)``.
     """
     space = ExpSpace(config.alpha)
     prior = interval = values = None
@@ -204,7 +210,7 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
         nonlocal prior, interval, values
         basis = build_basis(augment_knots(cand[selected]), space, prior=prior)
         phi = collocation_matrix(basis)
-        state, score = model(basis, phi, selected)
+        state, score = model(basis, factorize(phi), selected)
         rest = np.ones(len(cand), dtype=bool)
         rest[selected] = False
         stale = rest = np.flatnonzero(rest)
@@ -244,8 +250,8 @@ def f_greedy(candidates, values, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
     values = check_values("values", values, cand.size)
 
-    def residual(basis, phi, selected):
-        interp = fit(basis, values[selected], lu=factorize(phi))
+    def residual(basis, lu, selected):
+        interp = fit(basis, values[selected], lu=lu)
         return interp, lambda rest, interval, g: np.abs(values[rest] - interp._at(interval, g))
 
     return _spline_loop(cand, config, GBSplineBasis._locate, residual)
@@ -256,8 +262,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
 
     The selected sequence is a pure function of the candidate set and the
     configuration, which makes the resulting nodes reusable across target
-    functions. Every candidate is scored by the interval's Lebesgue table
-    applied to its carried basis values; no matrix is factorized.
+    functions. Every candidate is scored by the interval's Lebesgue table,
+    read from each refit's factorization, applied to its carried basis values.
 
     Returns
     -------
@@ -265,8 +271,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
     """
     cand = np.asarray(candidates, dtype=float)
 
-    def lebesgue(basis, phi, selected):
-        tables = _lebesgue_tables(phi)
+    def lebesgue(basis, lu, selected):
+        tables = lu.lebesgue_tables()
         return None, lambda rest, interval, beta: _lebesgue_from_tables(tables, interval, beta)
 
     selected, _, trace = _spline_loop(cand, config, _located_values, lebesgue)

@@ -15,27 +15,25 @@ constructed; evaluating it at a point is one dot product of that row with the
 4 segment functions there.
 
 The Lebesgue function is ``||R[i] @ g(x)||_1`` with ``R[i] = S[i] @ table[i]``
-and ``S[i]`` one 4x4 table per knot interval, formed per call in O(n) from
-the three diagonals: the cardinal vector at x solves ``Aᵀ u = β(x)``, whose
-right side lives on the 4 functions of the interval, and outside them u is a
-geometric tail of its end entries (the inverse of a tridiagonal matrix has
-rank-one off-diagonal blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).
-It is applied as ``S[i] @ β(x)``, the basis values first: at a knot they are
-then the collocation row itself, rounding included, so Λ = 1 there to the
-accuracy of the solve. Forming ``R[i]`` first would round differently where
-the contraction with g cancels heavily, at the right end of an interval with
-a large α·h. The tables and ``fit``'s factorization both come from
-``banded._sweep``, elimination without row exchanges, and are rejected by the
-same pivot rule (see ``banded``). The Lebesgue function takes only the basis
-and factors nothing; only ``fit`` accepts a factorization.
-``cardinal_values`` keeps the transposed solve and is the reference.
+and ``S[i]`` one 4x4 table per knot interval, read in O(n) from the
+factorization ``fit`` solves with (``BandedLU.lebesgue_tables``): the
+cardinal vector at x solves ``Aᵀ u = β(x)``, whose right side lives on the 4
+functions of the interval, and outside them u is a geometric tail of its end
+entries (the inverse of a tridiagonal matrix has rank-one off-diagonal
+blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992). It is applied as
+``S[i] @ β(x)``, the basis values first: at a knot they are then the
+collocation row itself, rounding included, so Λ = 1 there to the accuracy of
+the solve. Forming ``R[i]`` first would round differently where the
+contraction with g cancels heavily, at the right end of an interval with a
+large α·h. The Lebesgue function solves nothing; ``cardinal_values`` keeps
+the transposed solve and is the reference.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .banded import PIVOT_RTOL, BandedLU, BandedMatrix, _check_pivots, _sweep, factorize
+from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
 from .errors import BasisConstructionError, InvalidInputError, check_values
 
@@ -137,7 +135,7 @@ def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
         Reuse an existing factorization of the collocation matrix.
 
     The collocation matrix must have pivots without row exchanges above
-    ``PIVOT_RTOL`` times its norm, as every accepted one has.
+    ``banded.PIVOT_RTOL`` times its norm, as every accepted one has.
     """
     y = check_values("data values", y, basis.n)
     if lu is None:
@@ -165,73 +163,30 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
     return u[:, 0] if np.ndim(x) == 0 else u.T
 
 
-def _lebesgue_tables(matrix: BandedMatrix) -> np.ndarray:
-    """``S``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||S[i] @ β(x)||_1`` on interval ``i``.
-
-    ``β(x)`` holds the values at x of the 4 functions alive on interval ``i``.
-    Works on ``M = Aᵀ`` padded with a decoupled 1 at each end, so that index
-    ``k + 1`` is basis function ``k`` and interval ``i`` owns the 4-row window
-    ``i .. i + 3``, the indices of its 4 live functions. Raises
-    ``SingularSystemError`` when a pivot of elimination without row exchanges
-    is not above ``PIVOT_RTOL * ||A||_inf``.
-    """
-    n = matrix.n
-    upper, diag, lower = matrix.bands
-    sup = np.concatenate([[0.0], lower[:-1], [0.0]])  # M[k, k + 1]
-    sub = np.concatenate([[0.0], upper[1:], [0.0]])  # M[k + 1, k]
-    # forward (d) and backward (e) pivots of the factorizations without row
-    # exchanges; SL[k] = sum over j < k of |u_j / u_k|, where u solves M u = β
-    # for any β that is zero below k (u_j = -sup[j] / d[j] * u_{j+1} there),
-    # and SR[k] the same above k
-    a, b, c = diag.tolist(), sup.tolist(), sub.tolist()
-    floor = PIVOT_RTOL * matrix.norm_inf()
-    d, sl = _sweep(a, b, c, floor)
-    _check_pivots("forward", d[1:], floor, lambda j: j)
-    e, sr = _sweep(a[::-1], c[:0:-1], b[:0:-1], floor)
-    _check_pivots("backward", e[1:], floor, lambda j: n - 1 - j)
-    e, sr = np.append(1.0, e[::-1]), np.append(0.0, sr[::-1])
-    twisted = e[1:] - sub * sup / d  # the last pivot of a window ending at k + 1
-    _check_pivots("twisted", twisted[:-1], floor, lambda j: j)
-    # The 4x4 block of M⁻¹ on window i inverts M's window with its corners
-    # replaced by d[i] and e[i + 3]; its Thomas pivots are d[i], d[i + 1],
-    # d[i + 2] and twisted[i + 2]. Invert it, all i at once.
-    w = n - 1
-    piv = [d[:w, None], d[1:w + 1, None], d[2:w + 2, None], twisted[2:w + 2, None]]
-    y = np.broadcast_to(np.eye(4), (w, 4, 4)).copy()
-    for r in range(1, 4):
-        y[:, r] -= sub[r - 1:r - 1 + w, None] / piv[r - 1] * y[:, r - 1]
-    y[:, 3] /= piv[3]
-    for r in range(2, -1, -1):
-        y[:, r] = (y[:, r] - sup[r:r + w, None] * y[:, r + 1]) / piv[r]
-    # the cardinal entries outside the window are the end rows' times the tail sums
-    y[:, 0] *= 1.0 + sl[:w, None]
-    y[:, 3] *= 1.0 + sr[3:w + 3, None]
-    return y
-
-
 def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
     """Sum of absolute cardinal values at each grid point.
 
     Computed as ``||S[i] @ β(x)||_1`` from the basis values ``β(x)`` of
-    ``basis.active_values`` and one 4x4 table per knot interval, formed from
-    the collocation matrix (``_lebesgue_tables``), in O(n + m) for m points;
-    it factors nothing and forms no n x m array. It agrees with ``sum
-    |cardinal_values|`` up to rounding.
+    ``basis.active_values`` and one 4x4 table per knot interval, read from
+    the factorization of the collocation matrix (``BandedLU.lebesgue_tables``),
+    in O(n + m) for m points; it solves nothing and forms no n x m array. It
+    agrees with ``sum |cardinal_values|`` up to rounding.
 
     Raises
     ------
     SingularSystemError
         If elimination without row exchanges on the collocation matrix meets a
-        pivot not above ``PIVOT_RTOL`` times its norm.
+        pivot not above ``banded.PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
     interval, beta = _located_values(basis, np.atleast_1d(grid))
-    return _lebesgue_from_tables(_lebesgue_tables(collocation_matrix(basis)), interval, beta)
+    tables = factorize(collocation_matrix(basis)).lebesgue_tables()
+    return _lebesgue_from_tables(tables, interval, beta)
 
 
 def _lebesgue_from_tables(tables, interval, beta) -> np.ndarray:
-    """``||S[i] @ β||_1`` per point, from ``_lebesgue_tables`` and each point's
-    interval ``i`` and basis values ``β``, as from ``_located_values``."""
+    """``||S[i] @ β||_1`` per point, from ``BandedLU.lebesgue_tables`` and each
+    point's interval ``i`` and basis values ``β``, as from ``_located_values``."""
     # np.take: a fancy index of the rows costs twice as much
     return np.abs(np.einsum("prs,ps->pr", np.take(tables, interval, axis=0), beta)).sum(axis=1)
 

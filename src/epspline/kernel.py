@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, check_points, check_values
+from .errors import DomainError, SingularSystemError, check_points, check_values
 from .greedy import _greedy_loop, check_stop_rule
 
 __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
@@ -26,7 +26,7 @@ def tps_kernel(r):
 
 @dataclass(frozen=True)
 class KernelInterpolant:
-    """Kernel expansion over the centers plus a linear tail."""
+    """Kernel expansion over the centers plus a linear tail; ``DomainError`` where not finite."""
 
     centers: np.ndarray
     weights: np.ndarray
@@ -34,8 +34,11 @@ class KernelInterpolant:
 
     def __call__(self, x):
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        k = tps_kernel(np.abs(xa[:, None] - self.centers[None, :]))
-        out = k @ self.weights + self.tail[0] + self.tail[1] * xa
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is checked below
+            k = tps_kernel(np.abs(xa[:, None] - self.centers[None, :]))
+            out = k @ self.weights + self.tail[0] + self.tail[1] * xa
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"kernel interpolant not finite at x = {xa[~np.isfinite(out)][0]!r}")
         return out if np.ndim(x) else float(out[0])
 
 

@@ -205,6 +205,22 @@ class TestRunExperiment:
             assert err.startswith("invalid input: tabulated ") and err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fgreedy", "--nodes", "equispaced:3"],
+        ["lgreedy", "--nodes", "equispaced:3"],
+        ["kernel", "--nodes", "equispaced:3"],
+        ["lgreedy", "--max-iter", "500"],
+        ["kernel", "--nodes", "equispaced:8", "--max-iter", "9"],
+    ], ids=["fgreedy-3", "lgreedy-3", "kernel-3", "lgreedy-cap", "kernel-cap"])
+    def test_candidate_count_rejected(self, tmp_path, capsys, argv):
+        # the greedy loop's rule on the candidates (the initial 4, and at least
+        # --max-iter of them) is checked before the output directory is made
+        out = tmp_path / "bad"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", [
         {"algorithm": "lebesgue", "grid": 2.5},
         {"algorithm": "lgreedy", "max_iter": 5.5},
@@ -335,7 +351,7 @@ class TestExitCodes:
 
     def test_table_pivot_failure_writes_partial_trace(self, tmp_path, capsys, monkeypatch):
         # the pivot floor of test_greedy's table failure: the second node set fails
-        monkeypatch.setattr("epspline.interpolate.PIVOT_RTOL", 0.3)
+        monkeypatch.setattr("epspline.banded.PIVOT_RTOL", 0.3)
         out = tmp_path / "pivot"
         assert main(["lgreedy", "--nodes", "equispaced:40", "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err

@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epspline import ExpSpace, SplineError, build_basis, fit, lebesgue_function, tps_fit
+from epspline import (DomainError, ExpSpace, SplineError, build_basis, fit, lebesgue_function,
+                      tps_fit)
 
 
 @st.composite
@@ -62,3 +63,18 @@ def test_extreme_input_is_finite_or_spline_error(case):
         return np.concatenate([model.weights, model.tail])
 
     _finite_or_spline_error(tps_parameters)
+
+
+@given(x=st.floats())
+# r^2 overflows, and a NaN point has no distance to the centres
+@example(x=1e200)
+@example(x=float("nan"))
+def test_kernel_value_is_finite_or_domain_error(x):
+    model = tps_fit([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    try:
+        value = model(x)
+    except DomainError:
+        # only where r^2 log r overflows, from |x| near 7.1e152, or x is not finite
+        assert not abs(x) < 1e150
+        return
+    assert np.isfinite(value)

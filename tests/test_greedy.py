@@ -158,11 +158,12 @@ class TestLambdaGreedy:
         assert len(selected) == 10
         assert trace.stop_reason == "exhausted"
 
-    def test_factors_nothing(self, monkeypatch):
-        def refuse(self, matrix):
-            raise AssertionError("a BandedLU was constructed")
+    def test_solves_nothing(self, monkeypatch):
+        # the tables are read from each refit's factorization, which no score solves with
+        def refuse(self, b, transpose=False):
+            raise AssertionError("a BandedLU solved a system")
 
-        monkeypatch.setattr("epspline.banded.BandedLU.__init__", refuse)
+        monkeypatch.setattr("epspline.banded.BandedLU.solve", refuse)
         _, trace = lambda_greedy(np.linspace(-1, 1, 40), cfg(max_iter=30))
         assert trace.stop_reason == "max_iter"
 
@@ -317,11 +318,13 @@ class TestFailureMidLoop:
         import epspline.greedy as greedy_mod
         import epspline.kernel as kernel_mod
         from epspline import GreedyError, SingularSystemError, kernel_f_greedy
+        from epspline.banded import BandedLU
 
-        # f-greedy factorizes a collocation matrix per fit, λ-greedy forms
-        # its Lebesgue tables from one, the kernel solves its saddle system
+        # f-greedy factorizes a collocation matrix per fit, λ-greedy reads
+        # its Lebesgue tables from that factorization, the kernel solves its
+        # saddle system
         module, name = {"f_greedy": (greedy_mod, "factorize"),
-                        "lambda_greedy": (greedy_mod, "_lebesgue_tables"),
+                        "lambda_greedy": (BandedLU, "lebesgue_tables"),
                         "kernel_f_greedy": (kernel_mod, "_solve_saddle")}[model]
         real = getattr(module, name)
         calls = {"n": 0}
@@ -352,7 +355,7 @@ class TestFailureMidLoop:
         # a pivot floor of 0.3 |A| passes the first node set of 40 equispaced
         # candidates and fails the second, whose smallest forward pivot is 0.822
         # against |A| = 2.97
-        monkeypatch.setattr("epspline.interpolate.PIVOT_RTOL", 0.3)
+        monkeypatch.setattr("epspline.banded.PIVOT_RTOL", 0.3)
         with pytest.raises(GreedyError) as err:
             lambda_greedy(np.linspace(-1, 1, 40), cfg(max_iter=30))
         assert len(err.value.trace.steps) == 1
