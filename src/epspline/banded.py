@@ -5,9 +5,10 @@ diagonals are stored, in the LAPACK general-band layout with ``kl = ku = 1``:
 entry ``(i, j)`` of the full matrix lives at ``bands[1 + i - j, j]``.
 Elimination runs without row exchanges (``_sweep``), which is backward stable
 on totally positive matrices (de Boor & Pinkus, Numer. Math. 27, 1977); every
-accepted collocation matrix is one. ``BandedLU`` records it once per matrix,
-for ``fit`` and the Lebesgue tables alike; a pivot not above ``PIVOT_RTOL``
-times the matrix norm raises ``SingularSystemError`` naming its row.
+accepted collocation matrix is one. ``BandedLU`` keeps its pivots once per
+matrix, and ``fit``'s solves and the Lebesgue tables both read them; a pivot
+not above ``PIVOT_RTOL`` times the matrix norm raises ``SingularSystemError``
+naming its row.
 """
 
 import numpy as np
@@ -79,12 +80,13 @@ def _sweep(diag, num, other, floor):
 class BandedLU:
     """``A = L U`` without row exchanges, reusable for many solves.
 
-    Keeps the forward sweep's pivots, in ``U``, its tail sums and the pivot
-    floor ``PIVOT_RTOL * ||A||_inf``. ``L`` (unit lower bidiagonal) and ``U``
-    (pivots and the superdiagonal of ``A``) are ``(2, n)`` bands, each solved
-    by LAPACK ``tbtrs``. A non-finite entry, or a pivot here or in
-    ``lebesgue_tables`` not above the floor, raises ``SingularSystemError``;
-    every accepted collocation matrix is totally positive, with positive pivots.
+    Keeps the forward sweep's pivots after a leading 1, its tail sums and the
+    pivot floor ``PIVOT_RTOL * ||A||_inf``. Each ``solve`` forms ``L`` (unit
+    lower bidiagonal) and ``U`` (the pivots and the superdiagonal of ``A``)
+    from them as ``(2, n)`` bands for LAPACK ``tbtrs``. A non-finite entry, or
+    a pivot here or in ``lebesgue_tables`` not above the floor, raises
+    ``SingularSystemError``; every accepted collocation matrix is totally
+    positive, with positive pivots.
     """
 
     def __init__(self, matrix: BandedMatrix):
@@ -97,8 +99,7 @@ class BandedLU:
         self._sup, self._sub = (np.concatenate([[0.0], v, [0.0]]) for v in (lower[:-1], upper[1:]))
         d, self._tails = _sweep(self._diag, self._sup.tolist(), self._sub.tolist(), self._floor)
         _check_pivots("forward", d[1:], self._floor, lambda j: j)
-        self._lower = np.stack([np.ones(self.n), np.append(self._sup[1:-1] / d[1:-1], 0.0)])
-        self._upper = np.stack([self._sub[:-1], d[1:]])
+        self._pivots = d
 
     def lebesgue_tables(self) -> np.ndarray:
         """``S``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||S[i] @ β(x)||_1`` on interval ``i``.
@@ -109,7 +110,7 @@ class BandedLU:
         the 4-row window ``i .. i + 3``; adds a backward sweep to the forward.
         """
         w, floor, sup, sub = self.n - 1, self._floor, self._sup, self._sub
-        d, sl = np.append(1.0, self._upper[1]), self._tails  # U's diagonal after a 1
+        d, sl = self._pivots, self._tails
         # forward (d) and backward (e) pivots; SL[k] = sum over j < k of |u_j /
         # u_k|, where u solves M u = β for any β that is zero below k (u_j =
         # -sup[j] / d[j] * u_{j+1} there), and SR[k] the same above k
@@ -140,7 +141,9 @@ class BandedLU:
             raise InvalidInputError(f"rhs has leading dimension {b.shape[0]}, expected {self.n}")
         if b.size == 0:
             return b.copy()  # scipy's tbtrs crashes the interpreter on zero right-hand sides
-        factors = [(self._lower, "L", "U"), (self._upper, "U", "N")]
+        d = self._pivots
+        lower = np.stack([np.ones(self.n), np.append(self._sup[1:-1] / d[1:-1], 0.0)])
+        factors = [(lower, "L", "U"), (np.stack([self._sub[:-1], d[1:]]), "U", "N")]
         x = b
         for band, uplo, unit in factors[::-1] if transpose else factors:
             x, info = lapack.dtbtrs(band, x, uplo=uplo, trans="T" if transpose else "N",

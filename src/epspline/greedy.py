@@ -13,24 +13,22 @@ the five whose support contains the new knot. Each spline refit therefore
 passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
 assembled and factorized from scratch every iteration, once for both models.
+The residual is the new interpolant evaluated at every remaining candidate.
 
-The spline loop also carries two arrays per candidate across insertions: its
-knot-interval index and 4 values there, the basis values from
-``active_values`` for the Lebesgue criterion and the segment functions from
-``_locate`` for the residual. After a refit it compares the new basis with
-the previous one and evaluates again, with the same call, only the
-candidates in intervals whose knots or ``table`` row changed, so every value
-has the bits a fresh evaluation would give; the others' interval index is
-only shifted. A score is then one contraction per remaining candidate:
-``||S[i] @ β||_1`` with the interval's Lebesgue table, or the residual's
-4-term dot with ``Interpolant.pp``.
+The Lebesgue strategy carries two arrays per candidate across insertions: its
+knot-interval index and its 4 basis values there, from ``active_values``.
+After a refit it compares the new basis with the previous one and evaluates
+again, with the same call, only the candidates in intervals whose knots or
+``table`` row changed, so every value has the bits a fresh evaluation would
+give; the others' interval index is only shifted. A score is then ``||S[i] @
+β||_1`` per remaining candidate, with the interval's Lebesgue table.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import GBSplineBasis, augment_knots, build_basis
+from .basis import build_basis
 from .diagnostics import cond2, sparsity
 from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
 from .interpolate import (_lebesgue_from_tables, _located_values, collocation_matrix,
@@ -129,9 +127,10 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     the selection criterion at the remaining indices.
     Ties go to the smallest index when the scores are equal floats (the first
     maximum of ``np.argmax``); a tie that is exact only in exact arithmetic
-    is decided by rounding. A ``SplineError`` raised by ``refit``
-    becomes a ``GreedyError`` carrying the trace so far; its message names the
-    iteration, the knot inserted just before it and the check that tripped.
+    is decided by rounding. A ``SplineError`` raised by ``refit`` or
+    ``score`` becomes a ``GreedyError`` carrying the trace so far; its message
+    names the iteration, the knot inserted just before it and the check that
+    tripped.
 
     Returns
     -------
@@ -146,8 +145,10 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     trace = GreedyTrace()
     while True:
         selected = np.flatnonzero(in_selected)
+        remaining = np.flatnonzero(~in_selected)
         try:
             state, matrix, score = refit(selected)
+            scores = score(remaining) if len(remaining) else None
         except SplineError as exc:
             trace.stop_reason = "error"
             where = f"iteration {len(trace.steps)}"
@@ -157,13 +158,11 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         kappa2 = cond2(matrix)
         frac_zero = sparsity(matrix)
         n_nodes = len(selected)
-        remaining = np.flatnonzero(~in_selected)
 
         criterion = pick = None
-        if len(remaining) == 0:
+        if scores is None:
             trace.stop_reason = "exhausted"
         else:
-            scores = score(remaining)
             criterion = float(scores.max())
             if tau is not None and criterion <= tau:
                 trace.stop_reason = "tau"
@@ -193,38 +192,24 @@ def _carried_intervals(prior, basis) -> np.ndarray:
     return np.where(same, at, -1)
 
 
-def _spline_loop(cand: np.ndarray, config: GreedyConfig, locate, model):
+def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
     """Run the loop on the spline over the selected candidates.
 
-    Each basis is built with the previous one as ``prior``. ``locate(basis,
-    x) -> (interval, values)`` gives the values carried per candidate; it is
-    called again only for the candidates of intervals that
-    ``_carried_intervals`` marks changed. ``model(basis, lu, selected) ->
-    (state, score)``, on the collocation matrix's factorization ``lu`` and
-    inside ``refit``, supplies the criterion ``score(rest, interval, values)``.
+    Each basis is built with the previous one as ``prior`` (None at first),
+    and its collocation matrix is factorized once, as ``lu``. ``model(prior,
+    basis, lu, selected) -> (state, score)``, called inside ``refit``,
+    supplies the criterion ``score(remaining)``.
     """
     space = ExpSpace(config.alpha)
-    prior = interval = values = None
+    prior = None
 
     def refit(selected):
-        nonlocal prior, interval, values
-        basis = build_basis(augment_knots(cand[selected]), space, prior=prior)
+        nonlocal prior
+        basis = build_basis(cand[selected], space, prior=prior)
         phi = collocation_matrix(basis)
-        state, score = model(basis, factorize(phi), selected)
-        rest = np.ones(len(cand), dtype=bool)
-        rest[selected] = False
-        stale = rest = np.flatnonzero(rest)
-        if prior is None:
-            interval, values = np.empty(len(cand), dtype=np.intp), np.empty((len(cand), 4))
-        else:
-            carried = _carried_intervals(prior, basis)[interval[rest]]
-            interval[rest] = carried
-            stale = rest[carried < 0]
-        interval[stale], values[stale] = locate(basis, cand[stale])
+        state, score = model(prior, basis, factorize(phi), selected)
         prior = basis
-        # np.take: a fancy index of the rows costs ten times as much
-        return state, phi, lambda remaining: score(
-            remaining, interval[remaining], np.take(values, remaining, axis=0))
+        return state, phi, score
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)
 
@@ -250,11 +235,11 @@ def f_greedy(candidates, values, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
     values = check_values("values", values, cand.size)
 
-    def residual(basis, lu, selected):
+    def residual(prior, basis, lu, selected):
         interp = fit(basis, values[selected], lu=lu)
-        return interp, lambda rest, interval, g: np.abs(values[rest] - interp._at(interval, g))
+        return interp, lambda rest: np.abs(values[rest] - interp(cand[rest]))
 
-    return _spline_loop(cand, config, GBSplineBasis._locate, residual)
+    return _spline_loop(cand, config, residual)
 
 
 def lambda_greedy(candidates, config: GreedyConfig):
@@ -270,10 +255,24 @@ def lambda_greedy(candidates, config: GreedyConfig):
     (selected, trace)
     """
     cand = np.asarray(candidates, dtype=float)
+    interval = values = None
 
-    def lebesgue(basis, lu, selected):
+    def lebesgue(prior, basis, lu, selected):
+        nonlocal interval, values
         tables = lu.lebesgue_tables()
-        return None, lambda rest, interval, beta: _lebesgue_from_tables(tables, interval, beta)
+        rest = np.ones(len(cand), dtype=bool)
+        rest[selected] = False
+        stale = rest = np.flatnonzero(rest)
+        if prior is None:
+            interval, values = np.empty(len(cand), dtype=np.intp), np.empty((len(cand), 4))
+        else:
+            carried = _carried_intervals(prior, basis)[interval[rest]]
+            interval[rest] = carried
+            stale = rest[carried < 0]
+        interval[stale], values[stale] = _located_values(basis, cand[stale])
+        # np.take: a fancy index of the rows costs ten times as much
+        return None, lambda remaining: _lebesgue_from_tables(
+            tables, interval[remaining], np.take(values, remaining, axis=0))
 
-    selected, _, trace = _spline_loop(cand, config, _located_values, lebesgue)
+    selected, _, trace = _spline_loop(cand, config, lebesgue)
     return selected, trace

@@ -35,7 +35,7 @@ import numpy as np
 
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
-from .errors import BasisConstructionError, InvalidInputError, check_values
+from .errors import BasisConstructionError, DomainError, InvalidInputError, check_values
 
 # A basis value outside the three diagonals above this multiple of the
 # collocation matrix norm means the basis does not vanish at its support ends.
@@ -99,7 +99,8 @@ class Interpolant:
     At every interior knot the interpolant reproduces the data it was fitted
     to within roundoff of the collocation solve. ``pp[i]`` holds its
     coefficients on the ``i``-th knot interval in the segment basis, computed
-    at construction.
+    at construction. Data so large that ``pp`` is not finite raises
+    ``DomainError`` there, and so does a value that overflows at a point.
     """
 
     basis: GBSplineBasis
@@ -111,16 +112,22 @@ class Interpolant:
         if c.shape != (self.basis.n,):
             raise InvalidInputError(f"expected {self.basis.n} coefficients, got shape {c.shape}")
         window = np.lib.stride_tricks.sliding_window_view(np.pad(c, 1), 4)  # c[i-1 .. i+2]
-        object.__setattr__(self, "pp", np.einsum("is,isk->ik", window, self.basis.table))
+        # einsum raises no floating-point warning: an overflow shows only as a non-finite value
+        pp = np.einsum("is,isk->ik", window, self.basis.table)
+        bad = np.flatnonzero(~np.isfinite(pp).all(axis=1))
+        if len(bad):
+            raise DomainError(f"interpolant not finite on knot interval {bad[0]} (largest "
+                              f"coefficient magnitude {np.abs(c).max():.3g})")
+        object.__setattr__(self, "pp", pp)
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
-        out = self._at(*self.basis._locate(np.atleast_1d(x)))
+        xa = np.atleast_1d(x)
+        i, g = self.basis._locate(xa)
+        out = np.einsum("...k,...k->...", g, self.pp[i])
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"interpolant not finite at x = {float(xa[~np.isfinite(out)][0])!r}")
         return out if np.ndim(x) else float(out[0])
-
-    def _at(self, i, g):
-        """Values at points of intervals ``i`` with segment functions ``g``, as from ``_locate``."""
-        return np.einsum("...k,...k->...", g, self.pp[i])
 
 
 def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:

@@ -22,7 +22,8 @@ per-interval table form of ``lebesgue_function``.
 ``greedy_uncached`` runs either greedy with nothing carried from one
 insertion to the next: each step builds the basis from scratch and scores
 every remaining candidate through ``Interpolant.__call__`` or
-``lebesgue_function``, the reference for the loop's carried values.
+``lebesgue_function``, the reference for λ-greedy's carried values and for
+both greedies' reuse of the previous basis.
 """
 
 import numpy as np

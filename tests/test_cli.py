@@ -304,6 +304,23 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert read_summary(out)["status"] == "FAILED"
 
+    def test_overflowing_data_is_two(self, tmp_path, capsys):
+        # finite data alternating +-1e308 overflow the first interpolant: a
+        # numerical failure, with no NaN criterion in the trace or the summary
+        table = tmp_path / "huge.csv"
+        table.write_text("".join(f"{float(x)!r},{(-1) ** i * 1e308!r}\n"
+                                 for i, x in enumerate(equispaced(40))))
+        out = tmp_path / "huge"
+        assert main(["fgreedy", "--nodes", "equispaced:40", "--fn", f"tab:{table}",
+                     "--max-iter", "10", "--out", str(out)]) == 2
+        assert "numerical failure: iteration 0: interpolant not finite" \
+            in capsys.readouterr().err
+        assert "NaN" not in (out / "summary.json").read_text()
+        summary = read_summary(out)
+        assert summary["status"] == "FAILED" and summary["stop_reason"] == "error"
+        assert (out / "trace.csv").read_text().splitlines() == [
+            "iter,selected_x,criterion,kappa2,sparsity"]
+
     @pytest.mark.parametrize("case", ["tab_cell", "tab_missing", "tab_nan", "out_is_file"])
     def test_bad_input_file_is_one(self, tmp_path, case):
         table = tmp_path / "data.csv"

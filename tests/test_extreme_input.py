@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epspline import (DomainError, ExpSpace, SplineError, build_basis, fit, lebesgue_function,
-                      tps_fit)
+from epspline import (DomainError, ExpSpace, SplineError, build_basis, collocation_matrix,
+                      factorize, fit, lebesgue_function, tps_fit)
 
 
 @st.composite
@@ -63,6 +63,31 @@ def test_extreme_input_is_finite_or_spline_error(case):
         return np.concatenate([model.weights, model.tail])
 
     _finite_or_spline_error(tps_parameters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=extreme_knots(), scale=st.floats(1.0, 1e308))
+# data alternating +-1e308 solve to infinite coefficients; at +-5e307 the
+# coefficients are finite but their sums on each interval are not
+@example(case=(np.linspace(-1.0, 1.0, 12), 2.0), scale=1e308)
+@example(case=(np.linspace(-1.0, 1.0, 12), 2.0), scale=5e307)
+def test_fit_at_any_data_scale_is_finite_or_domain_error(case, scale):
+    knots, alpha = case
+    try:
+        basis = build_basis(knots, ExpSpace(alpha))
+        lu = factorize(collocation_matrix(basis))
+    except SplineError:
+        return
+    y = scale * (-1.0) ** np.arange(len(knots))
+    grid = np.sort(np.concatenate([knots, np.linspace(knots[0], knots[-1], 33)]))
+    try:
+        values = fit(basis, y, lu=lu)(grid)
+    except DomainError:
+        # on these knots the coefficients and pp are within about 1e12 of the
+        # data (4.5e11 the largest in 2000 draws), so smaller data never overflow
+        assert not scale < 1e290
+        return
+    assert np.all(np.isfinite(values))
 
 
 @given(x=st.floats())

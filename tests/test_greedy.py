@@ -123,6 +123,15 @@ class TestFGreedy:
         assert trace.stop_reason == "exhausted"
         assert trace.steps[-1].criterion is None
 
+    def test_overflowing_data_fail_at_first_fit(self):
+        # data alternating +-1e308 solve to infinite coefficients: the first
+        # fit fails, so no criterion is NaN and no pick is an argmax over NaN
+        cand = np.linspace(-1, 1, 40)
+        with pytest.raises(GreedyError) as err:
+            f_greedy(cand, 1e308 * (-1.0) ** np.arange(40), cfg(max_iter=10))
+        assert err.value.trace.steps == [] and err.value.trace.stop_reason == "error"
+        assert str(err.value).startswith("iteration 0: interpolant not finite")
+
 
 class TestLambdaGreedy:
     def test_determinism(self):
@@ -249,8 +258,10 @@ def assert_same_as_uncached(cand, config, values=None):
 
 
 class TestCarriedValues:
-    """The loop carries each candidate's interval and values across insertions;
-    the oracle locates and evaluates every candidate again at each step."""
+    """λ-greedy carries each candidate's interval and values across insertions,
+    and f-greedy scores through ``Interpolant.__call__`` on a basis built with
+    ``prior``; the oracle builds from scratch and evaluates every candidate
+    again at each step."""
 
     @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton, "jittered"])
     @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy"])
@@ -313,19 +324,28 @@ class TestExactInvariance:
 
 
 class TestFailureMidLoop:
-    @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy", "kernel_f_greedy"])
-    def test_error_carries_partial_trace(self, monkeypatch, model):
+    @pytest.mark.parametrize("model, site", [
+        pytest.param("f_greedy", "factorize", id="f_greedy"),
+        pytest.param("lambda_greedy", "lebesgue_tables", id="lambda_greedy"),
+        pytest.param("kernel_f_greedy", "_solve_saddle", id="kernel_f_greedy"),
+        pytest.param("f_greedy", "Interpolant.__call__", id="f_greedy-score"),
+        pytest.param("kernel_f_greedy", "KernelInterpolant.__call__", id="kernel_f_greedy-score"),
+    ])
+    def test_error_carries_partial_trace(self, monkeypatch, model, site):
         import epspline.greedy as greedy_mod
         import epspline.kernel as kernel_mod
-        from epspline import GreedyError, SingularSystemError, kernel_f_greedy
+        from epspline import GreedyError, KernelInterpolant, SingularSystemError, kernel_f_greedy
         from epspline.banded import BandedLU
 
         # f-greedy factorizes a collocation matrix per fit, λ-greedy reads
         # its Lebesgue tables from that factorization, the kernel solves its
-        # saddle system
-        module, name = {"f_greedy": (greedy_mod, "factorize"),
-                        "lambda_greedy": (BandedLU, "lebesgue_tables"),
-                        "kernel_f_greedy": (kernel_mod, "_solve_saddle")}[model]
+        # saddle system; both residual greedies score by calling their
+        # interpolant at the remaining candidates, once per iteration
+        module, name = {"factorize": (greedy_mod, "factorize"),
+                        "lebesgue_tables": (BandedLU, "lebesgue_tables"),
+                        "_solve_saddle": (kernel_mod, "_solve_saddle"),
+                        "Interpolant.__call__": (Interpolant, "__call__"),
+                        "KernelInterpolant.__call__": (KernelInterpolant, "__call__")}[site]
         real = getattr(module, name)
         calls = {"n": 0}
 
