@@ -2,9 +2,12 @@
 
 κ₂ and sparsity of a ``BandedMatrix`` come from its three diagonals, never
 from a dense matrix; any other matrix goes through a dense SVD and count. The
-error-bound checker validates the pointwise inequality
-``|f - I(x)| <= (1 + lebesgue(x)) * best_sup_error``, taking the best in-span
-sup-norm error as the exact discrete minimax, a linear program on 2001 points.
+banded κ₂ comes from the extreme eigenvalues of AᵀA, about eps·κ₂² relative
+off; above ``GRAM_COND2_MAX`` its σ_min comes from [[0, A], [Aᵀ, 0]] instead,
+about eps·κ₂ relative off. The error-bound checker validates the pointwise
+inequality ``|f - I(x)| <= (1 + lebesgue(x)) * best_sup_error``, taking the
+best in-span sup-norm error as the exact discrete minimax, a linear program on
+2001 points.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,9 @@ from .interpolate import Interpolant, basis_matrix, lebesgue_function
 SPARSITY_TOL = 1e-14
 PROXY_GRID_SIZE = 2001  # points of the discrete minimax problem
 BOUND_SLACK = 0.05  # relative slack on the right-hand side of the error bound
+# κ₂ up to which a banded cond2 takes σ_min from AᵀA, where its relative error,
+# measured at 0.1-0.5·eps·κ₂², stays below 1e-13
+GRAM_COND2_MAX = 20.0
 
 
 def _as_dense(matrix) -> np.ndarray:
@@ -30,36 +36,55 @@ def _as_dense(matrix) -> np.ndarray:
     return a
 
 
-def _banded_extreme_singular_values(matrix: BandedMatrix):
+def _scaled_bands(matrix: BandedMatrix):
+    """The three diagonals times the power of two that brings the largest entry
+    into [0.5, 1), or None if that entry is zero or not finite."""
     bands = matrix.bands.copy()
     bands[0, 0] = bands[2, -1] = 0.0  # the two slots outside the matrix
     peak = np.abs(bands).max()
-    if not 0.0 < peak < np.inf:  # zero, or a non-finite entry: cond2 says inf
+    if not 0.0 < peak < np.inf:
+        return None
+    return np.ldexp(bands, -np.frexp(peak)[1])
+
+
+def _interleaved_eigenvalue(bands, k: int) -> float:
+    """Eigenvalue k, ascending, of [[0, A], [Aᵀ, 0]], which are ±σ_i, so σ_min at
+    k = n; with rows and columns interleaved it is an upper band with kd = 3."""
+    upper, diag, lower = bands
+    jw = np.zeros((4, 2 * diag.size))
+    jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, lower[:-1], upper[1:]
+    return eigvals_banded(jw, select="i", select_range=(k, k))[0]
+
+
+def _banded_extreme_singular_values(matrix: BandedMatrix):
+    """σ_max and σ_min of the scaled bands, both from AᵀA up to κ₂ =
+    ``GRAM_COND2_MAX``; above it σ_min comes from the interleaved form."""
+    bands = _scaled_bands(matrix)
+    if bands is None:  # zero, or a non-finite entry: cond2 says inf
         return 0.0, 0.0
-    # an exact power-of-two scaling keeps the squares clear of under- and overflow
-    upper, diag, lower = np.ldexp(bands, -np.frexp(peak)[1])
+    # the power-of-two scaling keeps the squares clear of under- and overflow
+    upper, diag, lower = bands
     sup, sub, n = upper[1:], lower[:-1], matrix.n
     gram = np.zeros((3, n))  # AᵀA, upper band with kd = 2
     gram[2] = upper ** 2 + diag ** 2 + lower ** 2
     gram[1, 1:] = diag[:-1] * sup + sub * diag[1:]
     gram[0, 2:] = sub[:-1] * sup[1:]
-    # σ_min from AᵀA would carry a relative error of about eps·κ₂², so it comes
-    # from [[0, A], [Aᵀ, 0]] with rows and columns interleaved (upper band,
-    # kd = 3), whose eigenvalues are ±σ_i
-    jw = np.zeros((4, 2 * n))
-    jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, sub, sup
-    s_max2 = eigvals_banded(gram, select="i", select_range=(n - 1, n - 1))[0]
-    return np.sqrt(max(s_max2, 0.0)), eigvals_banded(jw, select="i", select_range=(n, n))[0]
+    s_max2, s_min2 = (eigvals_banded(gram, select="i", select_range=(k, k))[0] for k in (n - 1, 0))
+    if s_min2 * GRAM_COND2_MAX ** 2 < s_max2:
+        return np.sqrt(s_max2), _interleaved_eigenvalue(bands, n)
+    return np.sqrt(s_max2), np.sqrt(s_min2)
 
 
 def cond2(matrix) -> float:
     """Spectral condition number: ratio of extreme singular values.
 
-    For a ``BandedMatrix``, σ_max² is the top eigenvalue of the banded AᵀA and
-    σ_min eigenvalue n of the banded [[0, A], [Aᵀ, 0]] (Golub & Kahan, 1965),
-    each from one LAPACK ``sbevx`` call in O(n²), within a small multiple of
-    eps·κ₂ relative of a dense SVD. Returns ``inf`` for a non-finite entry,
-    or when σ_min is at most ``n * eps * σ_max``.
+    For a ``BandedMatrix``, σ_max² and σ_min² are the extreme eigenvalues of
+    the banded AᵀA, each from one LAPACK ``sbevx`` call in O(n²). σ_min² is
+    then off by about eps·κ₂² relative, under 1e-13 while κ₂ is at most
+    ``GRAM_COND2_MAX``; above it σ_min is eigenvalue n of the banded
+    [[0, A], [Aᵀ, 0]] (Golub & Kahan, 1965), a third call, within a small
+    multiple of eps·κ₂ relative of a dense SVD. Returns ``inf`` for a
+    non-finite entry, or when σ_min is at most ``n * eps * σ_max``.
     """
     if isinstance(matrix, BandedMatrix):
         n, (s_max, s_min) = matrix.n, _banded_extreme_singular_values(matrix)

@@ -1,11 +1,25 @@
 """``hypothesis`` strategies shared by the test modules."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+
+from epspline import BasisConstructionError, ExpSpace, build_basis
 
 # knot gaps spread over six orders of magnitude, alpha * (largest gap) up to 30
 across_gap_ratios = given(
     log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
     log_alpha_h=st.floats(-3.0, np.log10(30.0)),
 )
+
+
+def gap_ratio_basis(log_gaps, log_alpha_h):
+    """The basis on the drawn knot gaps; a failed build is skipped."""
+    gaps = 10.0 ** np.array(log_gaps)
+    space = ExpSpace(10.0 ** log_alpha_h / gaps.max())
+    try:
+        basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]), space)
+    except BasisConstructionError:
+        basis = None
+    assume(basis is not None)
+    return basis

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
+from scipy.linalg import eigvals_banded
 
 import epspline
+import epspline.diagnostics as diagnostics
 from epspline import (
     BandedMatrix,
     BasisConstructionError,
@@ -27,8 +29,10 @@ from epspline import (
     skeel_condition,
     sparsity,
 )
+from epspline.diagnostics import _interleaved_eigenvalue, _scaled_bands
 from epspline.greedy import GreedyConfig
 from epspline.nodes import chebyshev_lobatto, equispaced
+from strategies import across_gap_ratios, gap_ratio_basis
 
 
 class TestCond2:
@@ -130,6 +134,62 @@ class TestBandedMatchesDense:
                      + [(2, j) for j in range(n - 1)])
         m.bands[data.draw(st.sampled_from(in_matrix))] = np.nan
         assert cond2(m) == cond2(m.to_dense()) == np.inf
+
+
+# κ₂ ≈ 3.0, below the switch; and κ₂ ≈ 2.6e6, above it: the first λ-greedy
+# step on 300 Chebyshev candidates, the initial four plus its pick, index 149
+WELL_CONDITIONED = equispaced(40)
+ILL_CONDITIONED = chebyshev_lobatto(300)[[0, 1, 149, 298, 299]]
+
+
+def gap_ratio_example(nodes, alpha=2.0):
+    """The ``across_gap_ratios`` draw whose basis is the one on ``nodes``, shifted."""
+    gaps = np.diff(nodes)
+    return example(log_gaps=np.log10(gaps).tolist(), log_alpha_h=np.log10(alpha * gaps.max()))
+
+
+def assert_cond2_matches_interleaved(m):
+    # 1/κ₂ as σ_min / σ_max of the interleaved form, through the call the
+    # switch falls back to, on the same scaled bands
+    bands, n = _scaled_bands(m), m.n
+    want = 0.0 if bands is None else (_interleaved_eigenvalue(bands, n)
+                                      / _interleaved_eigenvalue(bands, 2 * n - 1))
+    got = 1 / cond2(m)
+    if got == 0.0:
+        assert want <= n * EPS * (1 + 1e-12)
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+class TestGramSwitch:
+    """κ₂ from AᵀA up to ``GRAM_COND2_MAX``, from the interleaved form above it."""
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @gap_ratio_example(WELL_CONDITIONED)
+    @gap_ratio_example(ILL_CONDITIONED)
+    def test_collocation_across_gap_ratios(self, log_gaps, log_alpha_h):
+        assert_cond2_matches_interleaved(collocation_matrix(gap_ratio_basis(log_gaps, log_alpha_h)))
+
+    @settings(deadline=None)
+    @given(tridiagonals())
+    def test_random_tridiagonal(self, m):
+        assert_cond2_matches_interleaved(m)
+
+    @pytest.mark.parametrize("nodes, calls", [(WELL_CONDITIONED, 2), (ILL_CONDITIONED, 3)],
+                             ids=["gram", "interleaved"])
+    def test_calls_per_matrix(self, monkeypatch, nodes, calls):
+        m = collocation_matrix(build_basis(nodes, ExpSpace(2.0)))
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args[0].shape)
+            return eigvals_banded(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "eigvals_banded", counting)
+        kappa = cond2(m)
+        assert seen == [(3, m.n)] * 2 + [(4, 2 * m.n)] * (calls - 2)
+        assert (kappa <= diagnostics.GRAM_COND2_MAX) == (calls == 2)
 
 
 def _cubic_collocation(knots):

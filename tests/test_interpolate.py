@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epspline import (
@@ -25,7 +25,7 @@ from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
 from oracle import active_values_by_gather, evaluate, lebesgue_by_solve, segment_value
-from strategies import across_gap_ratios
+from strategies import across_gap_ratios, gap_ratio_basis
 
 
 def dense_collocation(basis):
@@ -40,18 +40,6 @@ def dense_collocation(basis):
     for j in range(max(n - 3, 0), n):
         out[-1, j] = segment_value(basis, j, n - j, 1.0)  # interval ending at the last knot
     return out
-
-
-def gap_ratio_basis(log_gaps, log_alpha_h):
-    """The basis on the drawn knot gaps; a failed build is skipped."""
-    gaps = 10.0 ** np.array(log_gaps)
-    space = ExpSpace(10.0 ** log_alpha_h / gaps.max())
-    try:
-        basis = build_basis(np.concatenate([[0.0], np.cumsum(gaps)]), space)
-    except BasisConstructionError:
-        basis = None
-    assume(basis is not None)
-    return basis
 
 
 # every evaluator of a basis, called as (basis, x); all go through GBSplineBasis._locate
