@@ -32,9 +32,11 @@ from .greedy import (
 )
 from .interpolate import (
     Interpolant,
+    _lebesgue_from_tables,
+    _located_values,
     collocation_matrix,
+    factorize,
     fit,
-    lebesgue_function,
 )
 from .kernel import kernel_f_greedy
 from .nodes import NodeSpec, generate
@@ -329,10 +331,11 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
             else:
                 selected, trace = lambda_greedy(candidates, greedy_cfg)
 
-    # the spline on the selected nodes, for every algorithm (the kernel's too)
+    # the spline on the selected nodes, for every algorithm (the kernel's too), factored once
     basis = build_basis(selected, ExpSpace(cfg.alpha))
     phi = collocation_matrix(basis)
-    lam = lebesgue_function(basis, eval_grid)
+    lu = factorize(phi)
+    lam = _lebesgue_from_tables(lu.lebesgue_tables(), *_located_values(basis, eval_grid))
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
     write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
               zip(eval_grid.tolist(), lam.tolist()))
@@ -350,7 +353,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
         return summary
 
     if predict is None:
-        predict = fit(basis, values[np.searchsorted(candidates, selected)])
+        predict = fit(basis, values[np.searchsorted(candidates, selected)], lu=lu)
     write_trace_csv(out / "trace.csv", trace)
     # a tabulated target is known only at the candidates
     err_grid, target = (candidates, values) if f is None else (eval_grid, f(eval_grid))

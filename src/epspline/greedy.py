@@ -13,7 +13,9 @@ the five whose support contains the new knot. Each spline refit therefore
 passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
 assembled and factorized from scratch every iteration, once for both models.
-The residual is the new interpolant evaluated at every remaining candidate.
+The loop hands each refit the selected and the remaining candidate indices,
+and the refit returns its scores at the remaining ones: the residual is the
+new interpolant evaluated there.
 
 The Lebesgue strategy carries two arrays per candidate across insertions: its
 knot-interval index and its 4 basis values there, from ``active_values``.
@@ -119,18 +121,18 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
     """Insert one candidate per iteration until a stop rule fires.
 
     The initial set is the two smallest and the two largest candidates,
-    indices ``[0, 1, m - 2, m - 1]``. ``refit(selected)`` fits the model on
-    the sorted selected candidate indices and returns ``(state, matrix,
-    score)``: ``matrix`` is the system whose spectral condition and sparsity
-    go into the trace (the spline's tridiagonal ``BandedMatrix``, never made
-    dense, or the kernel's dense saddle matrix), and ``score(remaining)`` is
-    the selection criterion at the remaining indices.
+    indices ``[0, 1, m - 2, m - 1]``. ``refit(selected, remaining)`` fits
+    the model on the sorted selected candidate indices and returns ``(state,
+    matrix, scores)``: ``matrix`` is the system whose spectral condition and
+    sparsity go into the trace (the spline's tridiagonal ``BandedMatrix``,
+    never made dense, or the kernel's dense saddle matrix), and ``scores`` is
+    the selection criterion at the sorted remaining indices, empty once every
+    candidate is selected.
     Ties go to the smallest index when the scores are equal floats (the first
     maximum of ``np.argmax``); a tie that is exact only in exact arithmetic
-    is decided by rounding. A ``SplineError`` raised by ``refit`` or
-    ``score`` becomes a ``GreedyError`` carrying the trace so far; its message
-    names the iteration, the knot inserted just before it and the check that
-    tripped.
+    is decided by rounding. A ``SplineError`` raised by ``refit`` becomes a
+    ``GreedyError`` carrying the trace so far; its message names the
+    iteration, the knot inserted just before it and the check that tripped.
 
     Returns
     -------
@@ -147,8 +149,7 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         selected = np.flatnonzero(in_selected)
         remaining = np.flatnonzero(~in_selected)
         try:
-            state, matrix, score = refit(selected)
-            scores = score(remaining) if len(remaining) else None
+            state, matrix, scores = refit(selected, remaining)
         except SplineError as exc:
             trace.stop_reason = "error"
             where = f"iteration {len(trace.steps)}"
@@ -160,7 +161,7 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         n_nodes = len(selected)
 
         criterion = pick = None
-        if scores is None:
+        if not len(remaining):
             trace.stop_reason = "exhausted"
         else:
             criterion = float(scores.max())
@@ -197,19 +198,19 @@ def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
 
     Each basis is built with the previous one as ``prior`` (None at first),
     and its collocation matrix is factorized once, as ``lu``. ``model(prior,
-    basis, lu, selected) -> (state, score)``, called inside ``refit``,
-    supplies the criterion ``score(remaining)``.
+    basis, lu, selected, remaining) -> (state, scores)``, called inside
+    ``refit``, supplies the criterion at the remaining indices.
     """
     space = ExpSpace(config.alpha)
     prior = None
 
-    def refit(selected):
+    def refit(selected, remaining):
         nonlocal prior
         basis = build_basis(cand[selected], space, prior=prior)
         phi = collocation_matrix(basis)
-        state, score = model(prior, basis, factorize(phi), selected)
+        state, scores = model(prior, basis, factorize(phi), selected, remaining)
         prior = basis
-        return state, phi, score
+        return state, phi, scores
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)
 
@@ -235,9 +236,9 @@ def f_greedy(candidates, values, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
     values = check_values("values", values, cand.size)
 
-    def residual(prior, basis, lu, selected):
+    def residual(prior, basis, lu, selected, remaining):
         interp = fit(basis, values[selected], lu=lu)
-        return interp, lambda rest: np.abs(values[rest] - interp(cand[rest]))
+        return interp, np.abs(values[remaining] - interp(cand[remaining]))
 
     return _spline_loop(cand, config, residual)
 
@@ -255,24 +256,19 @@ def lambda_greedy(candidates, config: GreedyConfig):
     (selected, trace)
     """
     cand = np.asarray(candidates, dtype=float)
-    interval = values = None
+    interval, values = np.empty(cand.size, dtype=np.intp), np.empty((cand.size, 4))
 
-    def lebesgue(prior, basis, lu, selected):
-        nonlocal interval, values
+    def lebesgue(prior, basis, lu, selected, remaining):
         tables = lu.lebesgue_tables()
-        rest = np.ones(len(cand), dtype=bool)
-        rest[selected] = False
-        stale = rest = np.flatnonzero(rest)
-        if prior is None:
-            interval, values = np.empty(len(cand), dtype=np.intp), np.empty((len(cand), 4))
-        else:
-            carried = _carried_intervals(prior, basis)[interval[rest]]
-            interval[rest] = carried
-            stale = rest[carried < 0]
+        stale = remaining
+        if prior is not None:
+            carried = _carried_intervals(prior, basis)[interval[remaining]]
+            interval[remaining] = carried
+            stale = remaining[carried < 0]
         interval[stale], values[stale] = _located_values(basis, cand[stale])
         # np.take: a fancy index of the rows costs ten times as much
-        return None, lambda remaining: _lebesgue_from_tables(
-            tables, interval[remaining], np.take(values, remaining, axis=0))
+        return None, _lebesgue_from_tables(tables, interval[remaining],
+                                           np.take(values, remaining, axis=0))
 
     selected, _, trace = _spline_loop(cand, config, lebesgue)
     return selected, trace

@@ -105,9 +105,9 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
     vals = check_values("values", values, cand.size)
     check_stop_rule(tau, max_iter)
 
-    def refit(selected):
+    def refit(selected, remaining):
         # the loop hands over sorted indices into validated candidates
         model, a = _solve_saddle(cand[selected], vals[selected])
-        return model, a, lambda rest: np.abs(vals[rest] - model(cand[rest]))
+        return model, a, np.abs(vals[remaining] - model(cand[remaining]))
 
     return _greedy_loop(cand, refit, tau, max_iter)

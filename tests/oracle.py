@@ -119,22 +119,20 @@ def lebesgue_by_solve(basis, x):
 def greedy_uncached(candidates, config, values=None, lebesgue=lebesgue_function):
     """The trace of ``f_greedy`` on ``values``, or of ``lambda_greedy`` if they are None.
 
-    Every step locates and evaluates every remaining candidate again; the
-    Lebesgue criterion is ``lebesgue(basis, x)``, called once per step, the
-    last included.
+    Every step builds the basis from scratch and locates and evaluates every
+    remaining candidate again, inside the loop's ``refit`` as the library's
+    greedies score; the Lebesgue criterion is ``lebesgue(basis, x)``, called
+    once per step, the last included.
     """
     cand = np.asarray(candidates, dtype=float)
     space = ExpSpace(config.alpha)
 
-    def refit(selected):
+    def refit(selected, remaining):
         basis = build_basis(cand[selected], space)
         phi = collocation_matrix(basis)
         if values is not None:
             interp = fit(basis, values[selected])
-            return None, phi, lambda rest: np.abs(values[rest] - interp(cand[rest]))
-        # scored inside refit, where lambda_greedy forms its tables, so that a
-        # failure carries the trace in both; the loop scores exactly the rest
-        scores = lebesgue(basis, cand[np.setdiff1d(np.arange(len(cand)), selected)])
-        return None, phi, lambda rest: scores
+            return None, phi, np.abs(values[remaining] - interp(cand[remaining]))
+        return None, phi, lebesgue(basis, cand[remaining])
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)[2]

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +240,59 @@ class TestRunExperiment:
         cfg = ExperimentConfig(algorithm=algorithm, nodes="equispaced:40",
                                out=str(tmp_path / algorithm), **cap)
         assert run_experiment(cfg)["status"] == "ok"
+
+    @pytest.mark.parametrize("algorithm", ["lebesgue", "fgreedy", "lgreedy", "kernel"])
+    def test_final_spline_assembled_and_factored_once(self, tmp_path, monkeypatch, algorithm):
+        # after selection one collocation matrix and one factorization serve the
+        # summary, lebesgue.csv and λ-greedy's error fit; a scan selects nothing
+        import epspline.cli as cli_mod
+        from epspline.banded import BandedLU
+        from epspline.interpolate import collocation_matrix
+
+        counts = {"selected": algorithm == "lebesgue", "collocation_matrix": 0, "BandedLU": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                if counts["selected"]:
+                    counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        def selecting(real):
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                counts["selected"] = True
+                return result
+            return call
+
+        for name in ("f_greedy", "lambda_greedy", "kernel_f_greedy"):
+            monkeypatch.setattr(cli_mod, name, selecting(getattr(cli_mod, name)))
+        monkeypatch.setattr(BandedLU, "__init__", counted("BandedLU", BandedLU.__init__))
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("epspline") \
+                    and getattr(module, "collocation_matrix", None) is collocation_matrix:
+                monkeypatch.setattr(module, "collocation_matrix",
+                                    counted("collocation_matrix", collocation_matrix))
+        cap = {} if algorithm == "lebesgue" else {"max_iter": 12}
+        cfg = ExperimentConfig(algorithm=algorithm, nodes="equispaced:40",
+                               out=str(tmp_path / algorithm), **cap)
+        assert run_experiment(cfg)["status"] == "ok"
+        assert counts == {"selected": True, "collocation_matrix": 1, "BandedLU": 1}
+
+    @pytest.mark.parametrize("algorithm, nodes", [
+        ("fgreedy", "equispaced:120"), ("fgreedy", "halton:90"),
+        ("lgreedy", "chebyshev:100"), ("lgreedy", "equispaced:60"),
+    ])
+    def test_summary_describes_last_traced_matrix(self, tmp_path, algorithm, nodes):
+        # the final spline is rebuilt from the selected nodes, bit for bit the
+        # last refit's; the kernel's trace holds its saddle matrix instead
+        out = tmp_path / algorithm
+        summary = run_experiment(ExperimentConfig(algorithm=algorithm, nodes=nodes,
+                                                  out=str(out)))
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        assert float(last["kappa2"]) == summary["kappa2"]
+        assert float(last["sparsity"]) == summary["sparsity"]
 
     def test_csv_determinism(self, tmp_path):
         texts = []

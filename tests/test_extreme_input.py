@@ -6,11 +6,13 @@ test configuration), a NaN model or any other exception.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epspline import (DomainError, ExpSpace, SplineError, build_basis, collocation_matrix,
                       factorize, fit, lebesgue_function, tps_fit)
+from epspline.nodes import equispaced
 
 
 @st.composite
@@ -103,3 +105,19 @@ def test_kernel_value_is_finite_or_domain_error(x):
         assert not abs(x) < 1e150
         return
     assert np.isfinite(value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interpolant_near_overflow_is_bounded_or_domain_error():
+    # α·h = 10 and data ±3e305: pp peaks at 1.0e308, finite, but its partial
+    # sums on a knot interval reach about 1e5 times the data, so a call can
+    # overflow even at the node x = 1, whose value is the datum 3e305. On data
+    # ±1 the interpolant peaks at 1.0000000000146 on this grid.
+    interp = fit(build_basis(equispaced(5), ExpSpace(20.0)), 3e305 * (-1.0) ** np.arange(5))
+    grid = np.linspace(-1.0, 1.0, 2001)
+    for points in (grid, *grid):
+        try:
+            values = interp(points)
+        except DomainError:
+            continue
+        assert np.all(np.abs(values) <= 1.01 * 3e305)  # false for NaN and inf too

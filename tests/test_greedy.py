@@ -14,6 +14,7 @@ from epspline import (
     fit,
     lambda_greedy,
 )
+from epspline.greedy import _greedy_loop
 from epspline.interpolate import Interpolant
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from oracle import greedy_uncached, lebesgue_by_solve
@@ -43,6 +44,37 @@ def test_spline_greedies_never_densify(forbid_dense):
     assert len(trace.steps) == 12 and np.isfinite(trace.steps[-1].kappa2)
     _, trace = lambda_greedy(cand, cfg(max_iter=15))
     assert len(trace.steps) == 12 and np.isfinite(trace.steps[-1].kappa2)
+
+
+class TestLoopContract:
+    """``_greedy_loop`` driven by a stub ``refit`` that scores with small integers,
+    so that ties are common."""
+
+    @pytest.mark.parametrize("max_iter, stop", [(None, "exhausted"), (9, "max_iter")])
+    def test_refit_sees_both_index_sets_and_the_top_score_is_picked(self, max_iter, stop):
+        m = 14
+        rng = np.random.default_rng(4)
+        calls = []
+
+        def refit(selected, remaining):
+            scores = rng.integers(0, 3, len(remaining)).astype(float)
+            calls.append((selected.copy(), remaining.copy(), scores))
+            return None, np.eye(len(selected)), scores
+
+        cand = np.linspace(-1.0, 1.0, m)
+        _, _, trace = _greedy_loop(cand, refit, max_iter=max_iter)
+        assert trace.stop_reason == stop
+        assert len(calls) == len(trace.steps)
+        for (selected, remaining, scores), step in zip(calls, trace.steps):
+            for part in (selected, remaining):
+                assert np.all(np.diff(part) > 0)
+            assert np.array_equal(np.sort(np.concatenate([selected, remaining])), np.arange(m))
+            # the exhausted record alone has nothing left to score
+            assert (len(remaining) == 0) == (step is trace.steps[-1] and stop == "exhausted")
+            if step.selected_index is not None:
+                assert step.selected_index == remaining[np.argmax(scores)]
+        assert [s.selected_index is None for s in trace.steps] \
+            == [False] * (len(trace.steps) - 1) + [True]
 
 
 class TestFGreedy:
