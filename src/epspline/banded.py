@@ -1,8 +1,7 @@
 """Tridiagonal matrix storage and LU factorization without row exchanges.
 
-The collocation matrix of the centre-normalized basis is tridiagonal, so three
-diagonals are stored, in the LAPACK general-band layout with ``kl = ku = 1``:
-entry ``(i, j)`` of the full matrix lives at ``bands[1 + i - j, j]``.
+The collocation matrix of the centre-normalized basis is tridiagonal, so it is
+stored as its three diagonals, ``lower``, ``diag`` and ``upper``.
 Elimination runs without row exchanges (``_sweep``), which is backward stable
 on totally positive matrices (de Boor & Pinkus, Numer. Math. 27, 1977); every
 accepted collocation matrix is one. ``BandedLU`` keeps its pivots once per
@@ -21,31 +20,27 @@ PIVOT_RTOL = 1e-14
 
 
 class BandedMatrix:
-    """Square tridiagonal matrix.
+    """Square tridiagonal matrix of order ``n`` from copies of its three diagonals:
+    ``lower[i] = A[i + 1, i]``, ``diag[i] = A[i, i]`` and ``upper[i] = A[i, i + 1]``."""
 
-    ``bands[0, 1:]`` holds the superdiagonal, ``bands[1]`` the diagonal and
-    ``bands[2, :-1]`` the subdiagonal; ``bands[0, 0]`` and ``bands[2, -1]``
-    lie outside the matrix and stay unused.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise InvalidInputError(f"bad tridiagonal size n={n}")
-        self.n = n
-        self.bands = np.zeros((3, n))
+    def __init__(self, lower, diag, upper):
+        self.lower, self.diag, self.upper = (np.array(v, dtype=float) for v in (lower, diag, upper))
+        self.n = self.diag.size  # n = 0 leaves no shape (n - 1,) to match
+        if self.diag.ndim != 1 or not self.lower.shape == self.upper.shape == (self.n - 1,):
+            raise InvalidInputError(f"bad tridiagonal diagonals: shapes {self.lower.shape}, "
+                                    f"{self.diag.shape} and {self.upper.shape}")
 
     def to_dense(self) -> np.ndarray:
-        upper, diag, lower = self.bands
-        a = np.diag(diag)
-        a.flat[1::self.n + 1] = upper[1:]
-        a.flat[self.n::self.n + 1] = lower[:-1]
+        a = np.diag(self.diag)
+        a.flat[1::self.n + 1] = self.upper
+        a.flat[self.n::self.n + 1] = self.lower
         return a
 
     def norm_inf(self) -> float:
         """Maximum absolute row sum."""
-        upper, sums, lower = np.abs(self.bands)
-        sums[:-1] += upper[1:]
-        sums[1:] += lower[:-1]
+        sums = np.abs(self.diag)
+        sums[:-1] += np.abs(self.upper)
+        sums[1:] += np.abs(self.lower)
         return float(sums.max())
 
 
@@ -93,10 +88,9 @@ class BandedLU:
         norm = matrix.norm_inf()
         if not np.isfinite(norm):
             raise SingularSystemError(f"collocation matrix has a non-finite entry (norm {norm})")
-        upper, diag, lower = matrix.bands
-        self.n, self._floor, self._diag = matrix.n, PIVOT_RTOL * norm, diag.tolist()
+        self.n, self._floor, self._diag = matrix.n, PIVOT_RTOL * norm, matrix.diag.tolist()
         # M[k, k + 1] = A[k, k-1] and M[k + 1, k] = A[k-1, k], 0 at k = 0 and n
-        self._sup, self._sub = (np.concatenate([[0.0], v, [0.0]]) for v in (lower[:-1], upper[1:]))
+        self._sup, self._sub = np.pad(matrix.lower, 1), np.pad(matrix.upper, 1)
         d, self._tails = _sweep(self._diag, self._sup.tolist(), self._sub.tolist(), self._floor)
         _check_pivots("forward", d[1:], self._floor, lambda j: j)
         self._pivots = d

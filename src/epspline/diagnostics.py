@@ -36,42 +36,40 @@ def _as_dense(matrix) -> np.ndarray:
     return a
 
 
-def _scaled_bands(matrix: BandedMatrix):
-    """The three diagonals times the power of two that brings the largest entry
-    into [0.5, 1), or None if that entry is zero or not finite."""
-    bands = matrix.bands.copy()
-    bands[0, 0] = bands[2, -1] = 0.0  # the two slots outside the matrix
-    peak = np.abs(bands).max()
+def _scaled_diagonals(matrix: BandedMatrix):
+    """``lower``, ``diag`` and ``upper`` times the power of two that brings the
+    largest entry into [0.5, 1), or None if that entry is zero or not finite."""
+    diagonals = (matrix.lower, matrix.diag, matrix.upper)
+    peak = np.abs(np.concatenate(diagonals)).max()
     if not 0.0 < peak < np.inf:
         return None
-    return np.ldexp(bands, -np.frexp(peak)[1])
+    return tuple(np.ldexp(v, -np.frexp(peak)[1]) for v in diagonals)
 
 
-def _interleaved_eigenvalue(bands, k: int) -> float:
+def _interleaved_eigenvalue(diagonals, k: int) -> float:
     """Eigenvalue k, ascending, of [[0, A], [Aᵀ, 0]], which are ±σ_i, so σ_min at
     k = n; with rows and columns interleaved it is an upper band with kd = 3."""
-    upper, diag, lower = bands
+    lower, diag, upper = diagonals
     jw = np.zeros((4, 2 * diag.size))
-    jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, lower[:-1], upper[1:]
+    jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, lower, upper
     return eigvals_banded(jw, select="i", select_range=(k, k))[0]
 
 
 def _banded_extreme_singular_values(matrix: BandedMatrix):
-    """σ_max and σ_min of the scaled bands, both from AᵀA up to κ₂ =
+    """σ_max and σ_min of the scaled diagonals, both from AᵀA up to κ₂ =
     ``GRAM_COND2_MAX``; above it σ_min comes from the interleaved form."""
-    bands = _scaled_bands(matrix)
-    if bands is None:  # zero, or a non-finite entry: cond2 says inf
+    diagonals = _scaled_diagonals(matrix)
+    if diagonals is None:  # zero, or a non-finite entry: cond2 says inf
         return 0.0, 0.0
     # the power-of-two scaling keeps the squares clear of under- and overflow
-    upper, diag, lower = bands
-    sup, sub, n = upper[1:], lower[:-1], matrix.n
+    (lower, diag, upper), n = diagonals, matrix.n
     gram = np.zeros((3, n))  # AᵀA, upper band with kd = 2
-    gram[2] = upper ** 2 + diag ** 2 + lower ** 2
-    gram[1, 1:] = diag[:-1] * sup + sub * diag[1:]
-    gram[0, 2:] = sub[:-1] * sup[1:]
+    gram[2] = np.append(0.0, upper ** 2) + diag ** 2 + np.append(lower ** 2, 0.0)
+    gram[1, 1:] = diag[:-1] * upper + lower * diag[1:]
+    gram[0, 2:] = lower[:-1] * upper[1:]
     s_max2, s_min2 = (eigvals_banded(gram, select="i", select_range=(k, k))[0] for k in (n - 1, 0))
     if s_min2 * GRAM_COND2_MAX ** 2 < s_max2:
-        return np.sqrt(s_max2), _interleaved_eigenvalue(bands, n)
+        return np.sqrt(s_max2), _interleaved_eigenvalue(diagonals, n)
     return np.sqrt(s_max2), np.sqrt(s_min2)
 
 
@@ -118,13 +116,12 @@ def skeel_condition(matrix) -> float:
 def sparsity(matrix) -> float:
     """Fraction of entries with magnitude at most 1e-14.
 
-    A ``BandedMatrix`` counts its 3n - 2 in-matrix band entries plus the
+    A ``BandedMatrix`` counts its 3n - 2 diagonal entries plus the
     n² - (3n - 2) structural zeros: the dense value bit for bit, in O(n).
     """
     if isinstance(matrix, BandedMatrix):
-        n, small = matrix.n, np.abs(matrix.bands) <= SPARSITY_TOL
-        small[0, 0] = small[2, -1] = False  # the two slots outside the matrix
-        return float((int(small.sum()) + n * n - (3 * n - 2)) / (n * n))
+        n, entries = matrix.n, np.concatenate([matrix.lower, matrix.diag, matrix.upper])
+        return float((int((np.abs(entries) <= SPARSITY_TOL).sum()) + n * n - (3 * n - 2)) / (n * n))
     a = _as_dense(matrix)
     return float(np.mean(np.abs(a) <= SPARSITY_TOL))
 

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all epspline modules, and the one check of each
-input kind: ``check_integer``, ``check_points`` and ``check_values``."""
+input kind: ``is_finite_real``, ``check_integer``, ``check_points``, ``check_values``."""
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -25,6 +27,15 @@ class BasisConstructionError(SplineError):
 class SingularSystemError(SplineError):
     """A system cannot be solved; for a collocation matrix, a non-finite entry or a pivot
     of its one elimination (``BandedLU``) not above ``banded.PIVOT_RTOL`` times its norm."""
+
+
+def is_finite_real(value) -> bool:
+    """``numbers.Real`` but not ``bool``, and finite; each caller adds its sign condition."""
+    try:  # bool is an int, so numbers.Real takes True; numpy's bool_ is not a Real
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the largest double
+        return False
 
 
 def check_integer(name: str, value):

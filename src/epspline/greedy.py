@@ -32,7 +32,8 @@ import numpy as np
 
 from .basis import build_basis
 from .diagnostics import cond2, sparsity
-from .errors import InvalidInputError, SplineError, check_integer, check_points, check_values
+from .errors import (InvalidInputError, SplineError, check_integer, check_points, check_values,
+                     is_finite_real)
 from .interpolate import (_lebesgue_from_tables, _located_values, collocation_matrix,
                           factorize, fit)
 from .space import ExpSpace
@@ -40,8 +41,8 @@ from .space import ExpSpace
 
 def check_stop_rule(tau: float | None, max_iter: int | None):
     """Type and range checks of the stop rule shared by every greedy run."""
-    if tau is not None and not (np.isfinite(tau) and tau >= 0.0):
-        raise InvalidInputError(f"tau must be nonnegative, got {tau}")
+    if tau is not None and not (is_finite_real(tau) and tau >= 0.0):
+        raise InvalidInputError(f"tau must be a nonnegative finite real, got {tau!r}")
     if max_iter is not None:
         check_integer("max_iter", max_iter)
         if max_iter < 4:

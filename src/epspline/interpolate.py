@@ -3,9 +3,11 @@
 The collocation matrix holds the basis values at the interior knots. With the
 unit-center normalization it has unit diagonal, and compact support makes it
 tridiagonal: at knot ``i`` only functions ``i - 1``, ``i`` and ``i + 1`` are
-nonzero. The fourth function evaluated there, ``i + 2`` (``i - 2`` at the
-last knot), sits at an end of its support and vanishes in exact arithmetic.
-Assembly stores the three diagonals and checks that every dropped value is at
+nonzero. The fourth function alive there, ``i + 2`` (``n - 3`` at the last
+knot), sits at an end of its support and vanishes in exact arithmetic. Knot
+``i < n - 1`` starts interval ``i``, where the segment functions are ``(1, 0,
+0, 0)``, so its row is ``table[i, :, 0]``; the last row is evaluated at ``b``.
+Assembly keeps the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
 
@@ -64,18 +66,18 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
         ``OUTER_BAND_RTOL`` times the infinity norm of the matrix.
     """
     n = basis.n
-    mat = BandedMatrix(n)
-    values, indices = basis.active_values(basis.knots.interior)
-    offset = indices - np.arange(n)[:, None]
-    keep = (indices >= 0) & (indices < n) & (np.abs(offset) <= 1)
-    mat.bands[1 - offset[keep], indices[keep]] = values[keep]
-    outer = np.abs(np.where(keep, 0.0, values))  # slots with no function hold 0
+    rows = basis.table[:, :, 0]  # at knot i < n - 1: functions i - 1 .. i + 2
+    last = basis.active_values(basis.b)[0]  # at knot n - 1: functions n - 3 .. n
+    mat = BandedMatrix(np.append(rows[1:, 0], last[1]), np.append(rows[:, 1], last[2]),
+                       rows[:, 2])
+    outer = np.abs(np.append(rows[:, 3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
     limit = OUTER_BAND_RTOL * mat.norm_inf()
     if outer.max() > limit:
-        i, s = np.unravel_index(np.argmax(outer), outer.shape)
+        i = int(np.argmax(outer))
+        j, value = (i + 2, rows[i, 3]) if i < n - 1 else (n - 3, last[0])
         raise BasisConstructionError(
-            f"collocation row {i}: basis function {indices[i, s]} has value "
-            f"{values[i, s]:.3g} outside the tridiagonal band (limit {limit:.3g})"
+            f"collocation row {i}: basis function {j} has value "
+            f"{value:.3g} outside the tridiagonal band (limit {limit:.3g})"
         )
     return mat
 

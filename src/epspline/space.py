@@ -6,13 +6,11 @@ fixed rate ``a > 0``, always evaluated in segment-local coordinates so the
 exponents stay small.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError, is_finite_real
 
 # |a*t| beyond this overflows double precision.
 EXP_ARG_LIMIT = 700.0
@@ -29,12 +27,7 @@ class ExpSpace:
     alpha: float
 
     def __post_init__(self):
-        try:  # bool is an int, so numbers.Real takes True; numpy's bool_ is not a Real
-            ok = isinstance(self.alpha, numbers.Real) and not isinstance(self.alpha, bool) \
-                and 0.0 < self.alpha and math.isfinite(self.alpha)
-        except OverflowError:  # an int or Fraction beyond the largest double
-            ok = False
-        if not ok:
+        if not (is_finite_real(self.alpha) and self.alpha > 0.0):
             raise InvalidInputError(f"alpha must be a positive finite real, got {self.alpha!r}")
 
 

@@ -15,6 +15,10 @@ without that table:
 ``raw_generators`` evaluates the four exponential generators directly, the
 reference for the span of the normalized segment basis.
 
+``collocation_by_values`` assembles the collocation matrix by evaluating the
+basis at every interior knot and scattering the values by function index, the
+reference for ``collocation_matrix``, which reads its rows from ``table``.
+
 ``lebesgue_by_solve`` is the Lebesgue function as the sum of the absolute
 cardinal values from the transposed collocation solve, the reference for the
 per-interval table form of ``lebesgue_function``.
@@ -109,6 +113,17 @@ def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
         a2 = a * a
         cols = (a2 * ep, a * (2.0 + at) * ep, a2 * em, a * (at - 2.0) * em)
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
+
+
+def collocation_by_values(basis):
+    """``(lower, diag, upper)`` of the matrix of ``active_values`` at the interior knots."""
+    n = basis.n
+    values, indices = basis.active_values(basis.knots.interior)
+    rows = np.broadcast_to(np.arange(n)[:, None], indices.shape)
+    keep = (indices >= 0) & (indices < n) & (np.abs(indices - rows) <= 1)
+    dense = np.zeros((n, n))
+    dense[rows[keep], indices[keep]] = values[keep]
+    return np.diagonal(dense, -1), np.diagonal(dense), np.diagonal(dense, 1)
 
 
 def lebesgue_by_solve(basis, x):

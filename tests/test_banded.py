@@ -8,10 +8,7 @@ def random_tridiagonal(n, seed=0):
     """A diagonally dominant tridiagonal matrix and its dense oracle, built apart."""
     rng = np.random.default_rng(seed)
     upper, diag, lower = rng.normal(size=n - 1), rng.normal(size=n) + 4.0, rng.normal(size=n - 1)
-    mat = BandedMatrix(n)
-    mat.bands[0, 1:] = upper
-    mat.bands[1] = diag
-    mat.bands[2, :-1] = lower
+    mat = BandedMatrix(lower, diag, upper)
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
     return mat, dense
 
@@ -60,14 +57,14 @@ def test_smallest_orders(n):
     assert np.allclose(lu.solve(b), np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
     assert np.allclose(lu.solve(b[:, 0], transpose=True), np.linalg.solve(dense.T, b[:, 0]),
                        rtol=1e-10, atol=1e-12)
-    mat.bands[:, n - 1] = 0.0  # zero last column
+    mat.diag[-1] = mat.upper[-1:] = 0.0  # zero last column
     with pytest.raises(SingularSystemError):
         factorize(mat)
 
 
 def test_singular_matrix_rejected():
     mat, _ = random_tridiagonal(6, seed=13)
-    mat.bands[2, 2] = mat.bands[1, 3] = mat.bands[0, 4] = 0.0  # zero row 3
+    mat.lower[2] = mat.diag[3] = mat.upper[3] = 0.0  # zero row 3
     with pytest.raises(SingularSystemError):
         factorize(mat)
 
@@ -78,32 +75,40 @@ def test_dependent_rows_rejected():
     # falls below the floor
     mat, _ = random_tridiagonal(6, seed=14)
     a, b = np.random.default_rng(15).uniform(1.0, 2.0, size=2)
-    mat.bands[:, 2] = [0.0, a, a]  # (1, 2), (2, 2), (3, 2)
-    mat.bands[:, 3] = [b, b * (1 + 4 * np.finfo(float).eps), 0.0]  # (2, 3), (3, 3), (4, 3)
-    mat.bands[2, 1] = mat.bands[0, 4] = 0.0  # (2, 1), (3, 4)
+    mat.upper[1], mat.diag[2], mat.lower[2] = 0.0, a, a  # (1, 2), (2, 2), (3, 2)
+    # (2, 3), (3, 3), (4, 3)
+    mat.upper[2], mat.diag[3], mat.lower[3] = b, b * (1 + 4 * np.finfo(float).eps), 0.0
+    mat.lower[1] = mat.upper[3] = 0.0  # (2, 1), (3, 4)
     with pytest.raises(SingularSystemError,
                        match=r"row 3: forward pivot \d\S* without row exchanges is not above"):
         factorize(mat)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("slot", [(1, 1), (0, 2), (2, 0)], ids=["diagonal", "upper", "lower"])
+@pytest.mark.parametrize("slot", [("diag", 1), ("upper", 1), ("lower", 0)],
+                         ids=["diagonal", "upper", "lower"])
 def test_non_finite_entry_rejected(value, slot):
     # a NaN compares false against the pivot floor, and an infinite entry makes
     # the floor infinite: both must be named as such, not factored
-    mat = BandedMatrix(3)
-    mat.bands[1] = 1.0
-    mat.bands[slot] = value
+    mat = BandedMatrix(np.zeros(2), np.ones(3), np.zeros(2))
+    name, i = slot
+    getattr(mat, name)[i] = value
     with pytest.raises(SingularSystemError, match="non-finite entry"):
         factorize(mat)
 
 
-def test_unused_corners_are_not_entries():
-    # bands[0, 0] and bands[2, -1] lie outside the matrix
-    mat = BandedMatrix(3)
-    mat.bands[1] = 1.0
-    mat.bands[0, 0] = mat.bands[2, -1] = np.nan
-    assert np.array_equal(factorize(mat).solve(np.ones(3)), np.ones(3))
+@pytest.mark.parametrize("lengths", [(0, 0, 0), (1, 3, 2), (2, 3, 1), (3, 3, 3), (0, 1, 1)])
+def test_bad_diagonal_lengths_rejected(lengths):
+    lower, diag, upper = (np.ones(k) for k in lengths)
+    with pytest.raises(InvalidInputError, match="bad tridiagonal diagonals"):
+        BandedMatrix(lower, diag, upper)
+
+
+def test_diagonals_are_copied():
+    lower, diag, upper = np.zeros(1), np.ones(2), np.zeros(1)
+    mat = BandedMatrix(lower, diag, upper)
+    diag[0] = 0.0
+    assert np.array_equal(mat.to_dense(), np.eye(2))
 
 
 def test_empty_rhs():

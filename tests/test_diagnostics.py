@@ -29,7 +29,7 @@ from epspline import (
     skeel_condition,
     sparsity,
 )
-from epspline.diagnostics import _interleaved_eigenvalue, _scaled_bands
+from epspline.diagnostics import _interleaved_eigenvalue, _scaled_diagonals
 from epspline.greedy import GreedyConfig
 from epspline.nodes import chebyshev_lobatto, equispaced
 from strategies import across_gap_ratios, gap_ratio_basis
@@ -78,14 +78,11 @@ def assert_cond2_matches_dense(m):
 
 @st.composite
 def tridiagonals(draw):
-    """Random tridiagonal matrices with exact zeros and garbage in the two unused slots."""
+    """Random tridiagonal matrices with exact zeros."""
     n = draw(st.integers(1, 60))
-    entries = st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
-                       min_size=3 * n, max_size=3 * n)
-    m = BandedMatrix(n)
-    m.bands[:] = np.reshape(draw(entries), (3, n))
-    m.bands[0, 0], m.bands[2, -1] = draw(st.floats()), draw(st.floats())
-    return m
+    entries = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                                     min_size=3 * n - 2, max_size=3 * n - 2)))
+    return BandedMatrix(entries[:n - 1], entries[n - 1:2 * n - 1], entries[2 * n - 1:])
 
 
 class TestBandedMatchesDense:
@@ -113,8 +110,7 @@ class TestBandedMatchesDense:
     @pytest.mark.parametrize("scale", [2.0 ** -560, 2.0 ** 530])
     def test_scale_free(self, colloc8, scale):
         # without the internal rescaling AᵀA would underflow or overflow here
-        m = BandedMatrix(colloc8.n)
-        m.bands[:] = colloc8.bands * scale
+        m = BandedMatrix(colloc8.lower * scale, colloc8.diag * scale, colloc8.upper * scale)
         assert cond2(m) == cond2(colloc8)
 
     @settings(deadline=None)
@@ -122,17 +118,15 @@ class TestBandedMatchesDense:
     def test_zero_row_or_nan_gives_inf(self, m, data):
         n = m.n
         i = data.draw(st.integers(0, n - 1))
-        zero_row = BandedMatrix(n)
-        zero_row.bands[:] = m.bands
-        zero_row.bands[1, i] = 0.0
-        if i > 0:
-            zero_row.bands[2, i - 1] = 0.0
-        if i < n - 1:
-            zero_row.bands[0, i + 1] = 0.0
+        zero_row = BandedMatrix(m.lower, m.diag, m.upper)
+        zero_row.diag[i] = 0.0
+        zero_row.lower[i - 1:i] = 0.0  # (i, i - 1), if i > 0
+        zero_row.upper[i:i + 1] = 0.0  # (i, i + 1), if i < n - 1
         assert cond2(zero_row) == cond2(zero_row.to_dense()) == np.inf
-        in_matrix = ([(1, j) for j in range(n)] + [(0, j) for j in range(1, n)]
-                     + [(2, j) for j in range(n - 1)])
-        m.bands[data.draw(st.sampled_from(in_matrix))] = np.nan
+        in_matrix = ([("diag", j) for j in range(n)] + [("upper", j) for j in range(n - 1)]
+                     + [("lower", j) for j in range(n - 1)])
+        name, j = data.draw(st.sampled_from(in_matrix))
+        getattr(m, name)[j] = np.nan
         assert cond2(m) == cond2(m.to_dense()) == np.inf
 
 
@@ -150,10 +144,10 @@ def gap_ratio_example(nodes, alpha=2.0):
 
 def assert_cond2_matches_interleaved(m):
     # 1/κ₂ as σ_min / σ_max of the interleaved form, through the call the
-    # switch falls back to, on the same scaled bands
-    bands, n = _scaled_bands(m), m.n
-    want = 0.0 if bands is None else (_interleaved_eigenvalue(bands, n)
-                                      / _interleaved_eigenvalue(bands, 2 * n - 1))
+    # switch falls back to, on the same scaled diagonals
+    diagonals, n = _scaled_diagonals(m), m.n
+    want = 0.0 if diagonals is None else (_interleaved_eigenvalue(diagonals, n)
+                                          / _interleaved_eigenvalue(diagonals, 2 * n - 1))
     got = 1 / cond2(m)
     if got == 0.0:
         assert want <= n * EPS * (1 + 1e-12)

@@ -426,6 +426,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             cfg(tau=-1.0)
 
+    @pytest.mark.parametrize("tau", ["1", 1j, [1.0], True, np.bool_(True), 10 ** 400],
+                             ids=["str", "complex", "list", "bool", "numpy-bool", "huge-int"])
+    @pytest.mark.parametrize("run", ["GreedyConfig", "kernel_f_greedy"])
+    def test_tau_must_be_a_real_number(self, run, tau):
+        from epspline import kernel_f_greedy
+
+        cand = np.linspace(-1, 1, 20)
+        with pytest.raises(InvalidInputError, match="tau must be a nonnegative finite real"):
+            if run == "GreedyConfig":
+                cfg(tau=tau)
+            else:
+                kernel_f_greedy(cand, np.sin(9 * cand), tau=tau)
+
     def test_bad_alpha(self):
         # rejected on construction, not on the loop's first refit
         with pytest.raises(InvalidInputError, match="alpha"):

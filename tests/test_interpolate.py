@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epspline import (
@@ -10,6 +10,7 @@ from epspline import (
     BasisConstructionError,
     DomainError,
     ExpSpace,
+    GBSplineBasis,
     InvalidInputError,
     SingularSystemError,
     build_basis,
@@ -24,7 +25,8 @@ from epspline.banded import BandedLU
 from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
-from oracle import active_values_by_gather, evaluate, lebesgue_by_solve, segment_value
+from oracle import (active_values_by_gather, collocation_by_values, evaluate, lebesgue_by_solve,
+                    segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -90,6 +92,30 @@ class TestCollocationMatrix:
         with pytest.raises(BasisConstructionError, match="row 1:"):
             collocation_matrix(dataclasses.replace(basis8, coef=coef))
 
+    @pytest.mark.parametrize("row", [0, 3, 5, 7])
+    def test_outer_value_names_row_and_function(self, basis8, row):
+        # coef[j, 0, 0] is function j's value at the left end of its support,
+        # the knot of row j - 2; coef[n - 3, 3, 0] scales cosh(z) at the right
+        # end of its last support interval, the last knot
+        n, coef = basis8.n, basis8.coef.copy()
+        function = row + 2 if row < n - 1 else n - 3
+        coef[(row + 2, 0, 0) if row < n - 1 else (n - 3, 3, 0)] += 1e-6
+        bad = GBSplineBasis(basis8.knots, basis8.space, coef=coef)
+        with pytest.raises(BasisConstructionError,
+                           match=f"collocation row {row}: basis function {function} has value"):
+            collocation_matrix(bad)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[-1.0], log_alpha_h=0.0)
+    @example(log_gaps=[-2.0, 0.0], log_alpha_h=1.0)
+    def test_diagonals_equal_evaluated_values(self, log_gaps, log_alpha_h):
+        # rows read from the basis table against the basis evaluated at every knot
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        mat = collocation_matrix(basis)
+        for got, want in zip((mat.lower, mat.diag, mat.upper), collocation_by_values(basis)):
+            assert np.array_equal(got, want)
+
     def test_matches_dense_oracle(self, basis8, colloc8):
         assert np.allclose(colloc8.to_dense(), dense_collocation(basis8),
                            rtol=0.0, atol=1e-13)
@@ -123,10 +149,10 @@ class TestCollocationMatrix:
         # (ROADMAP item 4). The entries are not checked for sign: beside a
         # large alpha * h, a neighbour value that is tiny in exact arithmetic
         # can come out about -1e-13 from cancelling segment terms.
-        upper, diag, lower = collocation_matrix(gap_ratio_basis(log_gaps, log_alpha_h)).bands
-        pivots = [diag[0]]
-        for i in range(1, len(diag)):
-            pivots.append(diag[i] - lower[i - 1] * upper[i] / pivots[-1])
+        mat = collocation_matrix(gap_ratio_basis(log_gaps, log_alpha_h))
+        pivots = [mat.diag[0]]
+        for i in range(1, mat.n):
+            pivots.append(mat.diag[i] - mat.lower[i - 1] * mat.upper[i - 1] / pivots[-1])
         assert min(pivots) > 0.0, pivots
 
 
@@ -460,8 +486,7 @@ class TestLebesgue:
         # [[1, 2], [2, 1]] is regular, but not totally positive: eliminating
         # without row exchanges meets the pivot 1 - 2 * 2 / 1 = -3 in row 1, and
         # the factorization that the tables read runs that elimination
-        mat = BandedMatrix(2)
-        mat.bands[:] = [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]]
+        mat = BandedMatrix([2.0], [1.0, 1.0], [2.0])
         assert np.array_equal(mat.to_dense(), [[1.0, 2.0], [2.0, 1.0]])
         for run in (factorize, lambda m: factorize(m).lebesgue_tables()):
             with pytest.raises(SingularSystemError, match="row 1: forward pivot -3"):
