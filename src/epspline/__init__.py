@@ -1,7 +1,7 @@
 """Exponential-polynomial spline interpolation with greedy node selection.
 
 The pieces, bottom up: a four-dimensional exponential segment space
-(``space``), compactly supported C2 basis functions over augmented knots
+(``space``), compactly supported C2 basis functions over the interior knots
 (``basis``), banded collocation interpolation with cardinal basis and
 Lebesgue function (``interpolate``, ``banded``), residual- and
 Lebesgue-driven greedy node selection (``greedy``), stability diagnostics and
@@ -11,7 +11,7 @@ thin-plate-spline comparison baseline (``kernel``) and an experiment CLI
 """
 
 from .banded import BandedLU, BandedMatrix, factorize
-from .basis import AugmentedKnots, GBSplineBasis, augment_knots, build_basis
+from .basis import GBSplineBasis, build_basis
 from .diagnostics import (
     BoundCheck,
     check_error_bound,
@@ -50,7 +50,6 @@ from .space import ExpSpace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedKnots",
     "BandedLU",
     "BandedMatrix",
     "BasisConstructionError",
@@ -68,7 +67,6 @@ __all__ = [
     "NodeSpec",
     "SingularSystemError",
     "SplineError",
-    "augment_knots",
     "build_basis",
     "cardinal_values",
     "chebyshev_lobatto",

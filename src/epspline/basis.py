@@ -1,19 +1,21 @@
-"""Compactly supported C2 exponential spline basis over an augmented knot vector.
+"""Compactly supported C2 exponential spline basis over the interior knots.
 
 For ``n`` interior knots the basis has exactly ``n`` bell-shaped functions.
-Each one spans four consecutive knot intervals of the augmented vector, is
-represented per interval in the normalized segment basis (see
-``space.segment_basis_eval``), vanishes with its first two derivatives at both
-support endpoints, and is normalized to 1 at its central knot. The normalized
-representation keeps the per-function linear systems well conditioned even
-when neighboring knot gaps differ by orders of magnitude or are very small
-relative to ``1/alpha``.
+``build_basis`` pads the knots with two more at each end, mirroring the first
+and the last gap; each function spans four consecutive intervals of the
+padded knots, is represented per interval in the normalized segment basis
+(see ``space.segment_basis_eval``), vanishes with its first two derivatives at
+both support endpoints, and is normalized to 1 at its central knot. The
+normalized representation keeps the per-function linear systems well
+conditioned even when neighboring knot gaps differ by orders of magnitude or
+are very small relative to ``1/alpha``.
 
-Evaluation goes through one per-interval table, the pp-form of de Boor's
-``bsplpp`` (*A Practical Guide to Splines*, 2001): on each interval of
-``[a, b]`` the four live functions are a 4x4 matrix times the four segment
-functions there. The table is gathered from ``coef`` once, when the basis is
-constructed.
+Only the build reads the padded knots. The basis keeps its interior knots,
+``alpha`` and one per-interval table, the pp-form of de Boor's ``bsplpp`` (*A
+Practical Guide to Splines*, 2001): on each interval of ``[a, b]`` the four
+live functions are a 4x4 matrix times the four segment functions there. The
+table is gathered from ``coef`` once, when the basis is constructed, and
+``active_values`` answers a point with its interval and those four values.
 """
 
 from dataclasses import dataclass, field
@@ -28,63 +30,41 @@ from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval
 LOCAL_SYSTEM_COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class AugmentedKnots:
-    """Strictly increasing interior knots plus two extra knots at each end."""
+def _padded_knots(x: np.ndarray) -> np.ndarray:
+    """The interior knots ``x`` with the first and last gap mirrored twice beyond each end.
 
-    interior: np.ndarray
-    extended: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.interior)
-
-    @property
-    def a(self) -> float:
-        return float(self.interior[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.interior[-1])
-
-
-def augment_knots(interior) -> AugmentedKnots:
-    """Extend interior knots by mirroring the first and last gap twice.
-
-    With interior knots ``x1 < ... < xn`` the extension appends ``x1 - g``,
-    ``x1 - 2g`` on the left (``g = x2 - x1``) and symmetrically on the right
-    with the last gap. The uniform-extension rule is deterministic; the
-    interpolant is not very sensitive to the exact placement. A knot span whose
-    extension overflows raises ``DomainError``.
+    With ``x1 < ... < xn`` and ``g = x2 - x1`` the left end gets ``x1 - 2g``,
+    ``x1 - g``, and the right end the same with the last gap. A knot span
+    whose padding overflows raises ``DomainError``.
     """
-    x = check_points("interior knots", interior, 2)
     with np.errstate(over="ignore"):
         gl = x[1] - x[0]
         gr = x[-1] - x[-2]
-        extended = np.concatenate(
+        padded = np.concatenate(
             [[x[0] - 2.0 * gl, x[0] - gl], x, [x[-1] + gr, x[-1] + 2.0 * gr]]
         )
-        if not np.isfinite(extended[-1] - extended[0]):
+        if not np.isfinite(padded[-1] - padded[0]):
             raise DomainError(f"knot span [{x[0]:g}, {x[-1]:g}]: its extension by the "
                               "mirrored end gaps overflows")
-    return AugmentedKnots(interior=x, extended=extended)
+    return padded
 
 
 @dataclass(frozen=True)
 class GBSplineBasis:
-    """The n basis functions over an augmented knot vector.
+    """The n basis functions over the interior knots ``knots``, from ``a`` to ``b``.
 
     ``coef[j, s, k]`` multiplies the ``k``-th normalized segment function on
     the ``s``-th interval of the support of basis function ``j``; the support
-    of function ``j`` (0-based) is ``[extended[j], extended[j+4]]``.
+    of function ``j`` (0-based) is ``[knots[j - 2], knots[j + 2]]``, with the
+    knots beyond either end mirrored as ``build_basis`` pads them.
 
     ``table[i, s]``, shape ``(n - 1, 4, 4)``, holds the coefficients of
-    function ``i + s - 1`` on the ``i``-th interval ``[interior[i],
-    interior[i+1]]``, and is exactly zero where that function does not exist.
-    It is computed from ``coef`` at construction and never changes.
+    function ``i + s - 1`` on the ``i``-th interval ``[knots[i], knots[i+1]]``,
+    and is exactly zero where that function does not exist. It is computed
+    from ``coef`` at construction and never changes.
     """
 
-    knots: AugmentedKnots
+    knots: np.ndarray
     space: ExpSpace
     coef: np.ndarray
     table: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,44 +79,44 @@ class GBSplineBasis:
 
     @property
     def n(self) -> int:
-        return self.knots.n
+        return len(self.knots)
 
     @property
     def a(self) -> float:
-        return self.knots.a
+        return float(self.knots[0])
 
     @property
     def b(self) -> float:
-        return self.knots.b
+        return float(self.knots[-1])
 
     def _locate(self, x):
         """Interval index ``i`` of each point and the 4 segment functions there.
 
         Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
-        E = self.knots.extended
+        K = self.knots
         xa = np.asarray(x, dtype=float)
         if not np.all((xa >= self.a) & (xa <= self.b)):
             raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
-        i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, self.n)
-        h = E[i0 + 1] - E[i0]
-        return i0 - 2, segment_basis_eval(self.space.alpha * h, (xa - E[i0]) / h)
+        i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
+        h = K[i + 1] - K[i]
+        return i, segment_basis_eval(self.space.alpha * h, (xa - K[i]) / h)
 
     def active_values(self, x):
-        """Values of the (at most 4) basis functions alive at each point.
+        """The knot interval of each point and the values there of its 4 basis functions.
 
         Returns
         -------
+        interval : numpy.ndarray of int, shape (m,)
+            Interval ``i`` holds ``[knots[i], knots[i+1]]``; ``b`` is in the last.
         values : numpy.ndarray, shape (m, 4)
-        indices : numpy.ndarray, shape (m, 4)
-            Basis indices matching ``values``; entries outside ``[0, n)`` mark
-            slots with no active function (their value is 0).
+            Values of functions ``i - 1 .. i + 2``; a slot with no function
+            (index -1 or n) holds 0.
 
         A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
-        values = np.einsum("...k,...sk->...s", g, self.table[i])
-        return values, i[..., None] + np.arange(-1, 3)
+        return i, np.einsum("...k,...sk->...s", g, self.table[i])
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
@@ -144,8 +124,8 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
 
     Parameters
     ----------
-    knots : AugmentedKnots or array_like
-        Augmented knots, or raw interior knots (augmented automatically).
+    knots : array_like
+        Interior knots: at least 2, finite and strictly increasing.
     space : ExpSpace
     prior : GBSplineBasis, optional
         A basis built earlier, typically on the same knots before one
@@ -160,9 +140,11 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
 
     Raises
     ------
+    InvalidInputError
+        If the knots are not as above.
     DomainError
-        If ``alpha`` times the longest knot interval exceeds the overflow
-        limit.
+        If the mirrored end knots overflow, or if ``alpha`` times the longest
+        knot interval exceeds the overflow limit.
     BasisConstructionError
         If any local system is singular, not finite, or has condition number
         above 1e12. The message names the function's index in the basis.
@@ -176,10 +158,9 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     system is square and uniquely solvable. Derivative rows are rescaled by
     knot-gap powers and the system is row-equilibrated before solving.
     """
-    if not isinstance(knots, AugmentedKnots):
-        knots = augment_knots(knots)
-    E = knots.extended
-    n = knots.n
+    x = check_points("interior knots", knots, 2)
+    E = _padded_knots(x)
+    n = len(x)
     scale = space.alpha * float(np.max(np.diff(E)))
     if scale > EXP_ARG_LIMIT:
         raise DomainError(
@@ -192,7 +173,7 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     coef = np.empty((n, 4, 4))
     todo = np.arange(n)  # functions whose local system is solved below
     if prior is not None and prior.space == space:
-        old = windows(prior.knots.extended, 5)[:prior.n]
+        old = windows(_padded_knots(prior.knots), 5)[:prior.n]
         pos = np.minimum(np.searchsorted(old[:, 0], sup[:, 0]), prior.n - 1)
         same = np.all(old[pos] == sup, axis=1)
         coef[same] = prior.coef[pos[same]]
@@ -250,4 +231,4 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
         raise BasisConstructionError(
             f"singular local system among basis functions {todo[0]}..{todo[-1]}: {exc}"
         ) from exc
-    return GBSplineBasis(knots=knots, space=space, coef=coef)
+    return GBSplineBasis(knots=x, space=space, coef=coef)

@@ -30,14 +30,7 @@ from .greedy import (
     f_greedy,
     lambda_greedy,
 )
-from .interpolate import (
-    Interpolant,
-    _lebesgue_from_tables,
-    _located_values,
-    collocation_matrix,
-    factorize,
-    fit,
-)
+from .interpolate import Interpolant, collocation_matrix, factorize, fit
 from .kernel import kernel_f_greedy
 from .nodes import NodeSpec, generate
 from .space import ExpSpace
@@ -117,6 +110,14 @@ def _make_dir(path: Path):
 # ---------------------------------------------------------------------------
 # deterministic writers
 
+def _write_text(path: Path, text: str):
+    """Every output file is written here: a path the run cannot write is invalid input."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
 def fmt(value) -> str:
     if value is None or (isinstance(value, float) and np.isnan(value)):
         return ""
@@ -129,7 +130,7 @@ def write_csv(path: Path, header: list[str], rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _svg_scale(vals, lo_px, hi_px, logscale=False):
@@ -175,7 +176,7 @@ def write_svg_chart(path: Path, xs, ys, title: str, logy: bool = False,
     parts.append(f'<text x="5" y="{mt - 8}" font-family="monospace" font-size="11">'
                  f'{ylab}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def write_trace_csv(path: Path, trace: GreedyTrace):
@@ -304,9 +305,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _write_summary(out: Path, summary: dict):
-    out.joinpath("summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n"
-    )
+    _write_text(out / "summary.json",
+                json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n")
 
 
 def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulated,
@@ -335,7 +335,7 @@ def _dispatch(cfg: ExperimentConfig, out: Path, candidates: np.ndarray, tabulate
     basis = build_basis(selected, ExpSpace(cfg.alpha))
     phi = collocation_matrix(basis)
     lu = factorize(phi)
-    lam = _lebesgue_from_tables(lu.lebesgue_tables(), *_located_values(basis, eval_grid))
+    lam = lu.lebesgue(*basis.active_values(eval_grid))
     write_csv(out / "selected.csv", ["x"], [(float(x),) for x in selected])
     write_csv(out / "lebesgue.csv", ["x", "lebesgue"],
               zip(eval_grid.tolist(), lam.tolist()))
@@ -404,9 +404,8 @@ def reproduce_all(out_root: str | None = None) -> dict:
         summary = run_experiment(ExperimentConfig(out=str(root / name), **settings))
         manifest[name] = {key: summary.get(key) for key in
                           ("n_selected", "final_criterion", "lebesgue_constant", "kappa2")}
-    root.joinpath("manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n"
-    )
+    _write_text(root / "manifest.json",
+                json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n")
     return manifest
 
 

@@ -91,6 +91,8 @@ def cond2(matrix) -> float:
         n = a.shape[0]
         if a.shape[1] != n:
             raise InvalidInputError("condition number needs a square matrix")
+        # a power-of-two scaling is exact; LAPACK's own scaling of a subnormal matrix is not
+        a = np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1])
         try:
             s = np.linalg.svd(a, compute_uv=False)
         except np.linalg.LinAlgError:

@@ -17,13 +17,15 @@ The loop hands each refit the selected and the remaining candidate indices,
 and the refit returns its scores at the remaining ones: the residual is the
 new interpolant evaluated there.
 
-The Lebesgue strategy carries two arrays per candidate across insertions: its
-knot-interval index and its 4 basis values there, from ``active_values``.
-After a refit it compares the new basis with the previous one and evaluates
-again, with the same call, only the candidates in intervals whose knots or
-``table`` row changed, so every value has the bits a fresh evaluation would
-give; the others' interval index is only shifted. A score is then ``||S[i] @
-β||_1`` per remaining candidate, with the interval's Lebesgue table.
+The Lebesgue strategy carries two arrays per candidate across insertions, the
+``(interval, values)`` that ``active_values`` gives: its knot-interval index
+and its 4 basis values there. After a refit it compares the new basis with the
+previous one and evaluates again, with the same call, only the candidates in
+intervals whose knots or ``table`` row changed, so every value has the bits a
+fresh evaluation would give; the others' interval index is only shifted. The
+scores are then one ``BandedLU.lebesgue`` call on the refit's factorization:
+``||S[i] @ β||_1`` per remaining candidate, with the interval's Lebesgue
+table.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +36,7 @@ from .basis import build_basis
 from .diagnostics import cond2, sparsity
 from .errors import (InvalidInputError, SplineError, check_integer, check_points, check_values,
                      is_finite_real)
-from .interpolate import (_lebesgue_from_tables, _located_values, collocation_matrix,
-                          factorize, fit)
+from .interpolate import collocation_matrix, factorize, fit
 from .space import ExpSpace
 
 
@@ -187,7 +188,7 @@ def _carried_intervals(prior, basis) -> np.ndarray:
     the same ``table`` row, so its segment functions and basis values at any
     point are the same bits.
     """
-    old, new = prior.knots.interior, basis.knots.interior
+    old, new = prior.knots, basis.knots
     at = np.minimum(np.searchsorted(new, old[:-1]), basis.n - 2)
     same = (new[at] == old[:-1]) & (new[at + 1] == old[1:]) \
         & (basis.table[at] == prior.table).all(axis=(1, 2))
@@ -260,16 +261,14 @@ def lambda_greedy(candidates, config: GreedyConfig):
     interval, values = np.empty(cand.size, dtype=np.intp), np.empty((cand.size, 4))
 
     def lebesgue(prior, basis, lu, selected, remaining):
-        tables = lu.lebesgue_tables()
         stale = remaining
         if prior is not None:
             carried = _carried_intervals(prior, basis)[interval[remaining]]
             interval[remaining] = carried
             stale = remaining[carried < 0]
-        interval[stale], values[stale] = _located_values(basis, cand[stale])
+        interval[stale], values[stale] = basis.active_values(cand[stale])
         # np.take: a fancy index of the rows costs ten times as much
-        return None, _lebesgue_from_tables(tables, interval[remaining],
-                                           np.take(values, remaining, axis=0))
+        return None, lu.lebesgue(interval[remaining], np.take(values, remaining, axis=0))
 
     selected, _, trace = _spline_loop(cand, config, lebesgue)
     return selected, trace

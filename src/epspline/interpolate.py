@@ -23,9 +23,10 @@ cardinal vector at x solves ``Aᵀ u = β(x)``, whose right side lives on the 4
 functions of the interval, and outside them u is a geometric tail of its end
 entries (the inverse of a tridiagonal matrix has rank-one off-diagonal
 blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992). It is applied as
-``S[i] @ β(x)``, the basis values first: at a knot they are then the
-collocation row itself, rounding included, so Λ = 1 there to the accuracy of
-the solve. Forming ``R[i]`` first would round differently where the
+``S[i] @ β(x)``, the basis values first, by ``BandedLU.lebesgue`` from the
+``(interval, values)`` that ``active_values`` gives: at a knot they are then
+the collocation row itself, rounding included, so Λ = 1 there to the accuracy
+of the solve. Forming ``R[i]`` first would round differently where the
 contraction with g cancels heavily, at the right end of an interval with a
 large α·h. The Lebesgue function solves nothing; ``cardinal_values`` keeps
 the transposed solve and is the reference.
@@ -67,7 +68,7 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
     """
     n = basis.n
     rows = basis.table[:, :, 0]  # at knot i < n - 1: functions i - 1 .. i + 2
-    last = basis.active_values(basis.b)[0]  # at knot n - 1: functions n - 3 .. n
+    last = basis.active_values(basis.b)[1]  # at knot n - 1: functions n - 3 .. n
     mat = BandedMatrix(np.append(rows[1:, 0], last[1]), np.append(rows[:, 1], last[2]),
                        rows[:, 2])
     outer = np.abs(np.append(rows[:, 3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
@@ -85,10 +86,10 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
 def basis_matrix(basis: GBSplineBasis, x) -> np.ndarray:
     """Dense (n, m) matrix of all basis functions evaluated at points ``x``."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    values, indices = basis.active_values(xa)
+    interval, values = basis.active_values(xa)
     out = np.zeros((basis.n, len(xa)))
     cols = np.repeat(np.arange(len(xa)), 4)
-    rows = indices.ravel()
+    rows = (interval[:, None] + np.arange(-1, 3)).ravel()
     keep = (rows >= 0) & (rows < basis.n)
     out[rows[keep], cols[keep]] = values.ravel()[keep]
     return out
@@ -175,11 +176,11 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
 def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
     """Sum of absolute cardinal values at each grid point.
 
-    Computed as ``||S[i] @ β(x)||_1`` from the basis values ``β(x)`` of
-    ``basis.active_values`` and one 4x4 table per knot interval, read from
-    the factorization of the collocation matrix (``BandedLU.lebesgue_tables``),
-    in O(n + m) for m points; it solves nothing and forms no n x m array. It
-    agrees with ``sum |cardinal_values|`` up to rounding.
+    Computed as ``||S[i] @ β(x)||_1`` by ``BandedLU.lebesgue`` from the
+    interval ``i`` and basis values ``β(x)`` of ``basis.active_values`` and
+    one 4x4 table per knot interval, read from the factorization of the
+    collocation matrix, in O(n + m) for m points; it solves nothing and forms
+    no n x m array. It agrees with ``sum |cardinal_values|`` up to rounding.
 
     Raises
     ------
@@ -188,22 +189,8 @@ def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
         pivot not above ``banded.PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
-    interval, beta = _located_values(basis, np.atleast_1d(grid))
-    tables = factorize(collocation_matrix(basis)).lebesgue_tables()
-    return _lebesgue_from_tables(tables, interval, beta)
-
-
-def _lebesgue_from_tables(tables, interval, beta) -> np.ndarray:
-    """``||S[i] @ β||_1`` per point, from ``BandedLU.lebesgue_tables`` and each
-    point's interval ``i`` and basis values ``β``, as from ``_located_values``."""
-    # np.take: a fancy index of the rows costs twice as much
-    return np.abs(np.einsum("prs,ps->pr", np.take(tables, interval, axis=0), beta)).sum(axis=1)
-
-
-def _located_values(basis: GBSplineBasis, x):
-    """The interval index and the ``active_values`` of each point."""
-    beta, indices = basis.active_values(x)
-    return indices[:, 0] + 1, beta
+    interval, values = basis.active_values(np.atleast_1d(grid))  # outside [a, b] raises first
+    return factorize(collocation_matrix(basis)).lebesgue(interval, values)
 
 
 def lebesgue_constant(basis: GBSplineBasis, grid) -> float:

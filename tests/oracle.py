@@ -3,7 +3,8 @@
 The library evaluates the basis one way only: ``GBSplineBasis.active_values``
 contracts the segment functions at each point with one 4x4 block of the
 per-interval table ``GBSplineBasis.table``. The functions here evaluate it
-without that table:
+without that table, on the knots padded by ``padded_knots``, this module's own
+copy of the mirrored-gap rule:
 
 - ``evaluate`` takes one basis function at a time, one support interval at a
   time, with a matrix product of ``segment_basis_eval`` and ``coef[j, s]``;
@@ -44,9 +45,17 @@ from epspline.greedy import _greedy_loop
 from epspline.space import segment_basis_eval
 
 
+def padded_knots(basis) -> np.ndarray:
+    """The interior knots with two more beyond each end, at one and two times the end gap."""
+    x = basis.knots
+    left, right = x[1] - x[0], x[-1] - x[-2]
+    return np.concatenate([x[0] - np.array([2.0, 1.0]) * left, x,
+                           x[-1] + np.array([1.0, 2.0]) * right])
+
+
 def support(basis, j: int) -> tuple[float, float]:
     """Closed support interval of basis function ``j``."""
-    E = basis.knots.extended
+    E = padded_knots(basis)
     return float(E[j]), float(E[j + 4])
 
 
@@ -57,7 +66,7 @@ def segment_value(basis, j: int, s: int, tau, deriv_order: int = 0):
     respect to ``x``. Evaluating at ``tau`` 0/1 from both neighboring
     segments is how the smoothness tests probe continuity.
     """
-    E = basis.knots.extended
+    E = padded_knots(basis)
     h = E[j + s + 1] - E[j + s]
     g = segment_basis_eval(basis.space.alpha * h, tau, deriv_order)
     return (g @ basis.coef[j, s]) / h**deriv_order
@@ -68,7 +77,7 @@ def evaluate(basis, j: int, x, deriv_order: int = 0):
 
     Exactly zero outside the support. ``x`` may be a scalar or an array.
     """
-    E = basis.knots.extended
+    E = padded_knots(basis)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xa)
     for s in range(4):
@@ -81,7 +90,7 @@ def evaluate(basis, j: int, x, deriv_order: int = 0):
 
 def active_values_by_gather(basis, x):
     """``active_values`` computed by gathering ``coef[j, seg]`` at every point."""
-    E = basis.knots.extended
+    E = padded_knots(basis)
     xa = np.asarray(x, dtype=float)
     i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, basis.n)
     h = E[i0 + 1] - E[i0]
@@ -92,7 +101,7 @@ def active_values_by_gather(basis, x):
     jc = np.clip(indices, 0, basis.n - 1)
     seg = i0[..., None] - jc
     values = np.einsum("...k,...sk->...s", g, basis.coef[jc, seg])
-    return np.where(valid, values, 0.0), indices
+    return i0 - 2, np.where(valid, values, 0.0)
 
 
 def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
@@ -118,7 +127,8 @@ def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:
 def collocation_by_values(basis):
     """``(lower, diag, upper)`` of the matrix of ``active_values`` at the interior knots."""
     n = basis.n
-    values, indices = basis.active_values(basis.knots.interior)
+    interval, values = basis.active_values(basis.knots)
+    indices = interval[:, None] + np.arange(-1, 3)
     rows = np.broadcast_to(np.arange(n)[:, None], indices.shape)
     keep = (indices >= 0) & (indices < n) & (np.abs(indices - rows) <= 1)
     dense = np.zeros((n, n))

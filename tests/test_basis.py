@@ -9,44 +9,63 @@ from epspline import (
     DomainError,
     ExpSpace,
     InvalidInputError,
-    augment_knots,
     build_basis,
 )
 from epspline.space import segment_basis_eval
-from oracle import evaluate, segment_value, support
+from oracle import evaluate, padded_knots, segment_value, support
 
 
 class TestAugmentKnots:
-    def test_uniform_extension(self):
-        got = augment_knots([-1.0, 0.0, 1.0])
-        assert np.array_equal(got.extended, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
+    """``build_basis`` pads the interior knots with their first and last gap
+    mirrored twice beyond each end, and rejects knots it cannot pad."""
 
-    def test_asymmetric_gaps(self):
-        got = augment_knots([0.0, 1.0, 3.0])
-        assert np.array_equal(got.extended, [-2.0, -1.0, 0.0, 1.0, 3.0, 5.0, 7.0])
+    @staticmethod
+    def assert_outer_supports(knots, left, right, space):
+        # the supports of the end functions reach the mirrored knots, where they vanish
+        basis = build_basis(knots, space)
+        assert support(basis, 0) == left and support(basis, basis.n - 1) == right
+        for j, ends in ((0, left), (basis.n - 1, right)):
+            for x in ends:
+                for d in range(3):
+                    assert abs(evaluate(basis, j, x, d)) < 1e-9
+        # with the mirrored knots made interior, the end functions have the same
+        # supports, so the same local systems and coefficients
+        gl, gr = knots[1] - knots[0], knots[-1] - knots[-2]
+        wide = build_basis([knots[0] - 2 * gl, knots[0] - gl, *knots,
+                            knots[-1] + gr, knots[-1] + 2 * gr], space)
+        assert np.array_equal(basis.coef[0], wide.coef[2])
+        assert np.array_equal(basis.coef[-1], wide.coef[-3])
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(InvalidInputError):
-            augment_knots([0.0, 0.0, 1.0])
+    def test_uniform_extension(self, space2):
+        self.assert_outer_supports([-1.0, 0.0, 1.0], (-3.0, 1.0), (-1.0, 3.0), space2)
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(InvalidInputError):
-            augment_knots([0.0, 2.0, 1.0])
+    def test_asymmetric_gaps(self, space2):
+        self.assert_outer_supports([0.0, 1.0, 3.0], (-2.0, 3.0), (0.0, 7.0), space2)
 
-    def test_too_few_rejected(self):
-        with pytest.raises(InvalidInputError):
-            augment_knots([0.0])
+    def test_duplicate_rejected(self, space2):
+        with pytest.raises(InvalidInputError, match="interior knots must be sorted"):
+            build_basis([0.0, 0.0, 1.0], space2)
 
-    def test_interior_embedded_in_extended(self):
-        got = augment_knots(np.linspace(0, 5, 9))
-        assert np.array_equal(got.extended[2:-2], got.interior)
-        assert np.all(np.diff(got.extended) > 0)
+    def test_unsorted_rejected(self, space2):
+        with pytest.raises(InvalidInputError, match="interior knots must be sorted"):
+            build_basis([0.0, 2.0, 1.0], space2)
+
+    def test_too_few_rejected(self, space2):
+        with pytest.raises(InvalidInputError, match="at least 2 interior knots"):
+            build_basis([0.0], space2)
+
+    def test_interior_embedded_in_extended(self, space2):
+        knots = np.linspace(0, 5, 9)
+        basis = build_basis(knots, space2)
+        assert np.array_equal(basis.knots, knots)
+        assert [support(basis, j) for j in range(2, 7)] == \
+            [(knots[j - 2], knots[j + 2]) for j in range(2, 7)]
 
     @pytest.mark.parametrize("knots", [[0.0, 1e308], [-1e308, -0.9e308, 0.9e308, 1e308]])
     def test_overflowing_extension_rejected(self, knots):
         # a mirrored knot beyond the largest double, or a span past it
         with pytest.raises(DomainError, match=r"knot span \[.*\]: its extension"):
-            augment_knots(knots)
+            build_basis(knots, ExpSpace(1e-300))
 
     def test_overflowing_extension_named_by_build_basis(self):
         # not a segment argument past the overflow limit, reached through inf knots
@@ -64,7 +83,7 @@ class TestBuildBasis:
 
     def test_unit_value_at_center(self, basis8):
         for j in range(basis8.n):
-            xj = basis8.knots.interior[j]
+            xj = basis8.knots[j]
             assert evaluate(basis8, j, xj) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_matches_interior_count(self, space2):
@@ -80,7 +99,7 @@ class TestBuildBasis:
         xs = np.linspace(lo, hi, 400)
         vals = evaluate(basis8, j, xs)
         assert np.all(vals >= -1e-12)
-        center = basis8.knots.interior[j]
+        center = basis8.knots[j]
         width = hi - lo
         assert abs(xs[np.argmax(vals)] - center) < 0.05 * width
 
@@ -96,7 +115,7 @@ class TestBuildBasis:
                     assert abs(left - right) <= 1e-8 * scale
 
     def test_locality_at_interior_knots(self, basis8):
-        x = basis8.knots.interior
+        x = basis8.knots
         for j in range(basis8.n):
             for i in range(basis8.n):
                 if abs(i - j) >= 2:
@@ -107,11 +126,6 @@ class TestBuildBasis:
         # so rebuilding must reproduce the same coefficients
         again = build_basis(basis8.knots, basis8.space)
         assert np.allclose(again.coef, basis8.coef, rtol=0.0, atol=0.0)
-
-    def test_accepts_raw_interior(self, space2):
-        direct = build_basis(np.linspace(-1, 1, 5), space2)
-        via_knots = build_basis(augment_knots(np.linspace(-1, 1, 5)), space2)
-        assert np.array_equal(direct.coef, via_knots.coef)
 
     def test_alpha_interval_hard_limit(self):
         with pytest.raises(DomainError):
@@ -138,7 +152,7 @@ class TestEvaluate:
 
     def test_two_sided_agreement_at_interior_knot(self, basis8):
         # same point evaluated through both adjacent segment representations
-        E = basis8.knots.extended
+        E = padded_knots(basis8)
         for j in range(basis8.n):
             for m in range(1, 4):
                 left = segment_value(basis8, j, m - 1, 1.0)
@@ -191,7 +205,7 @@ class TestPriorReuse:
             return segment_basis_eval(z, tau, deriv_order)
 
         prior = build_basis(np.linspace(-1.0, 1.0, 50), space2)
-        knots = _insert(prior.knots.interior, 0.01)
+        knots = _insert(prior.knots, 0.01)
         monkeypatch.setattr(basis_mod, "segment_basis_eval", counting)
         scratch = build_basis(knots, space2)
         per_function = sum(points) / scratch.n

@@ -395,6 +395,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "bad"), *extra]) == 1
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("argv, blocked", [
+        (["nodes", "--nodes", "equispaced:5"], "selected.csv"),
+        (["lgreedy", "--nodes", "equispaced:40"], "summary.json"),
+    ], ids=["nodes-selected", "lgreedy-summary"])
+    def test_unwritable_output_file_is_one(self, tmp_path, capsys, argv, blocked):
+        # a directory where the run writes one of its files
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: cannot write {out / blocked}: ") \
+            and err.count("\n") == 1
+
     def test_greedy_failure_writes_partial_trace(self, tmp_path, monkeypatch):
         import epspline.greedy as greedy_mod
         from epspline import SingularSystemError

@@ -32,6 +32,7 @@ from epspline import (
 from epspline.diagnostics import _interleaved_eigenvalue, _scaled_diagonals
 from epspline.greedy import GreedyConfig
 from epspline.nodes import chebyshev_lobatto, equispaced
+from oracle import padded_knots
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -56,6 +57,15 @@ class TestCond2:
         a = np.eye(4)
         a[1, 2] = bad
         assert cond2(a) == float("inf")
+
+    def test_subnormal_matrix(self):
+        # [[1, 1], [0, 1]] has κ₂ = φ²; on subnormal entries LAPACK's own
+        # scaling left the dense SVD 1e-11 relative off
+        d = 2.2250738585e-313
+        m = BandedMatrix([0.0], [d, d], [d])
+        golden2 = (3.0 + np.sqrt(5.0)) / 2.0
+        assert cond2(m.to_dense()) == pytest.approx(golden2, rel=4 * EPS)
+        assert cond2(m) == pytest.approx(golden2, rel=4 * EPS)
 
     def test_accepts_banded(self, colloc8):
         assert cond2(colloc8) == pytest.approx(cond2(colloc8.to_dense()), rel=1e-12)
@@ -186,9 +196,10 @@ class TestGramSwitch:
         assert (kappa <= diagnostics.GRAM_COND2_MAX) == (calls == 2)
 
 
-def _cubic_collocation(knots):
-    """Cubic B-spline collocation matrix, each column normalized to 1 at its central knot."""
-    E, x = knots.extended, knots.interior
+def _cubic_collocation(basis):
+    """Cubic B-spline collocation matrix on the basis' knots, padded as in the oracle,
+    each column normalized to 1 at its central knot."""
+    E, x = padded_knots(basis), basis.knots
     a = np.zeros((len(x), len(x)))
     for j in range(len(x)):
         b = BSpline.basis_element(E[j:j + 5], extrapolate=False)
@@ -205,7 +216,7 @@ def test_collocation_and_cond2_match_cubic_oracle(alpha):
     tol = 0.1 * (alpha * np.diff(x).max()) ** 2
     basis = build_basis(x, ExpSpace(alpha))
     a = collocation_matrix(basis).to_dense()
-    ref = _cubic_collocation(basis.knots)
+    ref = _cubic_collocation(basis)
     assert np.abs(a - ref).max() <= tol
     assert cond2(a) == pytest.approx(cond2(ref), rel=tol)
 
@@ -257,7 +268,7 @@ class TestErrorBound:
         for _ in range(3):
             coef = rng.normal(size=8)
             target = Interpolant(basis=basis8, coefficients=coef)
-            y = target(basis8.knots.interior)
+            y = target(basis8.knots)
             interp = fit(basis8, y)
             report = check_error_bound(target, interp, grid400)
             assert report.holds
@@ -306,7 +317,7 @@ def test_minimax_proxy_below_interpolation_error(space2, nodes, f):
     # best sup-norm fit cannot be worse than the interpolant itself
     basis = build_basis(nodes, space2)
     proxy = minimax_proxy(basis, f)
-    interp = fit(basis, f(basis.knots.interior))
+    interp = fit(basis, f(basis.knots))
     dense = np.linspace(-1, 1, 2001)
     interp_err = np.abs(f(dense) - interp(dense)).max()
     assert proxy <= interp_err * (1 + 1e-9)
