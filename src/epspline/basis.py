@@ -16,6 +16,13 @@ Practical Guide to Splines*, 2001): on each interval of ``[a, b]`` the four
 live functions are a 4x4 matrix times the four segment functions there. The
 table is gathered from ``coef`` once, when the basis is constructed, and
 ``active_values`` answers a point with its interval and those four values.
+
+Every evaluator calls ``GBSplineBasis._locate``: it finds each point's
+interval, gathers that interval's knot and length with ``np.take`` and
+evaluates the four segment functions at all points in one call, as four
+contiguous arrays. Its callers gather their coefficients the same way, one
+contiguous array per segment function, and combine the two with
+``space.segment_combination``.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisConstructionError, DomainError, check_points
-from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval
+from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval, segment_combination
 
 # Condition-number ceiling for the per-function 16x16 local systems
 # (measured after row equilibration, i.e. on the system actually solved).
@@ -92,6 +99,7 @@ class GBSplineBasis:
     def _locate(self, x):
         """Interval index ``i`` of each point and the 4 segment functions there.
 
+        The segment functions are function-first, shape ``(4,) + shape(x)``.
         Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         K = self.knots
@@ -99,8 +107,8 @@ class GBSplineBasis:
         if not np.all((xa >= self.a) & (xa <= self.b)):
             raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
         i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
-        h = K[i + 1] - K[i]
-        return i, segment_basis_eval(self.space.alpha * h, (xa - K[i]) / h)
+        h = np.take(np.diff(K), i)
+        return i, segment_basis_eval(self.space.alpha * h, (xa - np.take(K, i)) / h)
 
     def active_values(self, x):
         """The knot interval of each point and the values there of its 4 basis functions.
@@ -116,7 +124,9 @@ class GBSplineBasis:
         A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
-        return i, np.einsum("...k,...sk->...s", g, self.table[i])
+        # function-first like g: coef[k, ..., s] = table[i, s, k]
+        coef = np.take(self.table.transpose(2, 0, 1), i, axis=1)
+        return i, segment_combination(coef, g[..., None])
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
@@ -156,7 +166,10 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     interior support knots) plus normalization to 1 at the central knot. The
     homogeneous part has a one-dimensional nullspace, so the normalized
     system is square and uniquely solvable. Derivative rows are rescaled by
-    knot-gap powers and the system is row-equilibrated before solving.
+    knot-gap powers and the system is row-equilibrated before solving. The
+    segment functions are evaluated at the right end of each support
+    interval only; at its left end they and their derivatives are exact
+    constants.
     """
     x = check_points("interior knots", knots, 2)
     E = _padded_knots(x)
@@ -182,11 +195,19 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     k = len(todo)
     h = np.diff(sup[todo], axis=1)  # (k, 4) interval lengths
     z = space.alpha * h
+    # seg[tau][d][:, s]: the d-th derivatives of the 4 segment functions at
+    # tau on support interval s, shape (k, 4); at tau = 0 they are exactly
+    # (1, 0, 0, 0), (0, 1, 0, 0) and (z*z, 0, 2, 0)
+    start = np.zeros((3, k, 4, 4))
+    start[0, ..., 0] = start[1, ..., 1] = 1.0
+    start[2, ..., 0] = z * z
+    start[2, ..., 2] = 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        seg = {(tau, d): segment_basis_eval(z, tau, d) for tau in (0.0, 1.0) for d in range(3)}
+        end = [np.moveaxis(segment_basis_eval(z, 1.0, d), 0, -1) for d in range(3)]
+    seg = {0.0: start, 1.0: end}
 
     def beta(s, tau, d):
-        return seg[tau, d][:, s]  # (k, 4)
+        return seg[tau][d][:, s]
 
     A = np.zeros((k, 16, 16))
     for d in range(3):

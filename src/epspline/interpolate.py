@@ -6,15 +6,21 @@ tridiagonal: at knot ``i`` only functions ``i - 1``, ``i`` and ``i + 1`` are
 nonzero. The fourth function alive there, ``i + 2`` (``n - 3`` at the last
 knot), sits at an end of its support and vanishes in exact arithmetic. Knot
 ``i < n - 1`` starts interval ``i``, where the segment functions are ``(1, 0,
-0, 0)``, so its row is ``table[i, :, 0]``; the last row is evaluated at ``b``.
+0, 0)``, so its row is ``table[i, :, 0]``. The last knot ends interval ``n -
+2``: its row is the segment functions at ``tau = 1`` there combined with
+``table[n - 2]``, the values ``active_values(b)`` gives, without locating
+``b``.
 Assembly keeps the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
 
 An interpolant is one row of 4 numbers per knot interval, ``pp[i] = sum_s
 c[i+s-1] * table[i, s]`` (see ``GBSplineBasis.table``), formed when it is
-constructed; evaluating it at a point is one dot product of that row with the
-4 segment functions there.
+constructed. Evaluating it is one pass over all points: the rows of the
+points' intervals are gathered function-first, one contiguous array per
+segment function, and ``space.segment_combination`` sums the four products
+of each point as ``(q0 + q2) + (q1 + q3)``, the order in which numpy's
+``einsum`` sums a contiguous length-4 axis.
 
 The Lebesgue function is ``||R[i] @ g(x)||_1`` with ``R[i] = S[i] @ table[i]``
 and ``S[i]`` one 4x4 table per knot interval, read in O(n) from the
@@ -39,6 +45,7 @@ import numpy as np
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
 from .errors import BasisConstructionError, DomainError, InvalidInputError, check_values
+from .space import segment_basis_eval, segment_combination
 
 # A basis value outside the three diagonals above this multiple of the
 # collocation matrix norm means the basis does not vanish at its support ends.
@@ -68,7 +75,9 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
     """
     n = basis.n
     rows = basis.table[:, :, 0]  # at knot i < n - 1: functions i - 1 .. i + 2
-    last = basis.active_values(basis.b)[1]  # at knot n - 1: functions n - 3 .. n
+    # at knot n - 1, tau = 1 on the last interval: functions n - 3 .. n
+    g = segment_basis_eval(basis.space.alpha * np.diff(basis.knots)[-1], 1.0)
+    last = segment_combination(basis.table[-1].T.copy(), g[:, None])
     mat = BandedMatrix(np.append(rows[1:, 0], last[1]), np.append(rows[:, 1], last[2]),
                        rows[:, 2])
     outer = np.abs(np.append(rows[:, 3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
@@ -127,7 +136,7 @@ class Interpolant:
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
         xa = np.atleast_1d(x)
         i, g = self.basis._locate(xa)
-        out = np.einsum("...k,...k->...", g, self.pp[i])
+        out = segment_combination(np.take(self.pp.T, i, axis=1), g)
         if not np.all(np.isfinite(out)):
             raise DomainError(f"interpolant not finite at x = {float(xa[~np.isfinite(out)][0])!r}")
         return out if np.ndim(x) else float(out[0])

@@ -4,6 +4,12 @@ Every spline segment produced by this package lives in the span of the four
 generators ``exp(a*t)``, ``t*exp(a*t)``, ``exp(-a*t)``, ``t*exp(-a*t)`` for a
 fixed rate ``a > 0``, always evaluated in segment-local coordinates so the
 exponents stay small.
+
+Evaluation is one pass over many points: ``segment_basis_eval`` returns the
+four segment functions function-first, one contiguous array each, and
+``segment_combination`` multiplies them by coefficients gathered in the same
+layout and sums the four products in one fixed order. Every evaluator of a
+basis or an interpolant goes through these two functions.
 """
 
 from dataclasses import dataclass
@@ -43,6 +49,11 @@ def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
     ``cosh(z tau)``, ``sinh(z tau)/z``, ``tau sinh(z tau)/z``,
     ``3 (tau cosh(z tau) - sinh(z tau)/z) / z^2``.
 
+    The result is function-first: shape ``(4,) + broadcast(z, tau).shape``,
+    each function one contiguous array. The fourth function is a series where
+    ``|z tau| < 0.1``, where the closed form cancels, and the closed form
+    elsewhere; each is computed only if some point needs it.
+
     Derivatives are taken with respect to ``tau``; callers divide by ``h**d``
     to differentiate in ``x``.
     """
@@ -53,25 +64,51 @@ def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
     x = z * tau
     if np.any(np.abs(x) > EXP_ARG_LIMIT):
         raise DomainError(f"|z*tau| exceeds {EXP_ARG_LIMIT:g}")
-    ch = np.cosh(x)
-    sh_z = np.sinh(x) / z
-    tch = tau * ch
-    b1 = ch
-    b2 = sh_z
-    b3 = tau * sh_z
-    # the closed form of the fourth function cancels badly for small z*tau
-    x2 = x * x
-    series = tau**3 * (1.0 + x2 * (1.0 / 10.0 + x2 * (1.0 / 280.0 + x2 * (
-        1.0 / 15120.0 + x2 / 1330560.0))))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        closed = 3.0 * (tch - sh_z) / (z * z)
-    b4 = np.where(np.abs(x) < 0.1, series, closed)
-    if deriv_order == 0:
-        cols = (b1, b2, b3, b4)
-    elif deriv_order == 1:
-        cols = (z * z * b2, b1, b2 + tch, 3.0 * b3)
-    else:
+    out = np.empty((4,) + x.shape)
+    b1, b2, b3, b4 = (out[k, ...] for k in range(4))  # views, 0-d for scalar z and tau
+    np.cosh(x, out=b1)
+    np.sinh(x, out=b2)
+    b2 /= z
+    np.multiply(tau, b2, out=b3)
+    if deriv_order == 1:
+        return np.stack(np.broadcast_arrays(z * z * b2, b1, b2 + tau * b1, 3.0 * b3))
+    if deriv_order == 2:
         z2 = z * z
-        cols = (z2 * b1, z2 * b2, 2.0 * b1 + z2 * b3, 3.0 * (b2 + tch))
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+        return np.stack(np.broadcast_arrays(z2 * b1, z2 * b2, 2.0 * b1 + z2 * b3,
+                                            3.0 * (b2 + tau * b1)))
+    small = np.abs(x) < 0.1
+    if small.any():
+        # the series in x^2 by Horner; tau**3 through np.power, as tau*tau*tau rounds otherwise
+        x2 = x * x
+        np.divide(x2, 1330560.0, out=b4)
+        for c in (1.0 / 15120.0, 1.0 / 280.0, 1.0 / 10.0):
+            b4 += c
+            b4 *= x2
+        b4 += 1.0
+        b4 *= np.power(tau, 3)
+    if not small.all():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            closed = tau * b1
+            closed -= b2
+            closed *= 3.0
+            closed /= z * z
+        np.copyto(b4, closed, where=~small)
+    return out
 
+
+def segment_combination(coef, g) -> np.ndarray:
+    """The sum over ``k`` of ``coef[k] * g[k]``: the segment functions ``g`` combined by ``coef``.
+
+    Both are function-first, ``g`` as ``segment_basis_eval`` returns it;
+    ``g`` broadcasts against ``coef``, and the products are formed in place
+    in ``coef``, which the caller passes fresh. The sum is ``(q0 + q2) + (q1
+    + q3)``, the order of numpy's ``einsum`` on a contiguous length-4 axis.
+    Like ``einsum`` it raises no floating-point warning: an overflow shows
+    only as a non-finite value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef *= g
+        out = coef[0] + coef[2]
+        coef[1] += coef[3]
+        out += coef[1]
+    return out

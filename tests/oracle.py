@@ -9,9 +9,15 @@ copy of the mirrored-gap rule:
 - ``evaluate`` takes one basis function at a time, one support interval at a
   time, with a matrix product of ``segment_basis_eval`` and ``coef[j, s]``;
 - ``active_values_by_gather`` gathers the 4x4 block of every point from
-  ``coef`` and zeroes the slots with no function afterwards. Its ``einsum``
-  runs over the same numbers in the same order as the library's, so the two
-  must agree bit for bit.
+  ``coef`` and zeroes the slots with no function afterwards;
+- ``interpolant_by_rows`` evaluates an interpolant point by point: the
+  segment functions stacked as one row of 4 per point, times ``pp[i]``.
+
+The last two lay the segment functions out point-major, as rows, where the
+library keeps one contiguous array per function, and they index where the
+library gathers with ``np.take``. They sum the 4 products of a point as
+``(q0 + q2) + (q1 + q3)``, the library's order (``sum4``), so each must agree
+with the library bit for bit.
 
 ``raw_generators`` evaluates the four exponential generators directly, the
 reference for the span of the normalized segment basis.
@@ -59,6 +65,16 @@ def support(basis, j: int) -> tuple[float, float]:
     return float(E[j]), float(E[j + 4])
 
 
+def segment_rows(z, tau, deriv_order: int = 0) -> np.ndarray:
+    """``segment_basis_eval`` stacked point-major: shape ``broadcast(z, tau).shape + (4,)``."""
+    return np.stack(list(segment_basis_eval(z, tau, deriv_order)), axis=-1)
+
+
+def sum4(q):
+    """``(q0 + q2) + (q1 + q3)`` over the last axis of length 4."""
+    return (q[..., 0] + q[..., 2]) + (q[..., 1] + q[..., 3])
+
+
 def segment_value(basis, j: int, s: int, tau, deriv_order: int = 0):
     """Value of basis function ``j`` on its ``s``-th support interval.
 
@@ -68,7 +84,7 @@ def segment_value(basis, j: int, s: int, tau, deriv_order: int = 0):
     """
     E = padded_knots(basis)
     h = E[j + s + 1] - E[j + s]
-    g = segment_basis_eval(basis.space.alpha * h, tau, deriv_order)
+    g = segment_rows(basis.space.alpha * h, tau, deriv_order)
     return (g @ basis.coef[j, s]) / h**deriv_order
 
 
@@ -95,13 +111,25 @@ def active_values_by_gather(basis, x):
     i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, basis.n)
     h = E[i0 + 1] - E[i0]
     tau = (xa - E[i0]) / h
-    g = segment_basis_eval(basis.space.alpha * h, tau)
+    g = segment_rows(basis.space.alpha * h, tau)
     indices = i0[..., None] - np.arange(3, -1, -1)
     valid = (indices >= 0) & (indices < basis.n)
     jc = np.clip(indices, 0, basis.n - 1)
     seg = i0[..., None] - jc
-    values = np.einsum("...k,...sk->...s", g, basis.coef[jc, seg])
+    values = sum4(g[..., None, :] * basis.coef[jc, seg])
     return i0 - 2, np.where(valid, values, 0.0)
+
+
+def interpolant_by_rows(interp, x):
+    """``interp(x)`` from one row of segment functions per point times ``pp[i]``."""
+    K = interp.basis.knots
+    xa = np.asarray(x, dtype=float)
+    i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, len(K) - 2)
+    h = K[i + 1] - K[i]
+    g = segment_rows(interp.basis.space.alpha * h, (xa - K[i]) / h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sum4(g * interp.pp[i])
+    return out if np.ndim(x) else float(out)
 
 
 def raw_generators(alpha: float, t, deriv_order: int = 0) -> np.ndarray:

@@ -25,8 +25,8 @@ from epspline.banded import BandedLU
 from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
-from oracle import (active_values_by_gather, collocation_by_values, evaluate, lebesgue_by_solve,
-                    segment_value)
+from oracle import (active_values_by_gather, collocation_by_values, evaluate, interpolant_by_rows,
+                    lebesgue_by_solve, segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -252,7 +252,7 @@ class TestFit:
         def rounding(coefficients):
             window = np.lib.stride_tricks.sliding_window_view(
                 np.pad(np.abs(coefficients), 1), 4)[i]
-            return np.einsum("pk,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
+            return np.einsum("kp,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
 
         beta = np.abs(basis.active_values(x)[1]).sum(axis=1)
         bound = eps * (4 * np.linalg.cond(dense, np.inf) * np.abs(c).max() * beta
@@ -343,8 +343,24 @@ class TestPerIntervalForm:
         # 17 eps times the sum M of their absolute values (Higham's gamma_17).
         i, g = basis._locate(x)
         window = np.lib.stride_tricks.sliding_window_view(np.pad(np.abs(c), 1), 4)[i]
-        m = np.einsum("pk,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
+        m = np.einsum("kp,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
         assert np.all(np.abs(got - expect) <= 2 * 17 * np.finfo(float).eps * m)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[-2.0, 0.0], log_alpha_h=1.0)  # |z tau| on both sides of 0.1 in one call
+    @example(log_gaps=[-1.0, -0.5], log_alpha_h=-2.0)  # the series only
+    def test_interpolant_equals_rows_oracle_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # the same products summed in the same order: equal bit for bit, signed zeros included
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        c = np.random.default_rng(basis.n).standard_normal(basis.n)
+        interp = Interpolant(basis=basis, coefficients=c)
+        x = np.concatenate(knots_and_inside(basis))
+        points = [x, x.reshape(-1, 1), x[:len(x) // 2 * 2].reshape(2, -1)]
+        for p in points + [float(v) for v in x[::5]]:
+            got, want = interp(p), interpolant_by_rows(interp, p)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_smallest_tables(self, space2, n):
@@ -607,7 +623,7 @@ def rounding_spread(basis, x, weights):
     K = basis.knots
     h = K[i + 1] - K[i]
     g_tau = segment_basis_eval(basis.space.alpha * h, (x - K[i]) / h, 1)
-    return np.einsum("ps,psk,pk->p", weights(i), np.abs(basis.table[i]), np.abs(g) + np.abs(g_tau))
+    return np.einsum("ps,psk,kp->p", weights(i), np.abs(basis.table[i]), np.abs(g) + np.abs(g_tau))
 
 
 class TestMirrorSymmetry:

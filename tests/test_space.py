@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epspline import DomainError, ExpSpace, InvalidInputError
 from epspline.space import segment_basis_eval
@@ -81,6 +83,15 @@ def test_bad_deriv_order():
         segment_basis_eval(1.0, 0.0, 3)
 
 
+@given(z=st.floats(1e-8, 700.0))
+def test_rows_at_zero_are_exact(z):
+    # build_basis writes these rows as constants instead of evaluating them
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [z * z, 0.0, 2.0, 0.0]]
+    for d, row in enumerate(rows):
+        got = segment_basis_eval(z, 0.0, d)
+        assert np.array_equal(got.view(np.uint64), np.array(row).view(np.uint64)), (d, got)
+
+
 class TestSegmentBasis:
     # 40-digit reference values for the fourth function, which switches
     # between a series and a closed form around |z*tau| = 0.1
@@ -102,7 +113,7 @@ class TestSegmentBasis:
     def test_polynomial_limit_for_tiny_rate(self):
         tau = np.linspace(0.0, 1.0, 11)
         got = segment_basis_eval(1e-8, tau, 0)
-        expect = np.stack([np.ones_like(tau), tau, tau**2, tau**3], axis=-1)
+        expect = np.stack([np.ones_like(tau), tau, tau**2, tau**3])
         assert np.allclose(got, expect, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("z", [1e-4, 0.09, 0.11, 1.0, 6.0])
@@ -124,8 +135,8 @@ class TestSegmentBasis:
         tau_check = np.array([0.1, 0.45, 0.77, 0.93])
         raw_fit = raw_generators(alpha, h * tau_fit, 0)
         raw_check = raw_generators(alpha, h * tau_check, 0)
-        seg_fit = segment_basis_eval(z, tau_fit, 0)
-        seg_check = segment_basis_eval(z, tau_check, 0)
+        seg_fit = segment_basis_eval(z, tau_fit, 0).T
+        seg_check = segment_basis_eval(z, tau_check, 0).T
         transform = np.linalg.solve(raw_fit, seg_fit)
         predicted = raw_check @ transform
         assert np.allclose(predicted, seg_check, rtol=1e-6, atol=1e-9)
