@@ -22,7 +22,8 @@ interval, gathers that interval's knot and length with ``np.take`` and
 evaluates the four segment functions at all points in one call, as four
 contiguous arrays. Its callers gather their coefficients the same way, one
 contiguous array per segment function, and combine the two with
-``space.segment_combination``.
+``space.segment_combination``. ``_locate`` searches the inner knots among
+ascending points (the package's own) and any other point among the knots.
 """
 
 from dataclasses import dataclass, field
@@ -101,12 +102,24 @@ class GBSplineBasis:
 
         The segment functions are function-first, shape ``(4,) + shape(x)``.
         Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
+
+        Points ascending in C order are located the other way round: the n - 2
+        inner knots are searched among them and ``np.repeat`` expands the runs
+        (de Boor's ``INTERV``). A scalar or any other order has one binary search
+        per point. Both give ``knots[i] <= x < knots[i + 1]``, ``b`` in the last.
         """
         K = self.knots
         xa = np.asarray(x, dtype=float)
         if not np.all((xa >= self.a) & (xa <= self.b)):
             raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
-        i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
+        flat = xa.ravel()
+        if xa.ndim and np.all(flat[1:] >= flat[:-1]):
+            bounds = np.empty(self.n, dtype=np.intp)  # bounds[j]: first point at or past knot j
+            bounds[0], bounds[-1] = 0, flat.size
+            bounds[1:-1] = np.searchsorted(flat, K[1:-1], side="left")
+            i = np.repeat(np.arange(self.n - 1), np.diff(bounds)).reshape(xa.shape)
+        else:
+            i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
         h = np.take(np.diff(K), i)
         return i, segment_basis_eval(self.space.alpha * h, (xa - np.take(K, i)) / h)
 
@@ -115,9 +128,10 @@ class GBSplineBasis:
 
         Returns
         -------
-        interval : numpy.ndarray of int, shape (m,)
+        interval : numpy.ndarray of int, shape ``shape(x)``
             Interval ``i`` holds ``[knots[i], knots[i+1]]``; ``b`` is in the last.
-        values : numpy.ndarray, shape (m, 4)
+            A numpy integer for a scalar ``x``.
+        values : numpy.ndarray, shape ``shape(x) + (4,)``
             Values of functions ``i - 1 .. i + 2``; a slot with no function
             (index -1 or n) holds 0.
 

@@ -13,6 +13,10 @@ copy of the mirrored-gap rule:
 - ``interpolant_by_rows`` evaluates an interpolant point by point: the
   segment functions stacked as one row of 4 per point, times ``pp[i]``.
 
+``interval_by_search`` locates every point by its own binary search among
+the knots, the reference for ``GBSplineBasis._locate``, which locates an
+ascending point set by searching the knots among the points instead.
+
 The last two lay the segment functions out point-major, as rows, where the
 library keeps one contiguous array per function, and they index where the
 library gathers with ``np.take``. They sum the 4 products of a point as
@@ -120,11 +124,18 @@ def active_values_by_gather(basis, x):
     return i0 - 2, np.where(valid, values, 0.0)
 
 
+def interval_by_search(knots, x):
+    """The interval ``i`` of each point, ``knots[i] <= x < knots[i + 1]`` and ``b`` in the
+    last, by one binary search per point: the shape of ``x``, whatever its order."""
+    return np.clip(np.searchsorted(knots, np.asarray(x, dtype=float), side="right") - 1,
+                   0, len(knots) - 2)
+
+
 def interpolant_by_rows(interp, x):
     """``interp(x)`` from one row of segment functions per point times ``pp[i]``."""
     K = interp.basis.knots
     xa = np.asarray(x, dtype=float)
-    i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, len(K) - 2)
+    i = interval_by_search(K, xa)
     h = K[i + 1] - K[i]
     g = segment_rows(interp.basis.space.alpha * h, (xa - K[i]) / h)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -26,7 +26,7 @@ from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
 from oracle import (active_values_by_gather, collocation_by_values, evaluate, interpolant_by_rows,
-                    lebesgue_by_solve, segment_value)
+                    interval_by_search, lebesgue_by_solve, segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -56,12 +56,15 @@ EVALUATORS = {
 
 def assert_domain_is_a_to_b(basis, evaluate_at):
     """``evaluate_at`` takes a and b exactly, and raises ``DomainError`` just outside, far
-    outside (5.0 on [-1, 1]) and at NaN, for a scalar and inside an array."""
+    outside (5.0 on [-1, 1]) and at NaN, for a scalar and first and last in an array.
+
+    Of ``[a, x]`` and ``[x, a]`` one is ascending for a point beyond either end
+    and neither is for NaN, so both of ``_locate``'s searches meet every bad point."""
     a, b = basis.a, basis.b
     for inside in (a, b, np.array([a, b])):
         evaluate_at(basis, inside)
     for x in (np.nextafter(b, np.inf), np.nextafter(a, -np.inf), a + 3.0 * (b - a), np.nan):
-        for points in (x, np.array([a, x])):
+        for points in (x, np.array([a, x]), np.array([x, a])):
             with pytest.raises(DomainError):
                 evaluate_at(basis, points)
 
@@ -77,6 +80,72 @@ def test_domain_is_a_to_b_across_gap_ratios(log_gaps, log_alpha_h):
     basis = gap_ratio_basis(log_gaps, log_alpha_h)
     for evaluate_at in EVALUATORS.values():
         assert_domain_is_a_to_b(basis, evaluate_at)
+
+
+def point_orders(basis, rng):
+    """Point sets in several orders on a gap-ratio basis, whose ``a`` is the knot 0.0:
+    every knot, points inside every interval, and -0.0 beside the knot 0.0."""
+    x, inside = knots_and_inside(basis)
+    points = np.sort(np.concatenate([x, inside, [-0.0]]))
+    return {
+        "sorted": points,
+        "reversed": points[::-1],
+        "shuffled": rng.permutation(points),
+        "repeated": np.repeat(points, 3),
+        "a and b": np.array([basis.a, basis.a, basis.b, basis.b]),
+        "signed zeros": np.array([0.0, -0.0, 0.0, -0.0]),
+    }
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestLocate:
+    """``GBSplineBasis._locate`` searches the knots among an ascending point set and each
+    point among the knots otherwise; both give the interval of one search per point."""
+
+    @staticmethod
+    def assert_interval_by_search(basis, points):
+        i = basis._locate(points)[0]
+        want = interval_by_search(basis.knots, points)
+        assert type(i) is type(want) and np.shape(i) == np.shape(points)
+        assert i.dtype == np.intp and np.array_equal(i, want)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[0.0, 0.0], log_alpha_h=0.0)  # three knots, 2 intervals
+    @example(log_gaps=[-6.0, 0.0, -6.0], log_alpha_h=1.0)  # ties among tiny gaps
+    def test_interval_equals_search_across_gap_ratios(self, log_gaps, log_alpha_h):
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        for points in point_orders(basis, np.random.default_rng(basis.n)).values():
+            shapes = [points, points[:0], points[:len(points) // 2 * 2].reshape(2, -1),
+                      points[:len(points) // 2 * 2].reshape(-1, 2).T, points.reshape(-1, 1)]
+            for p in shapes + [float(v) for v in points[::7]]:
+                self.assert_interval_by_search(basis, p)
+
+    def test_interval_equals_search_at_an_interior_zero_knot(self, space2):
+        basis = build_basis(np.linspace(-1.0, 1.0, 9), space2)  # knots[4] is 0.0
+        for points in (np.array([-0.0, 0.0, -0.0]), np.array([-0.5, -0.0, 0.0, 0.5]),
+                       np.array([0.5, 0.0, -0.0, -0.5]), -0.0):
+            self.assert_interval_by_search(basis, points)
+        assert basis._locate(np.array([-0.0, 0.0]))[0].tolist() == [4, 4]
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_sorted_equals_shuffled_put_back_across_gap_ratios(self, log_gaps, log_alpha_h):
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        rng = np.random.default_rng(basis.n)
+        interp = Interpolant(basis, rng.standard_normal(basis.n))
+        points = point_orders(basis, rng)["sorted"]
+        perm = rng.permutation(len(points))
+        for evaluate_at, axis in ((interp, 0), (lambda p: basis.active_values(p)[0], 0),
+                                  (lambda p: basis.active_values(p)[1], 0),
+                                  (lambda p: basis_matrix(basis, p), 1),
+                                  (lambda p: lebesgue_function(basis, p), 0)):
+            put_back = np.take(evaluate_at(points[perm]), np.argsort(perm), axis=axis)
+            assert_same_bits(evaluate_at(points), put_back)
 
 
 class TestCollocationMatrix:
