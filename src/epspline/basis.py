@@ -24,6 +24,8 @@ contiguous arrays. Its callers gather their coefficients the same way, one
 contiguous array per segment function, and combine the two with
 ``space.segment_combination``. ``_locate`` searches the inner knots among
 ascending points (the package's own) and any other point among the knots.
+None of this depends on ``coef``, so the basis keeps it for the last two
+point sets it met: a basis fitted to many data vectors locates its grid once.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +38,13 @@ from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval, segment_combinat
 # Condition-number ceiling for the per-function 16x16 local systems
 # (measured after row equilibration, i.e. on the system actually solved).
 LOCAL_SYSTEM_COND_LIMIT = 1e12
+
+# Point sets whose intervals and segment functions a basis keeps (see
+# GBSplineBasis._locate). Two, because evaluations alternate between two sets:
+# a fitted interpolant on its nodes and on a grid, or the CLI's grid through
+# active_values and then through the interpolant; one set would be evicted
+# on every alternation.
+LOCATED_SETS_KEPT = 2
 
 
 def _padded_knots(x: np.ndarray) -> np.ndarray:
@@ -70,12 +79,19 @@ class GBSplineBasis:
     function ``i + s - 1`` on the ``i``-th interval ``[knots[i], knots[i+1]]``,
     and is exactly zero where that function does not exist. It is computed
     from ``coef`` at construction and never changes.
+
+    The basis also holds the located intervals and segment functions of the
+    last ``LOCATED_SETS_KEPT`` point sets it evaluated (``_locate``): 48 bytes
+    a point, none of which depends on ``coef``, so every interpolant on the
+    basis reuses them. They are read-only, and the tuple holding them is
+    replaced whole, never changed, so concurrent evaluations stay safe.
     """
 
     knots: np.ndarray
     space: ExpSpace
     coef: np.ndarray
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    _located: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # function i + s - 1 lives on its (3 - s)-th support interval; padding
@@ -103,17 +119,39 @@ class GBSplineBasis:
         The segment functions are function-first, shape ``(4,) + shape(x)``.
         Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
 
-        Points ascending in C order are located the other way round: the n - 2
-        inner knots are searched among them and ``np.repeat`` expands the runs
-        (de Boor's ``INTERV``). A scalar or any other order has one binary search
-        per point. Both give ``knots[i] <= x < knots[i + 1]``, ``b`` in the last.
+        Ascending points in C order, at least as many as the n - 2 inner knots,
+        are located the other way round: the inner knots are searched among them
+        and ``np.repeat`` expands the runs (de Boor's ``INTERV``). A scalar, fewer
+        points or any other order has one binary search per point. Both give
+        ``knots[i] <= x < knots[i + 1]``, ``b`` in the last.
+
+        The result for an array is kept for the ``LOCATED_SETS_KEPT`` point sets
+        used last, keyed by shape and float64 bits, as read-only arrays; a
+        point set met again returns them without checking, searching or
+        evaluating anything. The held sets are one tuple, replaced whole, so
+        concurrent calls at worst locate a set again. A scalar is not kept.
         """
-        K = self.knots
         xa = np.asarray(x, dtype=float)
+        if not xa.ndim:
+            return self._search(xa)
+        key = (xa.shape, xa.tobytes())
+        held = self._located
+        entry = next((e for e in held if e[0] == key), None)
+        if entry is None:
+            i, g = self._search(xa)
+            i.flags.writeable = g.flags.writeable = False
+            entry = (key, i, g)
+        rest = tuple(e for e in held if e is not entry)
+        object.__setattr__(self, "_located", (entry,) + rest[:LOCATED_SETS_KEPT - 1])
+        return entry[1], entry[2]
+
+    def _search(self, xa):
+        """``_locate`` without the held point sets: check, search and evaluate ``xa``."""
+        K = self.knots
         if not np.all((xa >= self.a) & (xa <= self.b)):
             raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
         flat = xa.ravel()
-        if xa.ndim and np.all(flat[1:] >= flat[:-1]):
+        if xa.ndim and flat.size >= self.n - 2 and np.all(flat[1:] >= flat[:-1]):
             bounds = np.empty(self.n, dtype=np.intp)  # bounds[j]: first point at or past knot j
             bounds[0], bounds[-1] = 0, flat.size
             bounds[1:-1] = np.searchsorted(flat, K[1:-1], side="left")
@@ -130,7 +168,7 @@ class GBSplineBasis:
         -------
         interval : numpy.ndarray of int, shape ``shape(x)``
             Interval ``i`` holds ``[knots[i], knots[i+1]]``; ``b`` is in the last.
-            A numpy integer for a scalar ``x``.
+            A numpy integer for a scalar ``x``. A new array, the caller's to change.
         values : numpy.ndarray, shape ``shape(x) + (4,)``
             Values of functions ``i - 1 .. i + 2``; a slot with no function
             (index -1 or n) holds 0.
@@ -140,7 +178,7 @@ class GBSplineBasis:
         i, g = self._locate(x)
         # function-first like g: coef[k, ..., s] = table[i, s, k]
         coef = np.take(self.table.transpose(2, 0, 1), i, axis=1)
-        return i, segment_combination(coef, g[..., None])
+        return i.copy(), segment_combination(coef, g[..., None])
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:

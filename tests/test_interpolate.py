@@ -1,10 +1,13 @@
 import dataclasses
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import epspline.basis as basis_mod
 from epspline import (
     BandedMatrix,
     BasisConstructionError,
@@ -22,6 +25,7 @@ from epspline import (
     lebesgue_function,
 )
 from epspline.banded import BandedLU
+from epspline.basis import LOCATED_SETS_KEPT
 from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
@@ -146,6 +150,132 @@ class TestLocate:
                                   (lambda p: lebesgue_function(basis, p), 0)):
             put_back = np.take(evaluate_at(points[perm]), np.argsort(perm), axis=axis)
             assert_same_bits(evaluate_at(points), put_back)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[-1.0] * 12, log_alpha_h=0.0)
+    def test_fewer_ascending_points_than_inner_knots_across_gap_ratios(self, log_gaps,
+                                                                       log_alpha_h):
+        # an ascending call of m < n - 2 points searches each point among the knots;
+        # m = n - 2 and n - 1 search the knots among the points
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        rng = np.random.default_rng(basis.n)
+        points = point_orders(basis, rng)["sorted"]
+        for m in range(1, basis.n):
+            some = np.sort(rng.choice(points, m, replace=False))
+            for p in (some, some.reshape(1, -1), np.repeat(some[:1], m)):
+                self.assert_interval_by_search(basis, p)
+
+
+class TestLocatedSets:
+    """A basis keeps ``_locate``'s result for the last ``LOCATED_SETS_KEPT`` point sets;
+    a set met again gives the bits a fresh basis gives."""
+
+    @staticmethod
+    def evaluations(basis, points, c):
+        return [*basis._locate(points), *basis.active_values(points),
+                Interpolant(basis, c)(points), basis_matrix(basis, points.ravel()),
+                lebesgue_function(basis, points.ravel())]
+
+    @staticmethod
+    def fresh(basis):
+        return GBSplineBasis(basis.knots, basis.space, basis.coef)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_held_sets_give_a_fresh_basis_bits_across_gap_ratios(self, log_gaps, log_alpha_h):
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        rng = np.random.default_rng(basis.n)
+        c = rng.standard_normal(basis.n)
+        for points in point_orders(basis, rng).values():
+            want = self.evaluations(self.fresh(basis), points, c)
+            # the same array twice, a bitwise copy, and a view of it in two dimensions
+            for p in (points, points, points.copy(), points.reshape(1, -1)):
+                got = self.evaluations(basis, p, c)
+                for g, w in zip(got, want):
+                    assert_same_bits(g.reshape(w.shape) if g.ndim == w.ndim + 1 else g, w)
+
+    def test_points_changed_in_place_are_located_again(self, basis8, grid400):
+        interp = Interpolant(basis8, np.arange(8.0))
+        points = grid400.copy()
+        interp(points), basis8.active_values(points)
+        points[::3] = -points[::3]
+        points[7] = 0.25
+        fresh = Interpolant(self.fresh(basis8), np.arange(8.0))
+        assert_same_bits(interp(points), fresh(points))
+        for g, w in zip(basis8.active_values(points), fresh.basis.active_values(points)):
+            assert_same_bits(g, w)
+
+    def test_signed_zeros_are_separate_point_sets(self, space2):
+        basis = build_basis(np.linspace(-1.0, 1.0, 9), space2)  # knots[4] is 0.0
+        plus, minus = np.array([0.0, 0.5]), np.array([-0.0, 0.5])
+        g_plus, g_minus = basis._locate(plus)[1], basis._locate(minus)[1]
+        assert len(basis._located) == 2
+        # tau = -0.0 at the knot 0.0: the odd segment functions are -0.0 there
+        assert not np.array_equal(g_plus.view(np.uint64), g_minus.view(np.uint64))
+        assert_same_bits(g_minus, self.fresh(basis)._locate(minus)[1])
+        assert_same_bits(basis._locate(plus)[1], self.fresh(basis)._locate(plus)[1])
+
+    def test_at_most_two_sets_held_the_last_used(self, monkeypatch, space2):
+        basis = build_basis(np.linspace(-1.0, 1.0, 9), space2)
+        calls = []
+
+        def counted(z, tau, *args):
+            calls.append(np.shape(tau))
+            return segment_basis_eval(z, tau, *args)
+
+        monkeypatch.setattr(basis_mod, "segment_basis_eval", counted)
+        sets = {name: np.linspace(-1.0, 1.0, m) for name, m in (("A", 5), ("B", 6), ("C", 7))}
+        evaluated = []
+        for name in "ABABCBA":
+            before = len(calls)
+            basis._locate(sets[name])
+            if len(calls) > before:
+                evaluated.append(name)
+            assert len(basis._located) <= LOCATED_SETS_KEPT == 2
+        # A and B are evaluated once while they alternate; C evicts A, the set used earlier
+        assert evaluated == ["A", "B", "C", "A"]
+        assert [entry[0][0] for entry in basis._located] == [(5,), (6,)]
+
+    def test_held_arrays_are_read_only_and_scalars_not_held(self, space2):
+        basis = build_basis(np.linspace(-1.0, 1.0, 9), space2)
+        i, g = basis._locate(0.3)
+        assert isinstance(i, np.integer) and basis._located == ()
+        assert isinstance(basis.active_values(0.3)[0], np.integer)
+        i, g = basis._locate(np.array([0.3, 0.6]))
+        assert not i.flags.writeable and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+    def test_active_values_interval_is_the_callers(self, basis8, grid400):
+        interval, _ = basis8.active_values(grid400)
+        want = interval.copy()
+        interval[:] = 0
+        assert np.array_equal(basis8.active_values(grid400)[0], want)
+
+    def test_threads_match_sequential_bits(self):
+        # 4 threads evaluate their own point sets on one basis, more sets than
+        # it holds, so they keep replacing each other's
+        basis = build_basis(chebyshev_lobatto(200), ExpSpace(2.0))
+        interp = Interpolant(basis, np.random.default_rng(4).standard_normal(basis.n))
+        rng = np.random.default_rng(5)
+        sets = [[np.linspace(-1.0, 1.0, 3000 + 7 * t), rng.uniform(-1.0, 1.0, 2000 + t),
+                 basis.knots[t:]] for t in range(4)]
+        fresh = Interpolant(self.fresh(basis), interp.coefficients)
+        want = [[(fresh(p), fresh.basis.active_values(p)[1]) for p in own] for own in sets]
+        start = threading.Barrier(4)
+
+        def work(own):
+            start.wait()
+            return [[(interp(p), basis.active_values(p)[1]) for p in own] for _ in range(20)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, sets))
+        for own_results, own_want in zip(results, want):
+            for rounds in own_results:
+                for (value, beta), (want_value, want_beta) in zip(rounds, own_want):
+                    assert_same_bits(value, want_value)
+                    assert_same_bits(beta, want_beta)
 
 
 class TestCollocationMatrix:
@@ -367,6 +497,35 @@ class TestEvaluation:
         interp = fit(basis, y)
         err = np.abs(interp(xs) - target(xs))
         assert err.max() <= 1e-7 * max(1.0, np.abs(target(xs)).max())
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[-6.0] * 7, log_alpha_h=np.log10(5.0))
+    @example(log_gaps=[-6.0, 0.0, -6.0, -3.0], log_alpha_h=np.log10(5.0))
+    def test_c2_across_the_knots_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # Stops at alpha * h = 5, short of the e^z growth of ROADMAP item 7. At each
+        # interior knot the jump of the d-th derivative, in units of the shorter
+        # of its two intervals as the local systems weigh it, is at most
+        # C2_EPS_MULTIPLE eps times the largest d-th derivative over [a, b] in each
+        # interval's own units. Over 4 000 random draws of these ranges it reached
+        # 2.0e3 eps (values), 1.4e3 (slopes) and 6.5e2 (curvatures).
+        C2_EPS_MULTIPLE = 2e4
+        assume(log_alpha_h <= np.log10(5.0))
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        try:
+            interp = fit(basis, np.random.default_rng(basis.n).standard_normal(basis.n))
+        except SingularSystemError:
+            assume(False)
+        h = np.diff(basis.knots)
+        z, h_min = basis.space.alpha * h, np.minimum(h[:-1], h[1:])
+        tau = np.linspace(0.0, 1.0, 17)
+        for d in range(3):
+            left = np.einsum("ik,ki->i", interp.pp[:-1], segment_basis_eval(z[:-1], 1.0, d))
+            right = np.einsum("ik,ki->i", interp.pp[1:], segment_basis_eval(z[1:], 0.0, d))
+            jump = np.abs(left * (h_min / h[:-1]) ** d - right * (h_min / h[1:]) ** d)
+            inside = np.einsum("ik,kit->it", interp.pp, segment_basis_eval(z[:, None], tau, d))
+            scale = np.abs(inside).max()
+            assert np.all(jump <= C2_EPS_MULTIPLE * np.finfo(float).eps * scale), (d, jump, scale)
 
 
 def knots_and_inside(basis):
