@@ -15,7 +15,8 @@ Only the build reads the padded knots. The basis keeps its interior knots,
 Practical Guide to Splines*, 2001): on each interval of ``[a, b]`` the four
 live functions are a 4x4 matrix times the four segment functions there. The
 table is gathered from ``coef`` once, when the basis is constructed, and
-``active_values`` answers a point with its interval and those four values.
+``active_values`` answers a point with its interval and those four values,
+function-first like the segment functions.
 
 Every evaluator calls ``GBSplineBasis._locate``: it finds each point's
 interval, gathers that interval's knot and length with ``np.take`` and
@@ -169,16 +170,16 @@ class GBSplineBasis:
         interval : numpy.ndarray of int, shape ``shape(x)``
             Interval ``i`` holds ``[knots[i], knots[i+1]]``; ``b`` is in the last.
             A numpy integer for a scalar ``x``. A new array, the caller's to change.
-        values : numpy.ndarray, shape ``shape(x) + (4,)``
-            Values of functions ``i - 1 .. i + 2``; a slot with no function
-            (index -1 or n) holds 0.
+        values : numpy.ndarray, shape ``(4,) + shape(x)``
+            Values of functions ``i - 1 .. i + 2``, function-first like the
+            segment functions; a slot with no function (index -1 or n) holds 0.
 
         A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
-        # function-first like g: coef[k, ..., s] = table[i, s, k]
-        coef = np.take(self.table.transpose(2, 0, 1), i, axis=1)
-        return i.copy(), segment_combination(coef, g[..., None])
+        # coef[k, s, ...] = table[i, s, k]
+        coef = np.take(self.table.transpose(2, 1, 0), i, axis=2)
+        return i.copy(), segment_combination(coef, g[:, None])
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
@@ -220,8 +221,9 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     system is square and uniquely solvable. Derivative rows are rescaled by
     knot-gap powers and the system is row-equilibrated before solving. The
     segment functions are evaluated at the right end of each support
-    interval only; at its left end they and their derivatives are exact
-    constants.
+    interval only, by one call whose ``cosh`` and ``sinh`` give derivative
+    orders 1 and 2 too; at its left end they and their derivatives are exact
+    constants. All systems are assembled at once, by blocks, and solved as one batch.
     """
     x = check_points("interior knots", knots, 2)
     E = _padded_knots(x)
@@ -233,54 +235,49 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
             f"{EXP_ARG_LIMIT:g}"
         )
 
-    windows = np.lib.stride_tricks.sliding_window_view
-    sup = windows(E, 5)[:n]  # (n, 5) support knots
+    span = np.arange(5)  # function j's support knots are E[j + span]
     coef = np.empty((n, 4, 4))
     todo = np.arange(n)  # functions whose local system is solved below
     if prior is not None and prior.space == space:
-        old = windows(_padded_knots(prior.knots), 5)[:prior.n]
-        pos = np.minimum(np.searchsorted(old[:, 0], sup[:, 0]), prior.n - 1)
-        same = np.all(old[pos] == sup, axis=1)
+        old = _padded_knots(prior.knots)
+        pos = np.minimum(np.searchsorted(old[:prior.n], E[:n]), prior.n - 1)
+        same = np.all(np.take(old, pos[:, None] + span) == np.take(E, todo[:, None] + span), 1)
         coef[same] = prior.coef[pos[same]]
         todo = np.flatnonzero(~same)
 
     k = len(todo)
-    h = np.diff(sup[todo], axis=1)  # (k, 4) interval lengths
+    h = np.take(np.diff(E), todo[:, None] + span[:4])  # (k, 4) interval lengths
     z = space.alpha * h
-    # seg[tau][d][:, s]: the d-th derivatives of the 4 segment functions at
-    # tau on support interval s, shape (k, 4); at tau = 0 they are exactly
-    # (1, 0, 0, 0), (0, 1, 0, 0) and (z*z, 0, 2, 0)
-    start = np.zeros((3, k, 4, 4))
-    start[0, ..., 0] = start[1, ..., 1] = 1.0
-    start[2, ..., 0] = z * z
-    start[2, ..., 2] = 2.0
+    # start[:, i, d], end[:, i, d]: the d-th derivatives of the 4 segment functions at
+    # tau = 0 and 1 on support interval i; at tau = 0 exactly (1, 0, 0, 0), (0, 1, 0, 0)
+    # and (z*z, 0, 2, 0), at 1 as segment_basis_eval forms them from cosh(z), sinh(z)/z
+    start = np.zeros((k, 4, 3, 4))
+    start[:, :, 0, 0] = start[:, :, 1, 1] = 1.0
+    start[:, :, 2, 0] = z * z
+    start[:, :, 2, 2] = 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        end = [np.moveaxis(segment_basis_eval(z, 1.0, d), 0, -1) for d in range(3)]
-    seg = {0.0: start, 1.0: end}
-
-    def beta(s, tau, d):
-        return seg[tau][d][:, s]
+        g = segment_basis_eval(z, 1.0)
+        c, s, z2 = g[0], g[1], z * z  # cosh(z) and sinh(z) / z
+        end = np.stack([g, [z2 * s, c, s + c, 3.0 * s],
+                        [z2 * c, z2 * s, 2.0 * c + z2 * s, 3.0 * (s + c)]]).transpose(2, 3, 0, 1)
 
     A = np.zeros((k, 16, 16))
-    for d in range(3):
-        # vanishing value/derivatives at both support ends
-        # (chain factors 1/h^d absorbed into the row scaling)
-        A[:, d, 0:4] = beta(0, 0.0, d)
-        A[:, 12 + d, 12:16] = beta(3, 1.0, d)
+    # vanishing value/derivatives at both support ends
+    # (chain factors 1/h^d absorbed into the row scaling)
+    A[:, 0:3, 0:4] = start[:, 0]
+    A[:, 12:15, 12:16] = end[:, 3]
+    # C2 continuity at the m-th interior support knot, rows 3m + d; both sides
+    # scaled by weight[:, m - 1, side, d] = (min(h_left, h_right) / h_side)^d so
+    # entries stay bounded (an extension knot rounded onto its neighbour leaves
+    # h = 0, a NaN row ranked singular)
+    with np.errstate(invalid="ignore"):
+        ratio = np.minimum(h[:, :-1], h[:, 1:])[..., None] / np.stack([h[:, :-1], h[:, 1:]], -1)
+    weight = np.stack([np.ones_like(ratio), ratio, ratio ** 2], -1)[..., None]
     for m in range(1, 4):
-        # C2 continuity at the m-th interior support knot; rows scaled by
-        # min(h_left, h_right)^d so entries stay bounded (an extension knot
-        # rounded onto its neighbour leaves h = 0, a NaN row ranked singular)
-        h_min = np.minimum(h[:, m - 1], h[:, m])
-        for d in range(3):
-            r = 3 + 3 * (m - 1) + d
-            with np.errstate(invalid="ignore"):
-                left_scale = (h_min / h[:, m - 1]) ** d
-                right_scale = (h_min / h[:, m]) ** d
-            A[:, r, 4 * (m - 1): 4 * m] = beta(m - 1, 1.0, d) * left_scale[:, None]
-            A[:, r, 4 * m: 4 * m + 4] = -beta(m, 0.0, d) * right_scale[:, None]
+        A[:, 3 * m:3 * m + 3, 4 * (m - 1):4 * m] = end[:, m - 1] * weight[:, m - 1, 0]
+        A[:, 3 * m:3 * m + 3, 4 * m:4 * m + 4] = -start[:, m] * weight[:, m - 1, 1]
     # unit value at the central support knot (left end of the third interval)
-    A[:, 15, 8:12] = beta(2, 0.0, 0)
+    A[:, 15, 8] = 1.0
 
     rhs = np.zeros((k, 16, 1))
     rhs[:, 15, 0] = 1.0

@@ -13,7 +13,7 @@ best in-span sup-norm error as the exact discrete minimax, a linear program on
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import dlamch, dsbevx
 
 from .banded import BandedMatrix
 from .errors import InvalidInputError, SplineError, check_values
@@ -25,6 +25,8 @@ BOUND_SLACK = 0.05  # relative slack on the right-hand side of the error bound
 # κ₂ up to which a banded cond2 takes σ_min from AᵀA, where its relative error,
 # measured at 0.1-0.5·eps·κ₂², stays below 1e-13
 GRAM_COND2_MAX = 20.0
+# dsbevx's absolute tolerance, the one LAPACK advises and eigvals_banded passes
+_EIG_ABSTOL = 2 * dlamch("s")
 
 
 def _as_dense(matrix) -> np.ndarray:
@@ -46,13 +48,23 @@ def _scaled_diagonals(matrix: BandedMatrix):
     return tuple(np.ldexp(v, -np.frexp(peak)[1]) for v in diagonals)
 
 
+def _banded_eigenvalue(band, k: int) -> float:
+    """Eigenvalue k, ascending, of the symmetric matrix with upper band ``band``, from
+    ``dsbevx`` as ``eigvals_banded(band, select="i", select_range=(k, k))`` calls it."""
+    w, _, _, _, info = dsbevx(band, 0.0, 1.0, k + 1, k + 1, compute_v=0, range=2, lower=0,
+                              abstol=_EIG_ABSTOL, mmax=1, overwrite_ab=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsbevx failed with info={info}")
+    return w[0]
+
+
 def _interleaved_eigenvalue(diagonals, k: int) -> float:
     """Eigenvalue k, ascending, of [[0, A], [Aᵀ, 0]], which are ±σ_i, so σ_min at
     k = n; with rows and columns interleaved it is an upper band with kd = 3."""
     lower, diag, upper = diagonals
     jw = np.zeros((4, 2 * diag.size))
     jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, lower, upper
-    return eigvals_banded(jw, select="i", select_range=(k, k))[0]
+    return _banded_eigenvalue(jw, k)
 
 
 def _banded_extreme_singular_values(matrix: BandedMatrix):
@@ -67,7 +79,7 @@ def _banded_extreme_singular_values(matrix: BandedMatrix):
     gram[2] = np.append(0.0, upper ** 2) + diag ** 2 + np.append(lower ** 2, 0.0)
     gram[1, 1:] = diag[:-1] * upper + lower * diag[1:]
     gram[0, 2:] = lower[:-1] * upper[1:]
-    s_max2, s_min2 = (eigvals_banded(gram, select="i", select_range=(k, k))[0] for k in (n - 1, 0))
+    s_max2, s_min2 = (_banded_eigenvalue(gram, k) for k in (n - 1, 0))
     if s_min2 * GRAM_COND2_MAX ** 2 < s_max2:
         return np.sqrt(s_max2), _interleaved_eigenvalue(diagonals, n)
     return np.sqrt(s_max2), np.sqrt(s_min2)
@@ -77,7 +89,8 @@ def cond2(matrix) -> float:
     """Spectral condition number: ratio of extreme singular values.
 
     For a ``BandedMatrix``, σ_max² and σ_min² are the extreme eigenvalues of
-    the banded AᵀA, each from one LAPACK ``sbevx`` call in O(n²). σ_min² is
+    the banded AᵀA, each from one direct LAPACK ``dsbevx`` call in O(n²),
+    with ``eigvals_banded``'s arguments and bits. σ_min² is
     then off by about eps·κ₂² relative, under 1e-13 while κ₂ is at most
     ``GRAM_COND2_MAX``; above it σ_min is eigenvalue n of the banded
     [[0, A], [Aᵀ, 0]] (Golub & Kahan, 1965), a third call, within a small

@@ -17,15 +17,16 @@ The loop hands each refit the selected and the remaining candidate indices,
 and the refit returns its scores at the remaining ones: the residual is the
 new interpolant evaluated there.
 
-The Lebesgue strategy carries two arrays per candidate across insertions, the
-``(interval, values)`` that ``active_values`` gives: its knot-interval index
-and its 4 basis values there. After a refit it compares the new basis with the
-previous one and evaluates again, with the same call, only the candidates in
-intervals whose knots or ``table`` row changed, so every value has the bits a
-fresh evaluation would give; the others' interval index is only shifted. The
-scores are then one ``BandedLU.lebesgue`` call on the refit's factorization:
-``||S[i] @ β||_1`` per remaining candidate, with the interval's Lebesgue
-table.
+The Lebesgue strategy carries two arrays across insertions, the ``(interval,
+values)`` that ``active_values`` gives: each candidate's knot-interval index,
+and its 4 basis values there, function-first as ``(4, m)``. After a refit it
+compares the new basis with the previous one and evaluates again, with the
+same call, only the candidates in intervals whose knots or ``table`` row
+changed, so every value has the bits a fresh evaluation would give; the
+others' interval index is only shifted. The scores are then one
+``BandedLU.lebesgue`` call on the refit's factorization: ``||S[i] @ β||_1``
+per remaining candidate, with the interval's Lebesgue table, formed on 16
+rows of length m.
 """
 
 from dataclasses import dataclass, field
@@ -258,7 +259,7 @@ def lambda_greedy(candidates, config: GreedyConfig):
     (selected, trace)
     """
     cand = np.asarray(candidates, dtype=float)
-    interval, values = np.empty(cand.size, dtype=np.intp), np.empty((cand.size, 4))
+    interval, values = np.empty(cand.size, dtype=np.intp), np.empty((4, cand.size))
 
     def lebesgue(prior, basis, lu, selected, remaining):
         stale = remaining
@@ -266,9 +267,8 @@ def lambda_greedy(candidates, config: GreedyConfig):
             carried = _carried_intervals(prior, basis)[interval[remaining]]
             interval[remaining] = carried
             stale = remaining[carried < 0]
-        interval[stale], values[stale] = basis.active_values(cand[stale])
-        # np.take: a fancy index of the rows costs ten times as much
-        return None, lu.lebesgue(interval[remaining], np.take(values, remaining, axis=0))
+        interval[stale], values[:, stale] = basis.active_values(cand[stale])
+        return None, lu.lebesgue(interval[remaining], np.take(values, remaining, axis=1))
 
     selected, _, trace = _spline_loop(cand, config, lebesgue)
     return selected, trace

@@ -30,12 +30,14 @@ functions of the interval, and outside them u is a geometric tail of its end
 entries (the inverse of a tridiagonal matrix has rank-one off-diagonal
 blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992). It is applied as
 ``S[i] @ β(x)``, the basis values first, by ``BandedLU.lebesgue`` from the
-``(interval, values)`` that ``active_values`` gives: at a knot they are then
-the collocation row itself, rounding included, so Λ = 1 there to the accuracy
-of the solve. Forming ``R[i]`` first would round differently where the
-contraction with g cancels heavily, at the right end of an interval with a
-large α·h. The Lebesgue function solves nothing; ``cardinal_values`` keeps
-the transposed solve and is the reference.
+``(interval, values)`` that ``active_values`` gives, the values
+function-first: at a knot they are then the collocation row itself, rounding
+included, so Λ = 1 there to the accuracy of the solve. It gathers the tables
+as 16 rows of length n - 1 and sums in the orders of a point-major
+``einsum`` and ``.sum``, with their bits. Forming ``R[i]`` first would round
+differently where the contraction with g cancels heavily, at the right end of
+an interval with a large α·h. The Lebesgue function solves nothing;
+``cardinal_values`` keeps the transposed solve and is the reference.
 """
 
 from dataclasses import dataclass, field
@@ -97,8 +99,8 @@ def basis_matrix(basis: GBSplineBasis, x) -> np.ndarray:
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     interval, values = basis.active_values(xa)
     out = np.zeros((basis.n, len(xa)))
-    cols = np.repeat(np.arange(len(xa)), 4)
-    rows = (interval[:, None] + np.arange(-1, 3)).ravel()
+    cols = np.tile(np.arange(len(xa)), 4)
+    rows = (np.arange(-1, 3)[:, None] + interval).ravel()
     keep = (rows >= 0) & (rows < basis.n)
     out[rows[keep], cols[keep]] = values.ravel()[keep]
     return out
@@ -134,12 +136,12 @@ class Interpolant:
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
-        xa = np.atleast_1d(x)
-        i, g = self.basis._locate(xa)
+        i, g = self.basis._locate(x)
         out = segment_combination(np.take(self.pp.T, i, axis=1), g)
         if not np.all(np.isfinite(out)):
-            raise DomainError(f"interpolant not finite at x = {float(xa[~np.isfinite(out)][0])!r}")
-        return out if np.ndim(x) else float(out[0])
+            bad = np.asarray(x, dtype=float)[~np.isfinite(out)]
+            raise DomainError(f"interpolant not finite at x = {float(bad[0])!r}")
+        return out if np.ndim(x) else float(out)
 
 
 def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:

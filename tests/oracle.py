@@ -32,7 +32,13 @@ reference for ``collocation_matrix``, which reads its rows from ``table``.
 
 ``lebesgue_by_solve`` is the Lebesgue function as the sum of the absolute
 cardinal values from the transposed collocation solve, the reference for the
-per-interval table form of ``lebesgue_function``.
+per-interval table form of ``lebesgue_function``. ``lebesgue_by_einsum`` is
+that table form point-major, one 4x4 table per point contracted by
+``einsum``, the reference for the column form of ``BandedLU.lebesgue``.
+
+``local_system`` assembles one function's 16x16 local system row by row,
+with the segment functions at both ends of each support interval from
+``segment_basis_eval``, the reference for ``build_basis``'s block assembly.
 
 ``greedy_uncached`` runs either greedy with nothing carried from one
 insertion to the next: each step builds the basis from scratch and scores
@@ -57,7 +63,10 @@ from epspline.space import segment_basis_eval
 
 def padded_knots(basis) -> np.ndarray:
     """The interior knots with two more beyond each end, at one and two times the end gap."""
-    x = basis.knots
+    return _padded(basis.knots)
+
+
+def _padded(x) -> np.ndarray:
     left, right = x[1] - x[0], x[-1] - x[-2]
     return np.concatenate([x[0] - np.array([2.0, 1.0]) * left, x,
                            x[-1] + np.array([1.0, 2.0]) * right])
@@ -109,7 +118,8 @@ def evaluate(basis, j: int, x, deriv_order: int = 0):
 
 
 def active_values_by_gather(basis, x):
-    """``active_values`` computed by gathering ``coef[j, seg]`` at every point."""
+    """``active_values`` computed by gathering ``coef[j, seg]`` at every point; the values
+    are formed point-major and returned function-first, as the library returns them."""
     E = padded_knots(basis)
     xa = np.asarray(x, dtype=float)
     i0 = np.clip(np.searchsorted(E, xa, side="right") - 1, 2, basis.n)
@@ -121,7 +131,7 @@ def active_values_by_gather(basis, x):
     jc = np.clip(indices, 0, basis.n - 1)
     seg = i0[..., None] - jc
     values = sum4(g[..., None, :] * basis.coef[jc, seg])
-    return i0 - 2, np.where(valid, values, 0.0)
+    return i0 - 2, np.moveaxis(np.where(valid, values, 0.0), -1, 0)
 
 
 def interval_by_search(knots, x):
@@ -171,7 +181,7 @@ def collocation_by_values(basis):
     rows = np.broadcast_to(np.arange(n)[:, None], indices.shape)
     keep = (indices >= 0) & (indices < n) & (np.abs(indices - rows) <= 1)
     dense = np.zeros((n, n))
-    dense[rows[keep], indices[keep]] = values[keep]
+    dense[rows[keep], indices[keep]] = values.T[keep]
     return np.diagonal(dense, -1), np.diagonal(dense), np.diagonal(dense, 1)
 
 
@@ -200,3 +210,40 @@ def greedy_uncached(candidates, config, values=None, lebesgue=lebesgue_function)
         return None, phi, lebesgue(basis, cand[remaining])
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)[2]
+
+
+def lebesgue_by_einsum(lu, interval, values):
+    """``lu.lebesgue(interval, values)`` point-major: the tables gathered as ``(m, 4, 4)``,
+    contracted with the ``(m, 4)`` basis values by ``einsum`` and summed by ``.sum(axis=1)``."""
+    tables = np.take(lu.lebesgue_tables(), interval, axis=0)
+    return np.abs(np.einsum("prs,ps->pr", tables, np.ascontiguousarray(values.T))).sum(axis=1)
+
+
+def local_system(knots, space, j):
+    """The row-equilibrated 16x16 local system ``(A, rhs)`` of function ``j`` on the
+    interior ``knots``, assembled one row at a time; ``build_basis`` gives ``coef[j] =
+    np.linalg.solve(A, rhs).reshape(4, 4)``.
+
+    Rows 0-2 and 12-14: value and first two derivatives vanish at the support
+    ends. Row ``3 m + d``: the d-th derivative is continuous at the m-th interior
+    support knot, both sides times ``(min(h_left, h_right) / h)^d``. Row 15:
+    value 1 at the central knot.
+    """
+    h = np.diff(_padded(np.asarray(knots, dtype=float))[j:j + 5])
+    z = space.alpha * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = {tau: [segment_basis_eval(z, tau, d) for d in range(3)] for tau in (0.0, 1.0)}
+        h_min = np.minimum(h[:-1], h[1:])
+        ratios = (h_min / h[:-1], h_min / h[1:])
+    A = np.zeros((16, 16))
+    for d in range(3):
+        A[d, 0:4] = seg[0.0][d][:, 0]
+        A[12 + d, 12:16] = seg[1.0][d][:, 3]
+        for m in range(1, 4):
+            A[3 * m + d, 4 * m - 4:4 * m] = seg[1.0][d][:, m - 1] * ratios[0][m - 1:m] ** d
+            A[3 * m + d, 4 * m:4 * m + 4] = -seg[0.0][d][:, m] * ratios[1][m - 1:m] ** d
+    A[15, 8:12] = seg[0.0][0][:, 2]
+    rhs = np.zeros(16)
+    rhs[15] = 1.0
+    row_scale = np.abs(A).max(axis=1)
+    return A / row_scale[:, None], rhs / row_scale

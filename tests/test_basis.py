@@ -11,8 +11,10 @@ from epspline import (
     InvalidInputError,
     build_basis,
 )
+from epspline.basis import LOCAL_SYSTEM_COND_LIMIT
 from epspline.space import segment_basis_eval
-from oracle import evaluate, padded_knots, segment_value, support
+from oracle import evaluate, local_system, padded_knots, segment_value, support
+from strategies import across_gap_ratios, gap_ratio_basis
 
 
 class TestAugmentKnots:
@@ -260,3 +262,42 @@ class TestPriorReuse:
             assert np.array_equal(reused.coef, scratch.coef)
             assert np.array_equal(reused.table, scratch.table)
             prior = reused
+
+
+class TestLocalSystems:
+    """``build_basis`` assembles all local systems at once, by blocks; each
+    ``coef[j]`` is the solve of ``oracle.local_system``, bit for bit."""
+
+    @staticmethod
+    def assert_coef_solves_local_systems(basis):
+        for j in range(basis.n):
+            a, rhs = local_system(basis.knots, basis.space, j)
+            want = np.linalg.solve(a, rhs).reshape(4, 4)
+            assert np.array_equal(basis.coef[j].view(np.uint64), want.view(np.uint64))
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_coef_is_the_local_solve_across_gap_ratios(self, log_gaps, log_alpha_h):
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        self.assert_coef_solves_local_systems(basis)
+        # with prior=: built on the knots less one, so the functions around it are solved
+        for drop in {0, basis.n // 2, basis.n - 1} if basis.n > 3 else ():
+            try:
+                prior = build_basis(np.delete(basis.knots, drop), basis.space)
+            except BasisConstructionError:
+                continue
+            self.assert_coef_solves_local_systems(
+                build_basis(basis.knots, basis.space, prior=prior))
+
+    def test_rank_deficient_message_at_alpha_h_13(self):
+        # 11 uniform knots build at alpha * h = 12 and not at 13, where the
+        # error names the first function past the ceiling and its condition
+        knots = np.linspace(0.0, 1.0, 11)
+        build_basis(knots, ExpSpace(120.0))
+        space = ExpSpace(130.0)
+        conds = [np.linalg.cond(local_system(knots, space, j)[0]) for j in range(11)]
+        first = next(j for j, c in enumerate(conds) if not c <= LOCAL_SYSTEM_COND_LIMIT)
+        with pytest.raises(BasisConstructionError) as err:
+            build_basis(knots, space)
+        assert str(err.value) == (f"local system for basis function {first} is numerically "
+                                  f"rank-deficient (condition estimate {conds[first]:.3g})")

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import dsbevx
 
 import epspline
 import epspline.diagnostics as diagnostics
@@ -29,7 +30,7 @@ from epspline import (
     skeel_condition,
     sparsity,
 )
-from epspline.diagnostics import _interleaved_eigenvalue, _scaled_diagonals
+from epspline.diagnostics import _banded_eigenvalue, _interleaved_eigenvalue, _scaled_diagonals
 from epspline.greedy import GreedyConfig
 from epspline.nodes import chebyshev_lobatto, equispaced
 from oracle import padded_knots
@@ -188,12 +189,29 @@ class TestGramSwitch:
 
         def counting(*args, **kwargs):
             seen.append(args[0].shape)
-            return eigvals_banded(*args, **kwargs)
+            return dsbevx(*args, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "eigvals_banded", counting)
+        monkeypatch.setattr(diagnostics, "dsbevx", counting)
         kappa = cond2(m)
         assert seen == [(3, m.n)] * 2 + [(4, 2 * m.n)] * (calls - 2)
         assert (kappa <= diagnostics.GRAM_COND2_MAX) == (calls == 2)
+
+    @settings(deadline=None)
+    @given(tridiagonals(), st.data())
+    def test_direct_call_equals_eigvals_banded(self, m, data):
+        # upper bands shaped as cond2's, kd = 2 and kd = 3: one eigenvalue each, bit for bit
+        diagonals = _scaled_diagonals(m)
+        assume(diagonals is not None)
+        lower, diag, upper = diagonals
+        gram = np.zeros((3, m.n))
+        gram[2], gram[1, 1:], gram[0, 2:] = diag ** 2, diag[:-1] * upper, lower[:-1] * upper[1:]
+        jw = np.zeros((4, 2 * m.n))
+        jw[2, 1::2], jw[2, 2::2], jw[0, 3::2] = diag, lower, upper
+        for band in (gram, jw):
+            k = data.draw(st.integers(0, band.shape[1] - 1))
+            want = eigvals_banded(band, select="i", select_range=(k, k))[0]
+            assert np.float64(_banded_eigenvalue(band, k)).view(np.uint64) \
+                == np.float64(want).view(np.uint64)
 
 
 def _cubic_collocation(basis):

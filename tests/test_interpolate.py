@@ -30,7 +30,7 @@ from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
 from oracle import (active_values_by_gather, collocation_by_values, evaluate, interpolant_by_rows,
-                    interval_by_search, lebesgue_by_solve, segment_value)
+                    interval_by_search, lebesgue_by_einsum, lebesgue_by_solve, segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -145,7 +145,7 @@ class TestLocate:
         points = point_orders(basis, rng)["sorted"]
         perm = rng.permutation(len(points))
         for evaluate_at, axis in ((interp, 0), (lambda p: basis.active_values(p)[0], 0),
-                                  (lambda p: basis.active_values(p)[1], 0),
+                                  (lambda p: basis.active_values(p)[1], 1),
                                   (lambda p: basis_matrix(basis, p), 1),
                                   (lambda p: lebesgue_function(basis, p), 0)):
             put_back = np.take(evaluate_at(points[perm]), np.argsort(perm), axis=axis)
@@ -246,6 +246,14 @@ class TestLocatedSets:
         assert not i.flags.writeable and not g.flags.writeable
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
+
+    def test_scalar_interpolant_call_holds_nothing(self, basis8, grid400):
+        interp = Interpolant(basis8, np.arange(8.0))
+        interp(grid400), interp(basis8.knots)
+        held = [entry[0] for entry in basis8._located]
+        value = interp(0.3)
+        assert type(value) is float and [entry[0] for entry in basis8._located] == held
+        assert_same_bits(np.float64(value), interp(np.array([0.3]))[0])
 
     def test_active_values_interval_is_the_callers(self, basis8, grid400):
         interval, _ = basis8.active_values(grid400)
@@ -453,7 +461,7 @@ class TestFit:
                 np.pad(np.abs(coefficients), 1), 4)[i]
             return np.einsum("kp,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
 
-        beta = np.abs(basis.active_values(x)[1]).sum(axis=1)
+        beta = np.abs(basis.active_values(x)[1]).sum(axis=0)
         bound = eps * (4 * np.linalg.cond(dense, np.inf) * np.abs(c).max() * beta
                        + 17 * (rounding(c) + rounding(interp.coefficients)))
         assert np.all(np.abs(interp(x) - space(x)) <= bound)
@@ -702,6 +710,18 @@ class TestLebesgue:
         # they solve with Aᵀ, each within a few eps * kappa_inf relative; the
         # stated multiple is 4, the worst of 10 000 random draws (n up to 400) 1.7
         assert np.all(np.abs(got - expect) <= 4 * np.finfo(float).eps * kappa_inf(mat) * expect)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_column_form_equals_einsum_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # the column form sums in einsum's orders: the same bits, for any count and order
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        lu = factorize(collocation_matrix(basis))
+        x = np.random.default_rng(basis.n).permutation(np.concatenate(knots_and_inside(basis)))
+        for m in (0, 1, 4, len(x)):
+            interval, values = basis.active_values(x[:m])
+            assert_same_bits(lu.lebesgue(interval, values),
+                             lebesgue_by_einsum(lu, interval, values))
 
     @settings(deadline=None)
     @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
