@@ -250,7 +250,7 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     z = space.alpha * h
     # start[:, i, d], end[:, i, d]: the d-th derivatives of the 4 segment functions at
     # tau = 0 and 1 on support interval i; at tau = 0 exactly (1, 0, 0, 0), (0, 1, 0, 0)
-    # and (z*z, 0, 2, 0), at 1 as segment_basis_eval forms them from cosh(z), sinh(z)/z
+    # and (z*z, 0, 2, 0), at 1 from the cosh(z) and sinh(z)/z of segment_basis_eval
     start = np.zeros((k, 4, 3, 4))
     start[:, :, 0, 0] = start[:, :, 1, 1] = 1.0
     start[:, :, 2, 0] = z * z

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dlamch, dsbevx
 
 from .banded import BandedMatrix
-from .errors import InvalidInputError, SplineError, check_values
+from .errors import InvalidInputError, SplineError, check_grid, check_values
 from .interpolate import Interpolant, basis_matrix, lebesgue_function
 
 SPARSITY_TOL = 1e-14
@@ -186,9 +186,7 @@ def check_error_bound(f, interp: Interpolant, grid) -> BoundCheck:
     the spline span make both sides vanish; sub-roundoff left-hand sides are
     accepted outright.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise InvalidInputError("empty evaluation grid")
+    grid = np.atleast_1d(check_grid(grid))
     basis = interp.basis
     proxy = minimax_proxy(basis, f)
     lam = lebesgue_function(basis, grid)

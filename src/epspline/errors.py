@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all epspline modules, and the one check of each
-input kind: ``is_finite_real``, ``check_integer``, ``check_points``, ``check_values``."""
+input kind: ``is_finite_real``, ``check_integer``, ``check_points``, ``check_values``,
+``check_grid``."""
 
 import math
 import numbers
@@ -72,3 +73,11 @@ def check_values(name: str, y, n: int) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise InvalidInputError(f"{name} must be finite")
     return y
+
+
+def check_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; ``InvalidInputError`` if it holds no point."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise InvalidInputError("empty evaluation grid")
+    return grid

@@ -7,9 +7,8 @@ nonzero. The fourth function alive there, ``i + 2`` (``n - 3`` at the last
 knot), sits at an end of its support and vanishes in exact arithmetic. Knot
 ``i < n - 1`` starts interval ``i``, where the segment functions are ``(1, 0,
 0, 0)``, so its row is ``table[i, :, 0]``. The last knot ends interval ``n -
-2``: its row is the segment functions at ``tau = 1`` there combined with
-``table[n - 2]``, the values ``active_values(b)`` gives, without locating
-``b``.
+2``: its row is ``active_values(b)``, the segment functions at ``tau = 1``
+there combined with ``table[n - 2]``.
 Assembly keeps the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
@@ -46,8 +45,9 @@ import numpy as np
 
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
-from .errors import BasisConstructionError, DomainError, InvalidInputError, check_values
-from .space import segment_basis_eval, segment_combination
+from .errors import (BasisConstructionError, DomainError, InvalidInputError, check_grid,
+                     check_values)
+from .space import segment_combination
 
 # A basis value outside the three diagonals above this multiple of the
 # collocation matrix norm means the basis does not vanish at its support ends.
@@ -77,9 +77,7 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
     """
     n = basis.n
     rows = basis.table[:, :, 0]  # at knot i < n - 1: functions i - 1 .. i + 2
-    # at knot n - 1, tau = 1 on the last interval: functions n - 3 .. n
-    g = segment_basis_eval(basis.space.alpha * np.diff(basis.knots)[-1], 1.0)
-    last = segment_combination(basis.table[-1].T.copy(), g[:, None])
+    last = basis.active_values(basis.b)[1]  # at knot n - 1: functions n - 3 .. n
     mat = BandedMatrix(np.append(rows[1:, 0], last[1]), np.append(rows[:, 1], last[2]),
                        rows[:, 2])
     outer = np.abs(np.append(rows[:, 3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
@@ -95,12 +93,12 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
 
 
 def basis_matrix(basis: GBSplineBasis, x) -> np.ndarray:
-    """Dense (n, m) matrix of all basis functions evaluated at points ``x``."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    interval, values = basis.active_values(xa)
-    out = np.zeros((basis.n, len(xa)))
-    cols = np.tile(np.arange(len(xa)), 4)
-    rows = (np.arange(-1, 3)[:, None] + interval).ravel()
+    """Dense (n, m) matrix of all basis functions evaluated at points ``x``; m = 1 for a scalar."""
+    interval, values = basis.active_values(x)
+    m = np.size(interval)
+    out = np.zeros((basis.n, m))
+    cols = np.tile(np.arange(m), 4)
+    rows = (np.arange(-1, 3)[:, None] + np.reshape(interval, -1)).ravel()
     keep = (rows >= 0) & (rows < basis.n)
     out[rows[keep], cols[keep]] = values.ravel()[keep]
     return out
@@ -185,7 +183,7 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
 
 
 def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
-    """Sum of absolute cardinal values at each grid point.
+    """Sum of absolute cardinal values at each grid point; shape ``(1,)`` for a scalar.
 
     Computed as ``||S[i] @ β(x)||_1`` by ``BandedLU.lebesgue`` from the
     interval ``i`` and basis values ``β(x)`` of ``basis.active_values`` and
@@ -200,8 +198,8 @@ def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
         pivot not above ``banded.PIVOT_RTOL`` times its norm.
     """
     _check_1d(grid)
-    interval, values = basis.active_values(np.atleast_1d(grid))  # outside [a, b] raises first
-    return factorize(collocation_matrix(basis)).lebesgue(interval, values)
+    interval, values = basis.active_values(grid)  # outside [a, b] raises first
+    return np.atleast_1d(factorize(collocation_matrix(basis)).lebesgue(interval, values))
 
 
 def lebesgue_constant(basis: GBSplineBasis, grid) -> float:
@@ -210,7 +208,4 @@ def lebesgue_constant(basis: GBSplineBasis, grid) -> float:
     Grid resolution is the caller's responsibility; 400 equispaced points on
     ``[a, b]`` is the conventional default used by the CLI.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise InvalidInputError("empty evaluation grid")
-    return float(lebesgue_function(basis, grid).max())
+    return float(lebesgue_function(basis, check_grid(grid)).max())

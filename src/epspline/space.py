@@ -9,7 +9,9 @@ Evaluation is one pass over many points: ``segment_basis_eval`` returns the
 four segment functions function-first, one contiguous array each, and
 ``segment_combination`` multiplies them by coefficients gathered in the same
 layout and sums the four products in one fixed order. Every evaluator of a
-basis or an interpolant goes through these two functions.
+basis or an interpolant goes through these two, with the segment functions
+of ``GBSplineBasis._locate``. They are values only: ``build_basis`` forms the
+derivatives it needs at ``tau = 1`` from their ``cosh`` and ``sinh``.
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ class ExpSpace:
             raise InvalidInputError(f"alpha must be a positive finite real, got {self.alpha!r}")
 
 
-def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
+def segment_basis_eval(z, tau) -> np.ndarray:
     """Well-conditioned basis of one segment in normalized coordinates.
 
     A segment of length ``h`` with rate ``alpha`` is parameterized by
@@ -53,12 +55,7 @@ def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
     each function one contiguous array. The fourth function is a series where
     ``|z tau| < 0.1``, where the closed form cancels, and the closed form
     elsewhere; each is computed only if some point needs it.
-
-    Derivatives are taken with respect to ``tau``; callers divide by ``h**d``
-    to differentiate in ``x``.
     """
-    if deriv_order not in (0, 1, 2):
-        raise InvalidInputError(f"deriv_order must be 0, 1 or 2, got {deriv_order}")
     z = np.asarray(z, dtype=float)
     tau = np.asarray(tau, dtype=float)
     x = z * tau
@@ -70,12 +67,6 @@ def segment_basis_eval(z, tau, deriv_order: int = 0) -> np.ndarray:
     np.sinh(x, out=b2)
     b2 /= z
     np.multiply(tau, b2, out=b3)
-    if deriv_order == 1:
-        return np.stack(np.broadcast_arrays(z * z * b2, b1, b2 + tau * b1, 3.0 * b3))
-    if deriv_order == 2:
-        z2 = z * z
-        return np.stack(np.broadcast_arrays(z2 * b1, z2 * b2, 2.0 * b1 + z2 * b3,
-                                            3.0 * (b2 + tau * b1)))
     small = np.abs(x) < 0.1
     if small.any():
         # the series in x^2 by Horner; tau**3 through np.power, as tau*tau*tau rounds otherwise

@@ -7,7 +7,7 @@ without that table, on the knots padded by ``padded_knots``, this module's own
 copy of the mirrored-gap rule:
 
 - ``evaluate`` takes one basis function at a time, one support interval at a
-  time, with a matrix product of ``segment_basis_eval`` and ``coef[j, s]``;
+  time, with a matrix product of ``segment_functions`` and ``coef[j, s]``;
 - ``active_values_by_gather`` gathers the 4x4 block of every point from
   ``coef`` and zeroes the slots with no function afterwards;
 - ``interpolant_by_rows`` evaluates an interpolant point by point: the
@@ -37,8 +37,11 @@ that table form point-major, one 4x4 table per point contracted by
 ``einsum``, the reference for the column form of ``BandedLU.lebesgue``.
 
 ``local_system`` assembles one function's 16x16 local system row by row,
-with the segment functions at both ends of each support interval from
-``segment_basis_eval``, the reference for ``build_basis``'s block assembly.
+with the segment functions and their derivatives at both ends of each support
+interval from ``segment_functions``, the reference for ``build_basis``'s block
+assembly. ``segment_functions`` extends ``segment_basis_eval``, which gives
+values only, with the first two derivatives in ``tau``, formed from its
+``cosh`` and ``sinh`` as ``build_basis`` forms them at ``tau = 1``.
 
 ``greedy_uncached`` runs either greedy with nothing carried from one
 insertion to the next: each step builds the basis from scratch and scores
@@ -78,9 +81,24 @@ def support(basis, j: int) -> tuple[float, float]:
     return float(E[j]), float(E[j + 4])
 
 
+def segment_functions(z, tau, deriv_order: int = 0) -> np.ndarray:
+    """The ``deriv_order``-th derivative in ``tau`` (0, 1 or 2) of the segment functions,
+    function-first like ``segment_basis_eval``, whose values it starts from."""
+    g = segment_basis_eval(z, tau)
+    if deriv_order == 0:
+        return g
+    z, tau = np.asarray(z, dtype=float), np.asarray(tau, dtype=float)
+    b1, b2, b3 = g[0], g[1], g[2]  # cosh(z tau), sinh(z tau) / z, tau sinh(z tau) / z
+    if deriv_order == 1:
+        return np.stack(np.broadcast_arrays(z * z * b2, b1, b2 + tau * b1, 3.0 * b3))
+    z2 = z * z
+    return np.stack(np.broadcast_arrays(z2 * b1, z2 * b2, 2.0 * b1 + z2 * b3,
+                                        3.0 * (b2 + tau * b1)))
+
+
 def segment_rows(z, tau, deriv_order: int = 0) -> np.ndarray:
-    """``segment_basis_eval`` stacked point-major: shape ``broadcast(z, tau).shape + (4,)``."""
-    return np.stack(list(segment_basis_eval(z, tau, deriv_order)), axis=-1)
+    """``segment_functions`` stacked point-major: shape ``broadcast(z, tau).shape + (4,)``."""
+    return np.stack(list(segment_functions(z, tau, deriv_order)), axis=-1)
 
 
 def sum4(q):
@@ -232,7 +250,7 @@ def local_system(knots, space, j):
     h = np.diff(_padded(np.asarray(knots, dtype=float))[j:j + 5])
     z = space.alpha * h
     with np.errstate(over="ignore", invalid="ignore"):
-        seg = {tau: [segment_basis_eval(z, tau, d) for d in range(3)] for tau in (0.0, 1.0)}
+        seg = {tau: [segment_functions(z, tau, d) for d in range(3)] for tau in (0.0, 1.0)}
         h_min = np.minimum(h[:-1], h[1:])
         ratios = (h_min / h[:-1], h_min / h[1:])
     A = np.zeros((16, 16))

@@ -202,9 +202,9 @@ class TestPriorReuse:
     def test_interior_insertion_solves_five_functions(self, monkeypatch, space2):
         points = []
 
-        def counting(z, tau, deriv_order=0):
+        def counting(z, tau):
             points.append(np.broadcast(np.asarray(z), np.asarray(tau)).size)
-            return segment_basis_eval(z, tau, deriv_order)
+            return segment_basis_eval(z, tau)
 
         prior = build_basis(np.linspace(-1.0, 1.0, 50), space2)
         knots = _insert(prior.knots, 0.01)

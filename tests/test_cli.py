@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epspline import InvalidInputError
 from epspline.cli import (
@@ -12,7 +19,7 @@ from epspline.cli import (
     parse_node_spec,
     run_experiment,
 )
-from epspline.nodes import equispaced
+from epspline.nodes import KINDS, equispaced, generate
 
 GREEDY_FILES = {
     "trace.csv", "selected.csv", "error.csv", "lebesgue.csv",
@@ -27,6 +34,54 @@ OTHER_VALUE = {"nodes": "halton:9", "fn": "xsq", "alpha": 3.0, "tau": 1.0,
 
 def read_summary(out):
     return json.loads((out / "summary.json").read_text())
+
+
+# data of the tab: files that a drawn command line can name, at the candidates x
+# ("short" has one row only); a name not here is a file that does not exist
+TAB_DATA = {
+    "huge": lambda x: 1e308 * (-1.0) ** np.arange(len(x)),
+    "big": lambda x: np.full(len(x), -1e308),
+    "subnormal": lambda x: 5e-324 * np.arange(len(x)),
+    "mixed": lambda x: np.where(np.arange(len(x)) % 3, 1e308, 5e-324),
+    "short": lambda x: x[:1],
+}
+# each setting's pools: values that parse, extreme ones included, and values
+# that every subcommand rejects. Counts are at most 150 but for one past
+# numpy's limit, which numpy refuses before allocating anything
+POOLS = {
+    "nodes": ([f"{kind}:{count}" for kind in KINDS for count in (2, 3, 4, 5, 9, 40, 150)],
+              ["equispaced", "halton:x", "grid:9", "chebyshev:-4", f"equispaced:{10 ** 20}"]),
+    "fn": (["xsq", "atan55", "inspace"] + [f"tab:{name}" for name in TAB_DATA],
+           ["nope", "tab:missing"]),
+    "alpha": (["1e-300", "5e-324", "1e308", "1000", "2", "0.5"],
+              ["0", "-1", "nan", "inf", "-inf", "x"]),
+    "tau": (["0", "1e-300", "5e-324", "1e308", "3", "1e-3"], ["-1", "nan", "inf", "x"]),
+    "max_iter": (["3", "4", "5", "20", "150", "151"], ["-1", "0", "2.5", "1e308"]),
+    "grid": (["2", "3", "400", str(10 ** 20)], ["-1", "0", "1", "1e3"]),
+}
+# the kernel's dense saddle system grows with every node: it always has a cap, at most 20
+KERNEL_MAX_ITER = (["3", "4", "5", "20"], ["-1", "0", "2.5"])
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv without --out, {setting: value})``: a subcommand with --nodes and some of
+    the other settings it reads, one time in ten one it does not; one value in six is
+    drawn from the rejected pool."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    reads = set(SUBCOMMANDS[name].reads) & set(POOLS)
+    settings = {"nodes"} | draw(st.sets(st.sampled_from(sorted(reads))))
+    unread = sorted(set(POOLS) - reads)
+    if unread and draw(st.integers(0, 9)) == 9:
+        settings.add(draw(st.sampled_from(unread)))
+    if name == "kernel":
+        settings.add("max_iter")
+    flags = {}
+    for setting in sorted(settings):
+        pools = KERNEL_MAX_ITER if (name, setting) == ("kernel", "max_iter") else POOLS[setting]
+        flags[setting] = draw(st.sampled_from(pools[draw(st.integers(0, 5)) == 5]))
+    argv = [name] + [a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v)]
+    return argv, flags
 
 
 class TestParsing:
@@ -337,6 +392,33 @@ class TestExitCodes:
         afile = tmp_path / "afile"
         afile.write_text("")
         assert main(["reproduce-all", "--out", str(afile)]) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=command_lines())
+    def test_any_command_line_exits_zero_one_or_two(self, drawn):
+        argv, flags = drawn
+        with tempfile.TemporaryDirectory() as root:
+            out = Path(root) / "out"
+            fn = flags.get("fn", "")
+            if fn.startswith("tab:") and fn[4:] in TAB_DATA:
+                try:  # at the candidates, if the node spec gives any
+                    x = generate(parse_node_spec(flags["nodes"]))
+                except ValueError:
+                    x = equispaced(9)
+                y = TAB_DATA[fn[4:]](x)
+                Path(root, fn[4:]).write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+            argv = [v.replace("tab:", f"tab:{root}/") for v in argv] + ["--out", str(out)]
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code:
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), \
+                    (argv, err.getvalue())
+            if code == 1:  # a drawn line is rejected, if at all, before its output directory
+                assert not out.exists(), argv
 
     def test_numerical_failure_is_two(self, tmp_path):
         # alpha * longest interval above the overflow limit

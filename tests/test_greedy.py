@@ -1,8 +1,10 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from epspline import (
     ExpSpace,
@@ -415,6 +417,36 @@ class TestFailureMidLoop:
         last_x = err.value.trace.steps[-1].selected_x
         assert f"iteration 1, after inserting x = {last_x!r}: collocation row 1: forward " \
             "pivot 0.822" in str(err.value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(anchor=st.one_of(st.just(20), st.integers(1, 39)), log_k=st.floats(0.0, 12.0),
+           side=st.sampled_from([-1.0, 1.0]))
+    # 1 ULP beside 0.25, and 1e12 of the subnormal ULP beside 0
+    @example(anchor=25, log_k=0.0, side=1.0)
+    @example(anchor=20, log_k=12.0, side=-1.0)
+    def test_near_coincident_candidate_finishes_or_raises(self, anchor, log_k, side):
+        # 41 equispaced candidates and one k ULPs beside the anchor: beside 0 the gap
+        # is subnormal, k * 5e-324; elsewhere at most about 1e-4
+        cand = np.linspace(-1.0, 1.0, 41)
+        near = cand[anchor] + side * round(10.0 ** log_k) * np.spacing(cand[anchor])
+        cand = np.sort(np.append(cand, near))
+        assert len(np.unique(cand)) == 42
+        runs = {"f_greedy": lambda: f_greedy(cand, np.sin(9.0 * cand), cfg(tau=0.0))[2],
+                "lambda_greedy": lambda: lambda_greedy(cand, cfg(tau=0.0))[1]}
+        for model, run in runs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace, message = outcome(run)
+            fields = [v for s in trace.steps for v in dataclasses.astuple(s) if v is not None]
+            assert not np.isnan(fields).any(), model
+            if message is None:
+                assert trace.stop_reason in ("tau", "exhausted"), model
+                continue
+            assert trace.stop_reason == "error", model
+            where = f"iteration {len(trace.steps)}"
+            if trace.steps:
+                where += f", after inserting x = {trace.steps[-1].selected_x!r}: "
+            assert message.startswith(where), (model, message)
 
     def test_too_few_candidates_for_default_init(self):
         with pytest.raises(InvalidInputError):

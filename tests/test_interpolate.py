@@ -30,7 +30,8 @@ from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
 from oracle import (active_values_by_gather, collocation_by_values, evaluate, interpolant_by_rows,
-                    interval_by_search, lebesgue_by_einsum, lebesgue_by_solve, segment_value)
+                    interval_by_search, lebesgue_by_einsum, lebesgue_by_solve, segment_functions,
+                    segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -220,9 +221,9 @@ class TestLocatedSets:
         basis = build_basis(np.linspace(-1.0, 1.0, 9), space2)
         calls = []
 
-        def counted(z, tau, *args):
+        def counted(z, tau):
             calls.append(np.shape(tau))
-            return segment_basis_eval(z, tau, *args)
+            return segment_basis_eval(z, tau)
 
         monkeypatch.setattr(basis_mod, "segment_basis_eval", counted)
         sets = {name: np.linspace(-1.0, 1.0, m) for name, m in (("A", 5), ("B", 6), ("C", 7))}
@@ -253,7 +254,19 @@ class TestLocatedSets:
         held = [entry[0] for entry in basis8._located]
         value = interp(0.3)
         assert type(value) is float and [entry[0] for entry in basis8._located] == held
+        # every evaluator of points takes a scalar the same way, in the shape it returns for one
+        scalar_shapes = {lebesgue_function: (1,), lebesgue_constant: (),
+                         basis_matrix: (basis8.n, 1), cardinal_values: (basis8.n,)}
+        got = {}
+        for evaluate, shape in scalar_shapes.items():
+            got[evaluate] = evaluate(basis8, 0.3)
+            assert np.shape(got[evaluate]) == shape
+            assert [entry[0] for entry in basis8._located] == held, evaluate.__name__
+        collocation_matrix(basis8)  # its last row is the basis at the scalar b
+        assert [entry[0] for entry in basis8._located] == held
         assert_same_bits(np.float64(value), interp(np.array([0.3]))[0])
+        for evaluate, value in got.items():
+            assert_same_bits(np.ravel(value), np.ravel(evaluate(basis8, np.array([0.3]))))
 
     def test_active_values_interval_is_the_callers(self, basis8, grid400):
         interval, _ = basis8.active_values(grid400)
@@ -528,10 +541,10 @@ class TestEvaluation:
         z, h_min = basis.space.alpha * h, np.minimum(h[:-1], h[1:])
         tau = np.linspace(0.0, 1.0, 17)
         for d in range(3):
-            left = np.einsum("ik,ki->i", interp.pp[:-1], segment_basis_eval(z[:-1], 1.0, d))
-            right = np.einsum("ik,ki->i", interp.pp[1:], segment_basis_eval(z[1:], 0.0, d))
+            left = np.einsum("ik,ki->i", interp.pp[:-1], segment_functions(z[:-1], 1.0, d))
+            right = np.einsum("ik,ki->i", interp.pp[1:], segment_functions(z[1:], 0.0, d))
             jump = np.abs(left * (h_min / h[:-1]) ** d - right * (h_min / h[1:]) ** d)
-            inside = np.einsum("ik,kit->it", interp.pp, segment_basis_eval(z[:, None], tau, d))
+            inside = np.einsum("ik,kit->it", interp.pp, segment_functions(z[:, None], tau, d))
             scale = np.abs(inside).max()
             assert np.all(jump <= C2_EPS_MULTIPLE * np.finfo(float).eps * scale), (d, jump, scale)
 
@@ -870,7 +883,7 @@ def rounding_spread(basis, x, weights):
     i, g = basis._locate(x)
     K = basis.knots
     h = K[i + 1] - K[i]
-    g_tau = segment_basis_eval(basis.space.alpha * h, (x - K[i]) / h, 1)
+    g_tau = segment_functions(basis.space.alpha * h, (x - K[i]) / h, 1)
     return np.einsum("ps,psk,kp->p", weights(i), np.abs(basis.table[i]), np.abs(g) + np.abs(g_tau))
 
 
