@@ -100,7 +100,7 @@ class BandedLU:
         self._pivots = d
 
     def lebesgue_tables(self) -> np.ndarray:
-        """``S``, shape ``(n - 1, 4, 4)``, with ``Λ(x) = ||S[i] @ β(x)||_1`` on interval ``i``.
+        """``S``, ``(4, 4, n - 1)``: ``Λ(x) = Σ_r |Σ_s S[s, r, i] β_s(x)|`` on interval i.
 
         ``β(x)`` holds the values at x of the 4 functions alive on interval
         ``i``. Works on ``M = Aᵀ`` padded with a decoupled 1 at each end, so
@@ -120,32 +120,32 @@ class BandedLU:
         # The 4x4 block of M⁻¹ on window i inverts M's window with its corners
         # replaced by d[i] and e[i + 3]; its Thomas pivots are d[i], d[i + 1],
         # d[i + 2] and twisted[i + 2]. Invert it, all i at once.
-        piv = [d[:w, None], d[1:w + 1, None], d[2:w + 2, None], twisted[2:w + 2, None]]
-        y = np.broadcast_to(np.eye(4), (w, 4, 4)).copy()
+        piv = [d[:w], d[1:w + 1], d[2:w + 2], twisted[2:w + 2]]
+        y = np.broadcast_to(np.eye(4)[:, :, None], (4, 4, w)).copy()  # y[s, r, i]
         for r in range(1, 4):
-            y[:, r] -= sub[r - 1:r - 1 + w, None] / piv[r - 1] * y[:, r - 1]
+            y[:, r] -= sub[r - 1:r - 1 + w] / piv[r - 1] * y[:, r - 1]
         y[:, 3] /= piv[3]
         for r in range(2, -1, -1):
-            y[:, r] = (y[:, r] - sup[r:r + w, None] * y[:, r + 1]) / piv[r]
+            y[:, r] = (y[:, r] - sup[r:r + w] * y[:, r + 1]) / piv[r]
         # the cardinal entries outside the window are the end rows' times the tail sums
-        y[:, 0] *= 1.0 + sl[:w, None]
-        y[:, 3] *= 1.0 + sr[3:w + 3, None]
+        y[:, 0] *= 1.0 + sl[:w]
+        y[:, 3] *= 1.0 + sr[3:w + 3]
         return y
 
     def lebesgue(self, interval, values) -> np.ndarray:
-        """``Λ = ||S[i] @ β||_1`` at each point, with ``S = lebesgue_tables()`` and each
-        point's ``(interval i, values β)`` from ``GBSplineBasis.active_values``. The tables
-        are 16 rows ``[s, r] = S[:, r, s]`` gathered by interval; the sums over ``s`` and
-        then ``r`` run in the orders of ``einsum("prs,ps->pr", ...)`` and ``.sum(axis=1)``."""
-        tables = self.lebesgue_tables().transpose(2, 1, 0).copy()
-        rows = np.abs(segment_combination(np.take(tables, interval, axis=2), values[:, None]))
+        """``Λ = Σ_r |Σ_s S[s, r, i] β_s|`` at each point, with ``S = lebesgue_tables()`` and
+        each point's ``(interval i, values β)`` from ``GBSplineBasis.active_values``. The
+        tables are 16 rows ``S[s, r]`` gathered by interval; the sums over ``s`` and then
+        ``r`` run in the orders of ``einsum("prs,ps->pr", ...)`` and ``.sum(axis=1)``."""
+        rows = np.abs(segment_combination(np.take(self.lebesgue_tables(), interval, axis=2),
+                                          values[:, None]))
         return rows[0] + rows[1] + rows[2] + rows[3]
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``A x = b`` (or ``A^T x = b``); ``b`` may hold several RHS columns."""
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise InvalidInputError(f"rhs has leading dimension {b.shape[0]}, expected {self.n}")
+        if b.shape[:1] != (self.n,):
+            raise InvalidInputError(f"rhs of shape {b.shape}, expected leading dimension {self.n}")
         if b.size == 0:
             return b.copy()  # scipy's tbtrs crashes the interpreter on zero right-hand sides
         d = self._pivots

@@ -14,9 +14,9 @@ Only the build reads the padded knots. The basis keeps its interior knots,
 ``alpha`` and one per-interval table, the pp-form of de Boor's ``bsplpp`` (*A
 Practical Guide to Splines*, 2001): on each interval of ``[a, b]`` the four
 live functions are a 4x4 matrix times the four segment functions there. The
-table is gathered from ``coef`` once, when the basis is constructed, and
-``active_values`` answers a point with its interval and those four values,
-function-first like the segment functions.
+table is interval-last, so ``active_values`` gathers a point's matrix with
+one ``np.take`` and answers the point with its interval and the four values
+there, function-first like the segment functions.
 
 Every evaluator calls ``GBSplineBasis._locate``: it finds each point's
 interval, gathers that interval's knot and length with ``np.take`` and
@@ -25,7 +25,7 @@ contiguous arrays. Its callers gather their coefficients the same way, one
 contiguous array per segment function, and combine the two with
 ``space.segment_combination``. ``_locate`` searches the inner knots among
 ascending points (the package's own) and any other point among the knots.
-None of this depends on ``coef``, so the basis keeps it for the last two
+None of this depends on the table, so the basis keeps it for the last two
 point sets it met: a basis fitted to many data vectors locates its grid once.
 """
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisConstructionError, DomainError, check_points
+from .errors import BasisConstructionError, DomainError, InvalidInputError, check_points
 from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval, segment_combination
 
 # Condition-number ceiling for the per-function 16x16 local systems
@@ -71,36 +71,28 @@ def _padded_knots(x: np.ndarray) -> np.ndarray:
 class GBSplineBasis:
     """The n basis functions over the interior knots ``knots``, from ``a`` to ``b``.
 
-    ``coef[j, s, k]`` multiplies the ``k``-th normalized segment function on
-    the ``s``-th interval of the support of basis function ``j``; the support
-    of function ``j`` (0-based) is ``[knots[j - 2], knots[j + 2]]``, with the
-    knots beyond either end mirrored as ``build_basis`` pads them.
-
-    ``table[i, s]``, shape ``(n - 1, 4, 4)``, holds the coefficients of
-    function ``i + s - 1`` on the ``i``-th interval ``[knots[i], knots[i+1]]``,
-    and is exactly zero where that function does not exist. It is computed
-    from ``coef`` at construction and never changes.
+    ``table[k, s, i]``, shape ``(4, 4, n - 1)`` and contiguous, is the
+    coefficient of the ``k``-th normalized segment function in function
+    ``i + s - 1`` on the ``i``-th interval ``[knots[i], knots[i+1]]``, exactly
+    zero where that function does not exist. Function ``j`` is supported on
+    ``[knots[j - 2], knots[j + 2]]``, the knots beyond either end mirrored as
+    ``build_basis`` pads them; its pieces beyond ``[a, b]`` are not kept.
 
     The basis also holds the located intervals and segment functions of the
     last ``LOCATED_SETS_KEPT`` point sets it evaluated (``_locate``): 48 bytes
-    a point, none of which depends on ``coef``, so every interpolant on the
+    a point, none of which depends on ``table``, so every interpolant on the
     basis reuses them. They are read-only, and the tuple holding them is
     replaced whole, never changed, so concurrent evaluations stay safe.
     """
 
     knots: np.ndarray
     space: ExpSpace
-    coef: np.ndarray
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray
     _located: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # function i + s - 1 lives on its (3 - s)-th support interval; padding
-        # coef with a zero function at each end fills the slots of i = -1 and n
-        padded = np.zeros((self.n + 2, 4, 4))
-        padded[1:-1] = self.coef
-        s = np.arange(4)
-        object.__setattr__(self, "table", padded[np.arange(self.n - 1)[:, None] + s, 3 - s])
+        if np.shape(self.table) != (4, 4, self.n - 1):
+            raise InvalidInputError(f"table shape {np.shape(self.table)} != (4, 4, {self.n - 1})")
 
     @property
     def n(self) -> int:
@@ -177,9 +169,7 @@ class GBSplineBasis:
         A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
-        # coef[k, s, ...] = table[i, s, k]
-        coef = np.take(self.table.transpose(2, 1, 0), i, axis=2)
-        return i.copy(), segment_combination(coef, g[:, None])
+        return i.copy(), segment_combination(np.take(self.table, i, axis=2), g[:, None])
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
@@ -191,11 +181,13 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
         Interior knots: at least 2, finite and strictly increasing.
     space : ExpSpace
     prior : GBSplineBasis, optional
-        A basis built earlier, typically on the same knots before one
-        insertion. A function whose five support knots and ``alpha`` equal
-        those of one of ``prior``'s functions has the same local system, so
-        its coefficients are copied; only the other functions are solved.
-        The result is bitwise equal to a build without ``prior``.
+        A basis built earlier with the same ``alpha``, ``a`` and ``b``,
+        typically on the same knots before one insertion. A function whose
+        five support knots equal those of one of ``prior``'s functions has
+        the same local system, so its columns of ``prior.table`` are copied;
+        only the other functions are solved. Any other ``prior`` is ignored,
+        as a matched function may then have a piece in ``[a, b]`` that
+        ``prior.table`` lacks. The result is bitwise equal to a build without it.
 
     Returns
     -------
@@ -236,13 +228,16 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
         )
 
     span = np.arange(5)  # function j's support knots are E[j + span]
-    coef = np.empty((n, 4, 4))
+    coef = np.zeros((4, 4, n + 2))  # coef[m, k, j + 1]: function j on support interval m
     todo = np.arange(n)  # functions whose local system is solved below
-    if prior is not None and prior.space == space:
+    if prior is not None and (prior.space, prior.a, prior.b) == (space, x[0], x[-1]):
         old = _padded_knots(prior.knots)
         pos = np.minimum(np.searchsorted(old[:prior.n], E[:n]), prior.n - 1)
         same = np.all(np.take(old, pos[:, None] + span) == np.take(E, todo[:, None] + span), 1)
-        coef[same] = prior.coef[pos[same]]
+        held = np.zeros((4, 4, prior.n + 2))  # prior's coef: the final gather inverted
+        for s in range(4):
+            held[3 - s, :, s:s + prior.n - 1] = prior.table[:, s]
+        coef[:, :, 1 + np.flatnonzero(same)] = held[:, :, 1 + pos[same]]
         todo = np.flatnonzero(~same)
 
     k = len(todo)
@@ -296,9 +291,12 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
                 f"local system for basis function {todo[bad[0]]} is numerically "
                 f"rank-deficient (condition estimate {conds[bad[0]]:.3g})"
             )
-        coef[todo] = np.linalg.solve(A, rhs)[:, :, 0].reshape(k, 4, 4)
+        coef[:, :, 1 + todo] = np.linalg.solve(A, rhs)[:, :, 0].reshape(k, 4, 4).transpose(1, 2, 0)
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"singular local system among basis functions {todo[0]}..{todo[-1]}: {exc}"
         ) from exc
-    return GBSplineBasis(knots=x, space=space, coef=coef)
+    table = np.empty((4, 4, n - 1))
+    for s in range(4):  # function i + s - 1, zero past either end, on its support interval 3 - s
+        table[:, s] = coef[3 - s, :, s:s + n - 1]
+    return GBSplineBasis(knots=x, space=space, table=table)

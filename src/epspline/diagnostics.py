@@ -33,8 +33,8 @@ def _as_dense(matrix) -> np.ndarray:
     if isinstance(matrix, BandedMatrix):
         return matrix.to_dense()
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInputError(f"expected a matrix, got shape {a.shape}")
+    if a.ndim != 2 or not a.size:
+        raise InvalidInputError(f"expected a nonempty matrix, got shape {a.shape}")
     return a
 
 

@@ -21,10 +21,10 @@ The Lebesgue strategy carries two arrays across insertions, the ``(interval,
 values)`` that ``active_values`` gives: each candidate's knot-interval index,
 and its 4 basis values there, function-first as ``(4, m)``. After a refit it
 compares the new basis with the previous one and evaluates again, with the
-same call, only the candidates in intervals whose knots or ``table`` row
+same call, only the candidates in intervals whose knots or ``table`` column
 changed, so every value has the bits a fresh evaluation would give; the
 others' interval index is only shifted. The scores are then one
-``BandedLU.lebesgue`` call on the refit's factorization: ``||S[i] @ β||_1``
+``BandedLU.lebesgue`` call on the refit's factorization: ``||S_i β||_1``
 per remaining candidate, with the interval's Lebesgue table, formed on 16
 rows of length m.
 """
@@ -186,13 +186,13 @@ def _carried_intervals(prior, basis) -> np.ndarray:
     """Each knot interval of ``prior``: its index in ``basis``, or -1 if it changed.
 
     An interval is carried when ``basis`` has one with the same two knots and
-    the same ``table`` row, so its segment functions and basis values at any
+    the same ``table`` column, so its segment functions and basis values at any
     point are the same bits.
     """
     old, new = prior.knots, basis.knots
     at = np.minimum(np.searchsorted(new, old[:-1]), basis.n - 2)
     same = (new[at] == old[:-1]) & (new[at + 1] == old[1:]) \
-        & (basis.table[at] == prior.table).all(axis=(1, 2))
+        & (basis.table[:, :, at] == prior.table).all(axis=(0, 1))
     return np.where(same, at, -1)
 
 

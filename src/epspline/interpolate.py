@@ -6,37 +6,38 @@ tridiagonal: at knot ``i`` only functions ``i - 1``, ``i`` and ``i + 1`` are
 nonzero. The fourth function alive there, ``i + 2`` (``n - 3`` at the last
 knot), sits at an end of its support and vanishes in exact arithmetic. Knot
 ``i < n - 1`` starts interval ``i``, where the segment functions are ``(1, 0,
-0, 0)``, so its row is ``table[i, :, 0]``. The last knot ends interval ``n -
+0, 0)``, so its row is ``table[0, :, i]``. The last knot ends interval ``n -
 2``: its row is ``active_values(b)``, the segment functions at ``tau = 1``
-there combined with ``table[n - 2]``.
+there combined with ``table[:, :, n - 2]``.
 Assembly keeps the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
 
-An interpolant is one row of 4 numbers per knot interval, ``pp[i] = sum_s
-c[i+s-1] * table[i, s]`` (see ``GBSplineBasis.table``), formed when it is
-constructed. Evaluating it is one pass over all points: the rows of the
-points' intervals are gathered function-first, one contiguous array per
-segment function, and ``space.segment_combination`` sums the four products
-of each point as ``(q0 + q2) + (q1 + q3)``, the order in which numpy's
-``einsum`` sums a contiguous length-4 axis.
+An interpolant is 4 numbers per knot interval, ``pp[:, i] = sum_s c[i+s-1]
+* table[:, s, i]``, formed when it is constructed and interval-last like
+``GBSplineBasis.table``. Evaluating it is one pass over all points: one
+``np.take`` gathers the columns of the points' intervals function-first,
+one contiguous array per segment function, and ``space.segment_combination``
+sums the four products of each point as ``(q0 + q2) + (q1 + q3)``, the order
+in which numpy's ``einsum`` sums a contiguous length-4 axis.
 
-The Lebesgue function is ``||R[i] @ g(x)||_1`` with ``R[i] = S[i] @ table[i]``
-and ``S[i]`` one 4x4 table per knot interval, read in O(n) from the
-factorization ``fit`` solves with (``BandedLU.lebesgue_tables``): the
-cardinal vector at x solves ``Aᵀ u = β(x)``, whose right side lives on the 4
-functions of the interval, and outside them u is a geometric tail of its end
-entries (the inverse of a tridiagonal matrix has rank-one off-diagonal
-blocks; Meurant, SIAM J. Matrix Anal. Appl. 13, 1992). It is applied as
-``S[i] @ β(x)``, the basis values first, by ``BandedLU.lebesgue`` from the
-``(interval, values)`` that ``active_values`` gives, the values
-function-first: at a knot they are then the collocation row itself, rounding
-included, so Λ = 1 there to the accuracy of the solve. It gathers the tables
-as 16 rows of length n - 1 and sums in the orders of a point-major
-``einsum`` and ``.sum``, with their bits. Forming ``R[i]`` first would round
-differently where the contraction with g cancels heavily, at the right end of
-an interval with a large α·h. The Lebesgue function solves nothing;
-``cardinal_values`` keeps the transposed solve and is the reference.
+The Lebesgue function is ``||S_i T_i g(x)||_1``, with ``T_i[s, k] = table[k,
+s, i]`` and ``S_i[r, s] = S[s, r, i]`` one 4x4 table per knot interval, ``S``
+read in O(n) from the factorization ``fit`` solves with
+(``BandedLU.lebesgue_tables``): the cardinal vector at x solves ``Aᵀ u =
+β(x)``, whose right side lives on the 4 functions of the interval, and
+outside them u is a geometric tail of its end entries (the inverse of a
+tridiagonal matrix has rank-one off-diagonal blocks; Meurant, SIAM J.
+Matrix Anal. Appl. 13, 1992). It is applied as ``S_i β(x)``, the basis
+values first, by ``BandedLU.lebesgue`` from the ``(interval, values)`` that
+``active_values`` gives, the values function-first: at a knot they are then
+the collocation row itself, rounding included, so Λ = 1 there to the
+accuracy of the solve. It gathers ``S``, 16 rows of length n - 1, and sums
+in the orders of a point-major ``einsum`` and ``.sum``, with their bits.
+Forming ``S_i T_i`` first would round differently where the contraction
+with g cancels heavily, at the right end of an interval with a large α·h.
+The Lebesgue function solves nothing; ``cardinal_values`` keeps the
+transposed solve and is the reference.
 """
 
 from dataclasses import dataclass, field
@@ -76,15 +77,14 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
         ``OUTER_BAND_RTOL`` times the infinity norm of the matrix.
     """
     n = basis.n
-    rows = basis.table[:, :, 0]  # at knot i < n - 1: functions i - 1 .. i + 2
+    rows = basis.table[0]  # rows[s, i]: function i + s - 1 at knot i < n - 1, where tau = 0
     last = basis.active_values(basis.b)[1]  # at knot n - 1: functions n - 3 .. n
-    mat = BandedMatrix(np.append(rows[1:, 0], last[1]), np.append(rows[:, 1], last[2]),
-                       rows[:, 2])
-    outer = np.abs(np.append(rows[:, 3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
+    mat = BandedMatrix(np.append(rows[0, 1:], last[1]), np.append(rows[1], last[2]), rows[2])
+    outer = np.abs(np.append(rows[3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
     limit = OUTER_BAND_RTOL * mat.norm_inf()
     if outer.max() > limit:
         i = int(np.argmax(outer))
-        j, value = (i + 2, rows[i, 3]) if i < n - 1 else (n - 3, last[0])
+        j, value = (i + 2, rows[3, i]) if i < n - 1 else (n - 3, last[0])
         raise BasisConstructionError(
             f"collocation row {i}: basis function {j} has value "
             f"{value:.3g} outside the tridiagonal band (limit {limit:.3g})"
@@ -109,9 +109,9 @@ class Interpolant:
     """Spline interpolant: basis plus solved coefficient vector.
 
     At every interior knot the interpolant reproduces the data it was fitted
-    to within roundoff of the collocation solve. ``pp[i]`` holds its
-    coefficients on the ``i``-th knot interval in the segment basis, computed
-    at construction. Data so large that ``pp`` is not finite raises
+    to within roundoff of the collocation solve. ``pp[k, i]``, shape ``(4, n -
+    1)``, multiplies the ``k``-th segment function on knot interval ``i``; it is
+    computed at construction. Data so large that ``pp`` is not finite raises
     ``DomainError`` there, and so does a value that overflows at a point.
     """
 
@@ -125,8 +125,8 @@ class Interpolant:
             raise InvalidInputError(f"expected {self.basis.n} coefficients, got shape {c.shape}")
         window = np.lib.stride_tricks.sliding_window_view(np.pad(c, 1), 4)  # c[i-1 .. i+2]
         # einsum raises no floating-point warning: an overflow shows only as a non-finite value
-        pp = np.einsum("is,isk->ik", window, self.basis.table)
-        bad = np.flatnonzero(~np.isfinite(pp).all(axis=1))
+        pp = np.einsum("is,ksi->ki", window, self.basis.table)
+        bad = np.flatnonzero(~np.isfinite(pp).all(axis=0))
         if len(bad):
             raise DomainError(f"interpolant not finite on knot interval {bad[0]} (largest "
                               f"coefficient magnitude {np.abs(c).max():.3g})")
@@ -135,7 +135,7 @@ class Interpolant:
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
         i, g = self.basis._locate(x)
-        out = segment_combination(np.take(self.pp.T, i, axis=1), g)
+        out = segment_combination(np.take(self.pp, i, axis=1), g)
         if not np.all(np.isfinite(out)):
             bad = np.asarray(x, dtype=float)[~np.isfinite(out)]
             raise DomainError(f"interpolant not finite at x = {float(bad[0])!r}")
@@ -185,7 +185,7 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
 def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
     """Sum of absolute cardinal values at each grid point; shape ``(1,)`` for a scalar.
 
-    Computed as ``||S[i] @ β(x)||_1`` by ``BandedLU.lebesgue`` from the
+    Computed as ``||S_i β(x)||_1`` by ``BandedLU.lebesgue`` from the
     interval ``i`` and basis values ``β(x)`` of ``basis.active_values`` and
     one 4x4 table per knot interval, read from the factorization of the
     collocation matrix, in O(n + m) for m points; it solves nothing and forms

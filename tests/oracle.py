@@ -3,15 +3,18 @@
 The library evaluates the basis one way only: ``GBSplineBasis.active_values``
 contracts the segment functions at each point with one 4x4 block of the
 per-interval table ``GBSplineBasis.table``. The functions here evaluate it
-without that table, on the knots padded by ``padded_knots``, this module's own
-copy of the mirrored-gap rule:
+without that table, from ``coefficients``: ``coef[j, s]`` of every function
+``j`` on each of its 4 support intervals ``s``, solved from ``local_system``
+one function at a time, on the knots padded by ``padded_knots``, this
+module's own copy of the mirrored-gap rule. ``table_by_scatter`` lays those
+out as the library's table, the reference for ``build_basis``.
 
 - ``evaluate`` takes one basis function at a time, one support interval at a
   time, with a matrix product of ``segment_functions`` and ``coef[j, s]``;
 - ``active_values_by_gather`` gathers the 4x4 block of every point from
   ``coef`` and zeroes the slots with no function afterwards;
 - ``interpolant_by_rows`` evaluates an interpolant point by point: the
-  segment functions stacked as one row of 4 per point, times ``pp[i]``.
+  segment functions stacked as one row of 4 per point, times ``pp[:, i]``.
 
 ``interval_by_search`` locates every point by its own binary search among
 the knots, the reference for ``GBSplineBasis._locate``, which locates an
@@ -36,6 +39,13 @@ per-interval table form of ``lebesgue_function``. ``lebesgue_by_einsum`` is
 that table form point-major, one 4x4 table per point contracted by
 ``einsum``, the reference for the column form of ``BandedLU.lebesgue``.
 
+Two references keep the interval-first layout that the tables had before
+they were stored interval-last, so that the change of layout is shown to
+keep every bit: ``lebesgue_tables_interval_first`` inverts each window's
+4x4 block as ``[i, r, s]`` with the elementwise steps of
+``BandedLU.lebesgue_tables``, and ``pp_by_einsum`` forms an interpolant's
+rows as ``einsum("is,isk->ik")`` over the basis table laid out ``[i, s, k]``.
+
 ``local_system`` assembles one function's 16x16 local system row by row,
 with the segment functions and their derivatives at both ends of each support
 interval from ``segment_functions``, the reference for ``build_basis``'s block
@@ -50,6 +60,8 @@ every remaining candidate through ``Interpolant.__call__`` or
 both greedies' reuse of the previous basis.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from epspline import (
@@ -60,6 +72,7 @@ from epspline import (
     fit,
     lebesgue_function,
 )
+from epspline.banded import _sweep
 from epspline.greedy import _greedy_loop
 from epspline.space import segment_basis_eval
 
@@ -116,7 +129,7 @@ def segment_value(basis, j: int, s: int, tau, deriv_order: int = 0):
     E = padded_knots(basis)
     h = E[j + s + 1] - E[j + s]
     g = segment_rows(basis.space.alpha * h, tau, deriv_order)
-    return (g @ basis.coef[j, s]) / h**deriv_order
+    return (g @ coefficients(basis)[j, s]) / h**deriv_order
 
 
 def evaluate(basis, j: int, x, deriv_order: int = 0):
@@ -148,7 +161,7 @@ def active_values_by_gather(basis, x):
     valid = (indices >= 0) & (indices < basis.n)
     jc = np.clip(indices, 0, basis.n - 1)
     seg = i0[..., None] - jc
-    values = sum4(g[..., None, :] * basis.coef[jc, seg])
+    values = sum4(g[..., None, :] * coefficients(basis)[jc, seg])
     return i0 - 2, np.moveaxis(np.where(valid, values, 0.0), -1, 0)
 
 
@@ -160,14 +173,14 @@ def interval_by_search(knots, x):
 
 
 def interpolant_by_rows(interp, x):
-    """``interp(x)`` from one row of segment functions per point times ``pp[i]``."""
+    """``interp(x)`` from one row of segment functions per point times ``pp[:, i]``."""
     K = interp.basis.knots
     xa = np.asarray(x, dtype=float)
     i = interval_by_search(K, xa)
     h = K[i + 1] - K[i]
     g = segment_rows(interp.basis.space.alpha * h, (xa - K[i]) / h)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sum4(g * interp.pp[i])
+        out = sum4(g * np.moveaxis(interp.pp[:, i], 0, -1))
     return out if np.ndim(x) else float(out)
 
 
@@ -233,14 +246,14 @@ def greedy_uncached(candidates, config, values=None, lebesgue=lebesgue_function)
 def lebesgue_by_einsum(lu, interval, values):
     """``lu.lebesgue(interval, values)`` point-major: the tables gathered as ``(m, 4, 4)``,
     contracted with the ``(m, 4)`` basis values by ``einsum`` and summed by ``.sum(axis=1)``."""
-    tables = np.take(lu.lebesgue_tables(), interval, axis=0)
+    tables = np.take(lu.lebesgue_tables().transpose(2, 1, 0), interval, axis=0)
     return np.abs(np.einsum("prs,ps->pr", tables, np.ascontiguousarray(values.T))).sum(axis=1)
 
 
 def local_system(knots, space, j):
     """The row-equilibrated 16x16 local system ``(A, rhs)`` of function ``j`` on the
-    interior ``knots``, assembled one row at a time; ``build_basis`` gives ``coef[j] =
-    np.linalg.solve(A, rhs).reshape(4, 4)``.
+    interior ``knots``, assembled one row at a time; ``coef[j] = np.linalg.solve(A,
+    rhs).reshape(4, 4)`` (see ``coefficients``).
 
     Rows 0-2 and 12-14: value and first two derivatives vanish at the support
     ends. Row ``3 m + d``: the d-th derivative is continuous at the m-th interior
@@ -265,3 +278,60 @@ def local_system(knots, space, j):
     rhs[15] = 1.0
     row_scale = np.abs(A).max(axis=1)
     return A / row_scale[:, None], rhs / row_scale
+
+
+def coefficients(basis) -> np.ndarray:
+    """``coef``, shape ``(n, 4, 4)``: ``coef[j, s, k]`` multiplies the ``k``-th segment
+    function on the ``s``-th support interval of function ``j``, beyond ``[a, b]``
+    included; one ``local_system`` solve per function, kept for the last few bases."""
+    return _coefficients(basis.knots.tobytes(), basis.space.alpha)
+
+
+@lru_cache(maxsize=8)
+def _coefficients(knot_bytes, alpha):
+    knots, space = np.frombuffer(knot_bytes), ExpSpace(alpha)
+    coef = np.array([np.linalg.solve(*local_system(knots, space, j)).reshape(4, 4)
+                     for j in range(len(knots))])
+    coef.flags.writeable = False
+    return coef
+
+
+def table_by_scatter(basis) -> np.ndarray:
+    """``GBSplineBasis.table`` from ``coefficients``, one function and support interval
+    at a time: support interval ``s`` of function ``j`` is interval ``j + s - 2``, where
+    the function is slot ``3 - s``; zero where no function is."""
+    coef, n = coefficients(basis), basis.n
+    table = np.zeros((4, 4, n - 1))
+    for j in range(n):
+        for s in range(4):
+            if 0 <= j + s - 2 <= n - 2:
+                table[:, 3 - s, j + s - 2] = coef[j, s]
+    return table
+
+
+def pp_by_einsum(interp) -> np.ndarray:
+    """``Interpolant.pp`` transposed, ``(n - 1, 4)``, as ``einsum("is,isk->ik")`` of the
+    coefficient windows and a contiguous copy of the basis table laid out ``[i, s, k]``."""
+    window = np.lib.stride_tricks.sliding_window_view(np.pad(interp.coefficients, 1), 4)
+    table = np.ascontiguousarray(interp.basis.table.transpose(2, 1, 0))
+    return np.einsum("is,isk->ik", window, table)
+
+
+def lebesgue_tables_interval_first(lu) -> np.ndarray:
+    """``lu.lebesgue_tables()`` transposed, ``(n - 1, 4, 4)`` as ``[i, r, s]``: each
+    window's 4x4 block of ``M⁻¹`` inverted interval-first, with the elementwise steps
+    of the library; read from ``lu``'s pivots, tail sums and diagonals."""
+    w, sup, sub, d, sl = lu.n - 1, lu._sup, lu._sub, lu._pivots, lu._tails
+    e, sr = _sweep(lu._diag[::-1], sub[:0:-1].tolist(), sup[:0:-1].tolist(), lu._floor)
+    e, sr = np.append(1.0, e[::-1]), np.append(0.0, sr[::-1])
+    twisted = e[1:] - sub * sup / d
+    piv = [d[:w, None], d[1:w + 1, None], d[2:w + 2, None], twisted[2:w + 2, None]]
+    y = np.broadcast_to(np.eye(4), (w, 4, 4)).copy()
+    for r in range(1, 4):
+        y[:, r] -= sub[r - 1:r - 1 + w, None] / piv[r - 1] * y[:, r - 1]
+    y[:, 3] /= piv[3]
+    for r in range(2, -1, -1):
+        y[:, r] = (y[:, r] - sup[r:r + w, None] * y[:, r + 1]) / piv[r]
+    y[:, 0] *= 1.0 + sl[:w, None]
+    y[:, 3] *= 1.0 + sr[3:w + 3, None]
+    return y

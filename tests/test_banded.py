@@ -121,3 +121,12 @@ def test_rhs_size_checked():
     lu = factorize(random_tridiagonal(5)[0])
     with pytest.raises(InvalidInputError):
         lu.solve(np.ones(6))
+
+
+@pytest.mark.parametrize("rhs", [3.0, np.float64(3.0), np.array(3.0)])
+def test_scalar_rhs_rejected(rhs):
+    lu = factorize(random_tridiagonal(5)[0])
+    for transpose in (False, True):
+        with pytest.raises(InvalidInputError, match=r"rhs of shape \(\), expected leading "
+                                                    r"dimension 5"):
+            lu.solve(rhs, transpose)

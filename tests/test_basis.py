@@ -8,12 +8,14 @@ from epspline import (
     BasisConstructionError,
     DomainError,
     ExpSpace,
+    GBSplineBasis,
     InvalidInputError,
     build_basis,
 )
 from epspline.basis import LOCAL_SYSTEM_COND_LIMIT
 from epspline.space import segment_basis_eval
-from oracle import evaluate, local_system, padded_knots, segment_value, support
+from oracle import (coefficients, evaluate, local_system, padded_knots, segment_value, support,
+                    table_by_scatter)
 from strategies import across_gap_ratios, gap_ratio_basis
 
 
@@ -31,12 +33,17 @@ class TestAugmentKnots:
                 for d in range(3):
                     assert abs(evaluate(basis, j, x, d)) < 1e-9
         # with the mirrored knots made interior, the end functions have the same
-        # supports, so the same local systems and coefficients
+        # supports, so the same local systems and coefficients: inside [a, b] in
+        # the tables, and beyond it in the oracle's local solves
         gl, gr = knots[1] - knots[0], knots[-1] - knots[-2]
         wide = build_basis([knots[0] - 2 * gl, knots[0] - gl, *knots,
                             knots[-1] + gr, knots[-1] + 2 * gr], space)
-        assert np.array_equal(basis.coef[0], wide.coef[2])
-        assert np.array_equal(basis.coef[-1], wide.coef[-3])
+        n = basis.n
+        # function 0 is slot 1 of interval 0 and slot 0 of interval 1, function n - 1
+        # slot 3 of interval n - 3 and slot 2 of interval n - 2
+        assert np.array_equal(basis.table[:, [1, 0], [0, 1]], wide.table[:, [1, 0], [2, 3]])
+        assert np.array_equal(basis.table[:, [3, 2], [-2, -1]], wide.table[:, [3, 2], [-4, -3]])
+        assert np.array_equal(coefficients(basis)[[0, n - 1]], coefficients(wide)[[2, n + 1]])
 
     def test_uniform_extension(self, space2):
         self.assert_outer_supports([-1.0, 0.0, 1.0], (-3.0, 1.0), (-1.0, 3.0), space2)
@@ -92,7 +99,13 @@ class TestBuildBasis:
         for n in (2, 3, 5, 11):
             basis = build_basis(np.linspace(0, 1, n), space2)
             assert basis.n == n
-            assert basis.coef.shape == (n, 4, 4)
+            assert basis.table.shape == (4, 4, n - 1)
+
+    @pytest.mark.parametrize("shape", [(7, 4, 4), (4, 4, 8), (4, 4, 6), (4, 4), ()])
+    def test_table_of_wrong_shape_rejected(self, basis8, shape):
+        # (7, 4, 4) is the interval-first layout of the same 7 intervals
+        with pytest.raises(InvalidInputError, match=r"table shape .* != \(4, 4, 7\)"):
+            GBSplineBasis(basis8.knots, basis8.space, np.zeros(shape))
 
     def test_interior_function_is_bell_shaped(self, basis8):
         # dense evaluation oracle: single sign, max near the central knot
@@ -127,7 +140,7 @@ class TestBuildBasis:
         # homogeneous part has a 1-d nullspace; normalization pins it down,
         # so rebuilding must reproduce the same coefficients
         again = build_basis(basis8.knots, basis8.space)
-        assert np.allclose(again.coef, basis8.coef, rtol=0.0, atol=0.0)
+        assert np.allclose(again.table, basis8.table, rtol=0.0, atol=0.0)
 
     def test_alpha_interval_hard_limit(self):
         with pytest.raises(DomainError):
@@ -214,14 +227,34 @@ class TestPriorReuse:
         points.clear()
         reused = build_basis(knots, space2, prior=prior)
         assert sum(points) <= 5 * per_function
-        assert np.array_equal(reused.coef, scratch.coef)
         assert np.array_equal(reused.table, scratch.table)
+
+    def test_prior_on_other_ends_is_ignored(self, monkeypatch, space2):
+        # a prior lacking the first or last knot, or with one more beyond either end,
+        # shares functions with the new basis, but gives a full build
+        points = []
+
+        def counting(z, tau):
+            points.append(np.broadcast(np.asarray(z), np.asarray(tau)).size)
+            return segment_basis_eval(z, tau)
+
+        knots = np.linspace(-1.0, 1.0, 30)
+        scratch = build_basis(knots, space2)
+        monkeypatch.setattr(basis_mod, "segment_basis_eval", counting)
+        build_basis(knots, space2)
+        full = sum(points)
+        for other in (knots[1:], knots[:-1], np.append(knots, 1.5), np.insert(knots, 0, -1.5)):
+            prior = build_basis(other, space2)
+            points.clear()
+            reused = build_basis(knots, space2, prior=prior)
+            assert sum(points) == full
+            assert np.array_equal(reused.table.view(np.uint64), scratch.table.view(np.uint64))
 
     def test_prior_in_another_space_is_ignored(self, space2):
         knots = np.linspace(-1.0, 1.0, 12)
         prior = build_basis(knots, ExpSpace(3.0))
-        assert np.array_equal(build_basis(knots, space2, prior=prior).coef,
-                              build_basis(knots, space2).coef)
+        assert np.array_equal(build_basis(knots, space2, prior=prior).table,
+                              build_basis(knots, space2).table)
 
     def test_error_names_index_in_full_basis(self, space2):
         # gap 7 at alpha = 2 is beyond the local conditioning ceiling; the
@@ -259,34 +292,34 @@ class TestPriorReuse:
                     build_basis(knots, space, prior=prior)
                 continue
             reused = build_basis(knots, space, prior=prior)
-            assert np.array_equal(reused.coef, scratch.coef)
             assert np.array_equal(reused.table, scratch.table)
             prior = reused
 
 
 class TestLocalSystems:
-    """``build_basis`` assembles all local systems at once, by blocks; each
-    ``coef[j]`` is the solve of ``oracle.local_system``, bit for bit."""
+    """``build_basis`` assembles all local systems at once, by blocks; its table
+    holds the solves of ``oracle.local_system`` (``oracle.coefficients``), laid
+    out by ``oracle.table_by_scatter``, bit for bit."""
 
     @staticmethod
-    def assert_coef_solves_local_systems(basis):
-        for j in range(basis.n):
-            a, rhs = local_system(basis.knots, basis.space, j)
-            want = np.linalg.solve(a, rhs).reshape(4, 4)
-            assert np.array_equal(basis.coef[j].view(np.uint64), want.view(np.uint64))
+    def assert_table_holds_local_solves(basis):
+        want = table_by_scatter(basis)
+        assert basis.table.flags.c_contiguous
+        assert np.array_equal(basis.table.view(np.uint64), want.view(np.uint64))
 
     @settings(deadline=None)
     @across_gap_ratios
     def test_coef_is_the_local_solve_across_gap_ratios(self, log_gaps, log_alpha_h):
         basis = gap_ratio_basis(log_gaps, log_alpha_h)
-        self.assert_coef_solves_local_systems(basis)
-        # with prior=: built on the knots less one, so the functions around it are solved
+        self.assert_table_holds_local_solves(basis)
+        # with prior=: built on the knots less one, so the functions around it are
+        # solved; a prior on other ends (the first or last knot dropped) is ignored
         for drop in {0, basis.n // 2, basis.n - 1} if basis.n > 3 else ():
             try:
                 prior = build_basis(np.delete(basis.knots, drop), basis.space)
             except BasisConstructionError:
                 continue
-            self.assert_coef_solves_local_systems(
+            self.assert_table_holds_local_solves(
                 build_basis(basis.knots, basis.space, prior=prior))
 
     def test_rank_deficient_message_at_alpha_h_13(self):

@@ -264,6 +264,13 @@ class TestSkeel:
         assert skeel_condition(np.zeros((3, 3))) == float("inf")
 
 
+@pytest.mark.parametrize("measure", [cond2, sparsity, skeel_condition])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_matrix_rejected(measure, shape):
+    with pytest.raises(InvalidInputError, match=r"expected a nonempty matrix, got shape"):
+        measure(np.empty(shape))
+
+
 class TestSparsity:
     def test_identity_three(self):
         assert sparsity(np.eye(3)) == pytest.approx(2.0 / 3.0, abs=1e-15)

@@ -55,7 +55,7 @@ def test_extreme_input_is_finite_or_spline_error(case):
     except SplineError:
         basis = None
     if basis is not None:
-        assert np.all(np.isfinite(basis.coef))
+        assert np.all(np.isfinite(basis.table))
         _finite_or_spline_error(lambda: fit(basis, y)(knots))
         grid = np.sort(np.concatenate([knots, np.linspace(knots[0], knots[-1], 33)]))
         _finite_or_spline_error(lambda: lebesgue_function(basis, grid))

@@ -29,8 +29,9 @@ from epspline.basis import LOCATED_SETS_KEPT
 from epspline.interpolate import OUTER_BAND_RTOL, Interpolant, basis_matrix
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
 from epspline.space import segment_basis_eval
-from oracle import (active_values_by_gather, collocation_by_values, evaluate, interpolant_by_rows,
-                    interval_by_search, lebesgue_by_einsum, lebesgue_by_solve, segment_functions,
+from oracle import (active_values_by_gather, coefficients, collocation_by_values, evaluate,
+                    interpolant_by_rows, interval_by_search, lebesgue_by_einsum, lebesgue_by_solve,
+                    lebesgue_tables_interval_first, pp_by_einsum, segment_functions,
                     segment_value)
 from strategies import across_gap_ratios, gap_ratio_basis
 
@@ -180,7 +181,7 @@ class TestLocatedSets:
 
     @staticmethod
     def fresh(basis):
-        return GBSplineBasis(basis.knots, basis.space, basis.coef)
+        return GBSplineBasis(basis.knots, basis.space, basis.table)
 
     @settings(deadline=None)
     @across_gap_ratios
@@ -306,21 +307,21 @@ class TestCollocationMatrix:
 
     def test_perturbed_basis_rejected(self, basis8):
         # basis function 3 no longer vanishes at the left end of its support,
-        # which is the interior knot of row 1
-        coef = basis8.coef.copy()
-        coef[3, 0] += 1e-6
+        # which is the interior knot of row 1: slot 3 of interval 1
+        table = basis8.table.copy()
+        table[:, 3, 1] += 1e-6
         with pytest.raises(BasisConstructionError, match="row 1:"):
-            collocation_matrix(dataclasses.replace(basis8, coef=coef))
+            collocation_matrix(dataclasses.replace(basis8, table=table))
 
     @pytest.mark.parametrize("row", [0, 3, 5, 7])
     def test_outer_value_names_row_and_function(self, basis8, row):
-        # coef[j, 0, 0] is function j's value at the left end of its support,
-        # the knot of row j - 2; coef[n - 3, 3, 0] scales cosh(z) at the right
-        # end of its last support interval, the last knot
-        n, coef = basis8.n, basis8.coef.copy()
+        # table[0, 3, i] is function i + 2's value at the left end of its support,
+        # the knot of row i; table[0, 0, n - 2] scales function n - 3's cosh(z) at
+        # the right end of its last support interval, the last knot
+        n, table = basis8.n, basis8.table.copy()
         function = row + 2 if row < n - 1 else n - 3
-        coef[(row + 2, 0, 0) if row < n - 1 else (n - 3, 3, 0)] += 1e-6
-        bad = GBSplineBasis(basis8.knots, basis8.space, coef=coef)
+        table[(0, 3, row) if row < n - 1 else (0, 0, n - 2)] += 1e-6
+        bad = GBSplineBasis(basis8.knots, basis8.space, table=table)
         with pytest.raises(BasisConstructionError,
                            match=f"collocation row {row}: basis function {function} has value"):
             collocation_matrix(bad)
@@ -356,8 +357,8 @@ class TestCollocationMatrix:
         z = basis.space.alpha * np.diff(basis.knots)[-1]
         g = np.abs(segment_basis_eval(z, 1.0))
         rounding = np.zeros((n, n))
-        for j in range(max(n - 3, 0), n):
-            rounding[-1, j] = 8 * np.finfo(float).eps * g @ np.abs(basis.coef[j, n - j])
+        for j in range(max(n - 3, 0), n):  # slot j - n + 3 of the last interval
+            rounding[-1, j] = 8 * np.finfo(float).eps * g @ np.abs(basis.table[:, j - n + 3, -1])
         gap = np.abs(mat.to_dense() - dense_collocation(basis))
         assert np.all(gap <= OUTER_BAND_RTOL * mat.norm_inf() + rounding)
 
@@ -472,7 +473,7 @@ class TestFit:
         def rounding(coefficients):
             window = np.lib.stride_tricks.sliding_window_view(
                 np.pad(np.abs(coefficients), 1), 4)[i]
-            return np.einsum("kp,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
+            return np.einsum("kp,ps,ksp->p", np.abs(g), window, np.abs(basis.table[:, :, i]))
 
         beta = np.abs(basis.active_values(x)[1]).sum(axis=0)
         bound = eps * (4 * np.linalg.cond(dense, np.inf) * np.abs(c).max() * beta
@@ -541,10 +542,10 @@ class TestEvaluation:
         z, h_min = basis.space.alpha * h, np.minimum(h[:-1], h[1:])
         tau = np.linspace(0.0, 1.0, 17)
         for d in range(3):
-            left = np.einsum("ik,ki->i", interp.pp[:-1], segment_functions(z[:-1], 1.0, d))
-            right = np.einsum("ik,ki->i", interp.pp[1:], segment_functions(z[1:], 0.0, d))
+            left = np.einsum("ki,ki->i", interp.pp[:, :-1], segment_functions(z[:-1], 1.0, d))
+            right = np.einsum("ki,ki->i", interp.pp[:, 1:], segment_functions(z[1:], 0.0, d))
             jump = np.abs(left * (h_min / h[:-1]) ** d - right * (h_min / h[1:]) ** d)
-            inside = np.einsum("ik,kit->it", interp.pp, segment_functions(z[:, None], tau, d))
+            inside = np.einsum("ki,kit->it", interp.pp, segment_functions(z[:, None], tau, d))
             scale = np.abs(inside).max()
             assert np.all(jump <= C2_EPS_MULTIPLE * np.finfo(float).eps * scale), (d, jump, scale)
 
@@ -592,7 +593,7 @@ class TestPerIntervalForm:
         # 17 eps times the sum M of their absolute values (Higham's gamma_17).
         i, g = basis._locate(x)
         window = np.lib.stride_tricks.sliding_window_view(np.pad(np.abs(c), 1), 4)[i]
-        m = np.einsum("kp,ps,psk->p", np.abs(g), window, np.abs(basis.table[i]))
+        m = np.einsum("kp,ps,ksp->p", np.abs(g), window, np.abs(basis.table[:, :, i]))
         assert np.all(np.abs(got - expect) <= 2 * 17 * np.finfo(float).eps * m)
 
     @settings(deadline=None)
@@ -614,18 +615,31 @@ class TestPerIntervalForm:
     @pytest.mark.parametrize("n", [2, 3])
     def test_smallest_tables(self, space2, n):
         basis = build_basis(np.linspace(-1.0, 1.0, n), space2)
-        assert basis.table.shape == (n - 1, 4, 4)
+        assert basis.table.shape == (4, 4, n - 1)
         c = np.arange(1.0, n + 1)
         pp = Interpolant(basis=basis, coefficients=c).pp
+        assert pp.shape == (4, n - 1)
+        coef = coefficients(basis)
         for i in range(n - 1):
             live = [s for s in range(4) if 0 <= i + s - 1 < n]
             for s in set(range(4)) - set(live):
-                assert np.array_equal(basis.table[i, s], np.zeros(4))
+                assert np.array_equal(basis.table[:, s, i], np.zeros(4))
             for s in live:
-                assert np.array_equal(basis.table[i, s], basis.coef[i + s - 1, 3 - s])
-            terms = np.array([c[i + s - 1] * basis.coef[i + s - 1, 3 - s] for s in live])
+                assert np.array_equal(basis.table[:, s, i], coef[i + s - 1, 3 - s])
+            terms = np.array([c[i + s - 1] * coef[i + s - 1, 3 - s] for s in live])
             bound = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-            assert np.all(np.abs(pp[i] - terms.sum(axis=0)) <= bound)
+            assert np.all(np.abs(pp[:, i] - terms.sum(axis=0)) <= bound)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_pp_equals_interval_first_einsum_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # the interval-last rows, contracted over the interval-last table, have the
+        # bits of the interval-first contraction, signed zeros included
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        c = np.random.default_rng(basis.n).standard_normal(basis.n)
+        for cs in (c, np.zeros(basis.n), -np.abs(c)):
+            interp = Interpolant(basis=basis, coefficients=cs)
+            assert_same_bits(interp.pp, pp_by_einsum(interp).T)
 
     def test_scalar_and_2d_input(self, basis8):
         interp = fit(basis8, np.sin(np.arange(8.0)))
@@ -735,6 +749,19 @@ class TestLebesgue:
             interval, values = basis.active_values(x[:m])
             assert_same_bits(lu.lebesgue(interval, values),
                              lebesgue_by_einsum(lu, interval, values))
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_tables_equal_interval_first_across_gap_ratios(self, log_gaps, log_alpha_h):
+        # the interval-last tables take the elementwise steps of the interval-first
+        # inversion, so they have its bits
+        try:
+            lu = factorize(collocation_matrix(gap_ratio_basis(log_gaps, log_alpha_h)))
+            tables = lu.lebesgue_tables()
+        except SingularSystemError:
+            assume(False)
+        assert tables.shape == (4, 4, lu.n - 1) and tables.flags.c_contiguous
+        assert_same_bits(tables, lebesgue_tables_interval_first(lu).transpose(2, 1, 0))
 
     @settings(deadline=None)
     @given(log_gaps=st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=40),
@@ -873,7 +900,7 @@ def mirrored(family, n):
 
 
 def rounding_spread(basis, x, weights):
-    """``Σ_s w[p, s] Σ_k |T[i, s, k]| (|g_k| + |∂g_k/∂τ|)`` at each point ``p``.
+    """``Σ_s w[p, s] Σ_k |T[k, s, i]| (|g_k| + |∂g_k/∂τ|)`` at each point ``p``.
 
     ``T`` is the point's ``basis.table`` block, ``g`` its segment functions and
     ``w = weights(i)`` a nonnegative weight per live function: the scale of
@@ -884,7 +911,8 @@ def rounding_spread(basis, x, weights):
     K = basis.knots
     h = K[i + 1] - K[i]
     g_tau = segment_functions(basis.space.alpha * h, (x - K[i]) / h, 1)
-    return np.einsum("ps,psk,kp->p", weights(i), np.abs(basis.table[i]), np.abs(g) + np.abs(g_tau))
+    return np.einsum("ps,ksp,kp->p", weights(i), np.abs(basis.table[:, :, i]),
+                     np.abs(g) + np.abs(g_tau))
 
 
 class TestMirrorSymmetry:
@@ -925,7 +953,8 @@ class TestMirrorSymmetry:
         basis, x, kappa = self.setup(family, n, alpha)
         lam = lebesgue_function(basis, x)
         tables = np.abs(factorize(collocation_matrix(basis)).lebesgue_tables())
-        spread = sum(rounding_spread(basis, p, lambda i: tables[i].sum(axis=1)) for p in (x, -x))
+        spread = sum(rounding_spread(basis, p, lambda i: tables[:, :, i].sum(axis=1).T)
+                     for p in (x, -x))
         gap = np.abs(lebesgue_function(basis, -x) - lam)
         assert np.all(gap <= 32 * np.finfo(float).eps * (kappa * lam + spread))
 
