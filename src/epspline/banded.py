@@ -94,7 +94,8 @@ class BandedLU:
             raise SingularSystemError(f"collocation matrix has a non-finite entry (norm {norm})")
         self.n, self._floor, self._diag = matrix.n, PIVOT_RTOL * norm, matrix.diag.tolist()
         # M[k, k + 1] = A[k, k-1] and M[k + 1, k] = A[k-1, k], 0 at k = 0 and n
-        self._sup, self._sub = np.pad(matrix.lower, 1), np.pad(matrix.upper, 1)
+        self._sup = np.concatenate(([0.0], matrix.lower, [0.0]))
+        self._sub = np.concatenate(([0.0], matrix.upper, [0.0]))
         d, self._tails = _sweep(self._diag, self._sup.tolist(), self._sub.tolist(), self._floor)
         _check_pivots("forward", d[1:], self._floor, lambda j: j)
         self._pivots = d

@@ -123,8 +123,8 @@ class Interpolant:
         c = np.asarray(self.coefficients, dtype=float)
         if c.shape != (self.basis.n,):
             raise InvalidInputError(f"expected {self.basis.n} coefficients, got shape {c.shape}")
-        window = np.lib.stride_tricks.sliding_window_view(np.pad(c, 1), 4)  # c[i-1 .. i+2]
-        # einsum raises no floating-point warning: an overflow shows only as a non-finite value
+        window = np.lib.stride_tricks.sliding_window_view(np.concatenate(([0.0], c, [0.0])), 4)
+        # window[i] is c[i-1 .. i+2]; einsum warns of no overflow, which shows as a non-finite pp
         pp = np.einsum("is,ksi->ki", window, self.basis.table)
         bad = np.flatnonzero(~np.isfinite(pp).all(axis=0))
         if len(bad):

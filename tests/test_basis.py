@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,13 +12,14 @@ from epspline import (
     ExpSpace,
     GBSplineBasis,
     InvalidInputError,
+    SplineError,
     build_basis,
 )
-from epspline.basis import LOCAL_SYSTEM_COND_LIMIT
-from epspline.space import segment_basis_eval
+from epspline.basis import CERTIFIED_BLOCK, LOCAL_SYSTEM_COND_LIMIT
+from epspline.space import EXP_ARG_LIMIT, segment_basis_eval
 from oracle import (coefficients, evaluate, local_system, padded_knots, segment_value, support,
                     table_by_scatter)
-from strategies import across_gap_ratios, gap_ratio_basis
+from strategies import across_gap_ratios, gap_ratio_basis, gap_ratio_knots, gap_ratios
 
 
 class TestAugmentKnots:
@@ -182,8 +185,14 @@ class TestEvaluate:
         assert np.allclose(arr, scalars, rtol=0.0, atol=1e-14)
 
 
+def _uncertified(a):
+    """A Cholesky that fails every block: ``build_basis`` then measures each system by SVD."""
+    raise np.linalg.LinAlgError("not positive definite")
+
+
 def test_construction_error_names_index(monkeypatch, space2):
-    # force a rank-deficient local system by zeroing the assembled matrix
+    # force a rank-deficient local system by faking its SVD condition, which
+    # build_basis computes only for the blocks its Cholesky certificate fails
     real_cond = np.linalg.cond
 
     def fake_cond(a):
@@ -194,6 +203,7 @@ def test_construction_error_names_index(monkeypatch, space2):
         return out
 
     monkeypatch.setattr(basis_mod.np.linalg, "cond", fake_cond)
+    monkeypatch.setattr(basis_mod.np.linalg, "cholesky", _uncertified)
     with pytest.raises(BasisConstructionError, match="2"):
         build_basis(np.linspace(0, 1, 6), space2)
 
@@ -334,3 +344,111 @@ class TestLocalSystems:
             build_basis(knots, space)
         assert str(err.value) == (f"local system for basis function {first} is numerically "
                                   f"rank-deficient (condition estimate {conds[first]:.3g})")
+
+
+def _hadamard_system(kappa, rng):
+    """A row-equilibrated 16x16 system with κ₂ = ``kappa``: ``H diag(σ)`` for a ±1 Hadamard
+    matrix ``H``, σ geometric from 1 down to 1 / kappa, with rows, columns and signs shuffled.
+    ``H / 4`` is orthogonal, so the singular values are 4σ; every row peaks at exactly 1."""
+    h = np.ones((1, 1))
+    while len(h) < 16:
+        h = np.block([[h, h], [h, -h]])
+    a = h * np.geomspace(1.0, 1.0 / kappa, 16)
+    a = a[rng.permutation(16)][:, rng.permutation(16)] * rng.choice([-1.0, 1.0], 16)[:, None]
+    assert np.all(np.abs(a).max(axis=1) == 1.0)
+    return a
+
+
+class TestConditionCertificate:
+    """``build_basis`` clears a block of local systems by one Cholesky of ``AᵀA - μI``
+    (``basis._certified``) and computes the SVD condition only for a block it fails."""
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e5])
+    def test_clears_known_condition(self, kappa):
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        a = np.stack([_hadamard_system(kappa, rng) for _ in range(5)])
+        assert np.allclose(np.linalg.cond(a), kappa, rtol=1e-9)
+        assert basis_mod._certified(a)
+
+    @pytest.mark.parametrize("kappa", [1e8, 1e13])
+    def test_does_not_clear_known_condition(self, kappa):
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        a = _hadamard_system(kappa, rng)
+        assert np.allclose(np.linalg.cond(a), kappa, rtol=1e-3)
+        assert not basis_mod._certified(a[None])
+        # one such system fails its whole block
+        well = np.stack([_hadamard_system(10.0, rng) for _ in range(7)])
+        assert basis_mod._certified(well)
+        assert not basis_mod._certified(np.concatenate([well, a[None]]))
+
+    def test_cleared_systems_are_within_bound(self):
+        # random row-equilibrated systems with column scales over 14 decades: each
+        # system the certificate clears has an SVD condition below its bound 1.1e6
+        rng = np.random.default_rng(7)
+        cleared, worst = 0, 0.0
+        for spread in np.linspace(0.0, 14.0, 400):
+            a = rng.standard_normal((16, 16)) * np.logspace(0.0, -spread, 16)
+            a /= np.abs(a).max(axis=1, keepdims=True)
+            if basis_mod._certified(a[None]):
+                cleared += 1
+                worst = max(worst, np.linalg.cond(a))
+        assert 0 < cleared < 400
+        assert worst < 1.1e6
+
+    def test_svd_only_for_uncertified_blocks(self, monkeypatch):
+        calls, real_cond = [], np.linalg.cond
+
+        def counting_cond(a):
+            calls.append(len(a))
+            return real_cond(a)
+
+        monkeypatch.setattr(basis_mod.np.linalg, "cond", counting_cond)
+        # well conditioned: 1 000 Chebyshev knots at alpha = 2, eight blocks, no SVD
+        build_basis(np.cos(np.linspace(np.pi, 0.0, 1000)), ExpSpace(2.0))
+        assert calls == []
+        # the alpha * h = 13 build of test_rank_deficient_message_at_alpha_h_13: one block, one SVD
+        with pytest.raises(BasisConstructionError):
+            build_basis(np.linspace(0.0, 1.0, 11), ExpSpace(130.0))
+        assert calls == [11]
+        # a gap of 7 at alpha = 2 past the second block: only the third block is measured
+        calls.clear()
+        knots = np.concatenate([np.linspace(0.0, 2.0, 290), [9.0, 9.2, 9.4, 9.6]])
+        with pytest.raises(BasisConstructionError, match="basis function 2[89]"):
+            build_basis(knots, ExpSpace(2.0))
+        assert calls == [len(knots) - 2 * CERTIFIED_BLOCK]
+
+    def test_non_finite_system_skips_certificate(self, monkeypatch):
+        # a last gap at alpha * h = 698 overflows the last three systems: their block
+        # goes to the SVD without a Cholesky, which measures its 18 finite systems
+        calls = {"cond": [], "cholesky": []}
+        for name in calls:
+            def counting(a, real=getattr(np.linalg, name), seen=calls[name]):
+                seen.append(len(a))
+                return real(a)
+            monkeypatch.setattr(basis_mod.np.linalg, name, counting)
+        with pytest.raises(BasisConstructionError, match="basis function 18 .*estimate inf"):
+            build_basis(np.append(np.linspace(0.0, 1.0, 20), 350.0), ExpSpace(2.0))
+        assert calls == {"cond": [18], "cholesky": []}
+
+    @settings(deadline=None)
+    @gap_ratios(EXP_ARG_LIMIT)
+    # uniform knots either side of the ceiling: alpha * h = 12 builds, 13 does not
+    @example(log_gaps=[0.0] * 10, log_alpha_h=np.log10(12.0))
+    @example(log_gaps=[0.0] * 10, log_alpha_h=np.log10(13.0))
+    def test_equals_svd_build_up_to_overflow(self, log_gaps, log_alpha_h):
+        # the same table bits, or the same error, as a build that measures every system by SVD
+        knots, space = gap_ratio_knots(log_gaps, log_alpha_h)
+
+        def build():
+            try:
+                return build_basis(knots, space)
+            except SplineError as exc:
+                return exc
+
+        got = build()
+        with mock.patch.object(basis_mod.np.linalg, "cholesky", _uncertified):
+            want = build()
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert np.array_equal(got.table.view(np.uint64), want.table.view(np.uint64))
