@@ -23,10 +23,10 @@ interval, gathers that interval's knot and length with ``np.take`` and
 evaluates the four segment functions at all points in one call, as four
 contiguous arrays. Its callers gather their coefficients the same way, one
 contiguous array per segment function, and combine the two with
-``space.segment_combination``. ``_locate`` searches the inner knots among
-ascending points (the package's own) and any other point among the knots.
-None of this depends on the table, so the basis keeps it for the last two
-point sets it met: a basis fitted to many data vectors locates its grid once.
+``space.segment_combination``. ``_locate`` searches each point among the
+knots, whatever the order of the points. None of this depends on the table,
+so the basis keeps it for the last two point sets it met: a basis fitted to
+many data vectors locates its grid once.
 """
 
 from dataclasses import dataclass, field
@@ -51,10 +51,13 @@ LOCATED_SETS_KEPT = 2
 
 def _certified(A) -> bool:
     """Whether a Cholesky proves κ₂ < 1.1e6 for every finite, row-equilibrated system of ``A``."""
-    # ||A||_F^2 <= 256 (rows peak at 1); forming AᵀA and a completed Cholesky of AᵀA - μI err by
-    # < 1e-11 (Higham 2002, §10.1): success at μ = 2.56e-10 gives σ_min > 1.56e-5, κ₂ < 16 / σ_min
+    # per system: forming AᵀA and a completed Cholesky of AᵀA - μI err by < 4e-14 ||A||_F^2 (Higham
+    # 2002, §10.1); success at μ = 1e-12 ||A||_F^2 gives σ_min > 9.8e-7 ||A||_F > σ_max / 1.1e6
+    G = np.matmul(A.transpose(0, 2, 1), A)
+    diagonal = np.einsum("kii->ki", G)  # a view into G; row sums trace(AᵀA) = ||A||_F^2
+    diagonal -= 1e-12 * diagonal.sum(axis=1, keepdims=True)
     try:
-        np.linalg.cholesky(np.matmul(A.transpose(0, 2, 1), A) - 256e-12 * np.eye(16))
+        np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -124,11 +127,8 @@ class GBSplineBasis:
         The segment functions are function-first, shape ``(4,) + shape(x)``.
         Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
 
-        Ascending points in C order, at least as many as the n - 2 inner knots,
-        are located the other way round: the inner knots are searched among them
-        and ``np.repeat`` expands the runs (de Boor's ``INTERV``). A scalar, fewer
-        points or any other order has one binary search per point. Both give
-        ``knots[i] <= x < knots[i + 1]``, ``b`` in the last.
+        Each point has one binary search among the knots, ``knots[i] <= x <
+        knots[i + 1]`` with ``b`` in the last, so a call costs O(m) in its m points.
 
         The result for an array is kept for the ``LOCATED_SETS_KEPT`` point sets
         used last, keyed by shape and float64 bits, as read-only arrays; a
@@ -155,15 +155,9 @@ class GBSplineBasis:
         K = self.knots
         if not np.all((xa >= self.a) & (xa <= self.b)):
             raise DomainError(f"evaluation outside [{self.a:g}, {self.b:g}]")
-        flat = xa.ravel()
-        if xa.ndim and flat.size >= self.n - 2 and np.all(flat[1:] >= flat[:-1]):
-            bounds = np.empty(self.n, dtype=np.intp)  # bounds[j]: first point at or past knot j
-            bounds[0], bounds[-1] = 0, flat.size
-            bounds[1:-1] = np.searchsorted(flat, K[1:-1], side="left")
-            i = np.repeat(np.arange(self.n - 1), np.diff(bounds)).reshape(xa.shape)
-        else:
-            i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
-        h = np.take(np.diff(K), i)
+        i = np.clip(np.searchsorted(K, xa, side="right") - 1, 0, self.n - 2)
+        # knots[i] is gathered twice, not held: one array fewer alive in segment_basis_eval
+        h = np.take(K, i + 1) - np.take(K, i)
         return i, segment_basis_eval(self.space.alpha * h, (xa - np.take(K, i)) / h)
 
     def active_values(self, x):

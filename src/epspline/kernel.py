@@ -26,20 +26,22 @@ def tps_kernel(r):
 
 @dataclass(frozen=True)
 class KernelInterpolant:
-    """Kernel expansion over the centers plus a linear tail; ``DomainError`` where not finite."""
+    """Kernel expansion over the centers plus a linear tail; its values have the shape of the
+    points, and ``DomainError`` is raised where one is not finite."""
 
     centers: np.ndarray
     weights: np.ndarray
     tail: np.ndarray  # (constant, slope)
 
     def __call__(self, x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        xa = np.asarray(x, dtype=float).reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is checked below
             k = tps_kernel(np.abs(xa[:, None] - self.centers[None, :]))
             out = k @ self.weights + self.tail[0] + self.tail[1] * xa
         if not np.all(np.isfinite(out)):
-            raise DomainError(f"kernel interpolant not finite at x = {xa[~np.isfinite(out)][0]!r}")
-        return out if np.ndim(x) else float(out[0])
+            raise DomainError(f"kernel interpolant not finite at x = "
+                              f"{float(xa[~np.isfinite(out)][0])!r}")
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
 def _saddle_matrix(x: np.ndarray) -> np.ndarray:

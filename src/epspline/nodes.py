@@ -30,6 +30,8 @@ class NodeSpec:
             ok = False
         if not ok:
             raise InvalidInputError(f"bad interval {self.interval}")
+        if not np.isfinite(float(b) - float(a)):  # Python floats overflow silently
+            raise InvalidInputError(f"interval {self.interval}: its length b - a overflows")
 
 
 def equispaced(n: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
@@ -64,14 +66,15 @@ def generate(spec: NodeSpec) -> np.ndarray:
     """
     a, b = spec.interval
     n = spec.count
-    if spec.kind == "equispaced":
-        pts = np.linspace(a, b, n)
-    elif spec.kind == "chebyshev":
-        pts = a + (b - a) * (1.0 + np.cos(np.pi * np.arange(n) / (n - 1))[::-1]) / 2.0
-    else:
-        inner = a + (b - a) * van_der_corput(np.arange(1, n - 1))
-        pts = np.sort(np.concatenate([[a, b], inner]))
+    with np.errstate(over="ignore"):  # a point rounded past the float range is at or beyond b
+        if spec.kind == "equispaced":
+            pts = np.linspace(a, b, n)
+        elif spec.kind == "chebyshev":
+            pts = a + (b - a) * ((1.0 + np.cos(np.pi * np.arange(n) / (n - 1))[::-1]) / 2.0)
+        else:
+            inner = a + (b - a) * van_der_corput(np.arange(1, n - 1))
+            pts = np.sort(np.concatenate([[a, b], inner]))
     pts[0], pts[-1] = a, b
-    if np.any(np.diff(pts) <= 0.0):
+    if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0.0):
         raise InvalidInputError(f"{spec.kind} produced colliding points for n={n}")
     return pts

@@ -17,8 +17,7 @@ out as the library's table, the reference for ``build_basis``.
   segment functions stacked as one row of 4 per point, times ``pp[:, i]``.
 
 ``interval_by_search`` locates every point by its own binary search among
-the knots, the reference for ``GBSplineBasis._locate``, which locates an
-ascending point set by searching the knots among the points instead.
+the knots, the reference for ``GBSplineBasis._locate``.
 
 The last two lay the segment functions out point-major, as rows, where the
 library keeps one contiguous array per function, and they index where the

@@ -5,6 +5,8 @@ Every public entry point either returns finite values or raises a
 test configuration), a NaN model or any other exception.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,9 +102,12 @@ def test_kernel_value_is_finite_or_domain_error(x):
     model = tps_fit([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     try:
         value = model(x)
-    except DomainError:
+    except DomainError as err:
         # only where r^2 log r overflows, from |x| near 7.1e152, or x is not finite
         assert not abs(x) < 1e150
+        assert str(err) == f"kernel interpolant not finite at x = {x!r}"
+        with pytest.raises(DomainError, match=re.escape(f"at x = {x!r}")):
+            model(np.array([[0.5, x]]))
         return
     assert np.isfinite(value)
 

@@ -64,8 +64,7 @@ def assert_domain_is_a_to_b(basis, evaluate_at):
     """``evaluate_at`` takes a and b exactly, and raises ``DomainError`` just outside, far
     outside (5.0 on [-1, 1]) and at NaN, for a scalar and first and last in an array.
 
-    Of ``[a, x]`` and ``[x, a]`` one is ascending for a point beyond either end
-    and neither is for NaN, so both of ``_locate``'s searches meet every bad point."""
+    A bad point is checked both after and before an inside one, ``[a, x]`` and ``[x, a]``."""
     a, b = basis.a, basis.b
     for inside in (a, b, np.array([a, b])):
         evaluate_at(basis, inside)
@@ -109,8 +108,8 @@ def assert_same_bits(got, want):
 
 
 class TestLocate:
-    """``GBSplineBasis._locate`` searches the knots among an ascending point set and each
-    point among the knots otherwise; both give the interval of one search per point."""
+    """``GBSplineBasis._locate`` gives every point the interval of ``oracle.interval_by_search``,
+    whatever the shape, order and count of the points."""
 
     @staticmethod
     def assert_interval_by_search(basis, points):
@@ -158,8 +157,8 @@ class TestLocate:
     @example(log_gaps=[-1.0] * 12, log_alpha_h=0.0)
     def test_fewer_ascending_points_than_inner_knots_across_gap_ratios(self, log_gaps,
                                                                        log_alpha_h):
-        # an ascending call of m < n - 2 points searches each point among the knots;
-        # m = n - 2 and n - 1 search the knots among the points
+        # ascending calls of every count from 1 to n - 1, in one and two dimensions, and
+        # runs of one repeated point
         basis = gap_ratio_basis(log_gaps, log_alpha_h)
         rng = np.random.default_rng(basis.n)
         points = point_orders(basis, rng)["sorted"]

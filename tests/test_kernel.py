@@ -65,6 +65,18 @@ class TestTpsFit:
         with pytest.raises(InvalidInputError):
             tps_fit(x, y)
 
+    def test_array_of_any_shape_matches_scalar_calls(self):
+        model = tps_fit([-1.0, -0.2, 0.5, 1.0], [0.3, -1.0, 2.0, 0.0])
+        x = np.linspace(-1.0, 1.0, 24)
+        for points in (x.reshape(4, 6), x.reshape(2, 3, 4), x.reshape(4, 6).T, x[:1].reshape(1, 1),
+                       x[:0].reshape(0, 3)):
+            got = model(points)
+            assert got.shape == points.shape
+            assert np.array_equal(got, model(points.ravel()).reshape(points.shape))
+            # a matrix-vector product and a one-row one may round their sums differently
+            scalar = np.vectorize(model, otypes=[float])(points)
+            assert np.allclose(got, scalar, rtol=0.0, atol=1e-14)
+
     def test_overflowing_kernel_is_singular(self, capfd):
         # r^2 overflows: an inf saddle matrix is refused before LAPACK sees it
         with pytest.raises(SingularSystemError, match="non-finite"):

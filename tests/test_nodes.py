@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from epspline import InvalidInputError, NodeSpec, generate
 from epspline.nodes import chebyshev_lobatto, equispaced, halton, van_der_corput
@@ -70,3 +75,31 @@ def test_count_not_integer(count):
 
 def test_numpy_integer_count():
     assert np.array_equal(generate(NodeSpec("equispaced", np.int64(3))), [-1.0, 0.0, 1.0])
+
+
+LARGEST = np.finfo(float).max
+
+
+@pytest.mark.parametrize("kind", ["equispaced", "chebyshev", "halton"])
+@given(a=st.floats(allow_nan=False, allow_infinity=False),
+       b=st.floats(allow_nan=False, allow_infinity=False),
+       n=st.sampled_from([2, 3, 8, 300]))
+@example(a=-1e308, b=1e308, n=8)  # the length overflows
+@example(a=-8e307, b=8e307, n=8)  # finite length, past half the float range
+@example(a=-LARGEST, b=0.0, n=8)  # np.linspace's last step rounds past the float range
+@example(a=8e307, b=LARGEST, n=3)  # b - a rounds up, so a + (b - a) overflows
+@example(a=0.0, b=LARGEST, n=300)
+@example(a=-LARGEST / 2, b=LARGEST / 2, n=300)
+@example(a=0.0, b=5e-324, n=3)  # one subnormal step: the points collide
+def test_finite_increasing_or_invalid_near_the_float_range(kind, a, b, n):
+    assume(a < b)
+    if not math.isfinite(b - a):
+        with pytest.raises(InvalidInputError, match=re.escape(f"interval {(a, b)}: its length")):
+            NodeSpec(kind, n, (a, b))
+        return
+    try:
+        pts = generate(NodeSpec(kind, n, (a, b)))
+    except InvalidInputError:
+        return
+    assert len(pts) == n and pts[0] == a and pts[-1] == b
+    assert np.all(np.isfinite(pts)) and np.all(pts[1:] > pts[:-1])
