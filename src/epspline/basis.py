@@ -18,15 +18,18 @@ table is interval-last, so ``active_values`` gathers a point's matrix with
 one ``np.take`` and answers the point with its interval and the four values
 there, function-first like the segment functions.
 
-Every evaluator calls ``GBSplineBasis._locate``: it finds each point's
-interval, gathers that interval's knot and length with ``np.take`` and
-evaluates the four segment functions at all points in one call, as four
+Every evaluator of points calls ``GBSplineBasis._locate``: it finds each
+point's interval, gathers that interval's knot and length with ``np.take``
+and evaluates the four segment functions at all points in one call, as four
 contiguous arrays. Its callers gather their coefficients the same way, one
 contiguous array per segment function, and combine the two with
-``space.segment_combination``. ``_locate`` searches each point among the
-knots, whatever the order of the points. None of this depends on the table,
-so the basis keeps it for the last two point sets it met: a basis fitted to
-many data vectors locates its grid once.
+``space.segment_combination`` (``GBSplineBasis._combine`` for the basis
+values). ``_locate`` searches each point among the knots, whatever the order
+of the points. None of this depends on the table, so the basis keeps it for
+the last two point sets it met: a basis fitted to many data vectors locates
+its grid once. The greedies carry each candidate's interval and segment
+functions from one basis to the next instead, and the last collocation row
+is ``_last_knot_values``, a table read at ``b``.
 """
 
 from dataclasses import dataclass, field
@@ -175,7 +178,19 @@ class GBSplineBasis:
         A point outside ``[a, b]`` or NaN raises ``DomainError``.
         """
         i, g = self._locate(x)
-        return i.copy(), segment_combination(np.take(self.table, i, axis=2), g[:, None])
+        return i.copy(), self._combine(i, g)
+
+    def _combine(self, i, g):
+        """``active_values``' values from located intervals ``i`` and their segment functions ``g``."""
+        return segment_combination(np.take(self.table, i, axis=2), g[:, None])
+
+    def _last_knot_values(self):
+        """``active_values(b)[1]``, functions ``n - 3 .. n`` at ``b``, with no check or search.
+
+        ``b`` ends interval ``n - 2`` at ``tau = 1``, the ``tau`` that ``_search`` forms there.
+        """
+        z = self.space.alpha * (self.knots[-1] - self.knots[-2])
+        return self._combine(self.n - 2, segment_basis_eval(z, 1.0))
 
 
 def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:

@@ -119,17 +119,14 @@ def _write_text(path: Path, text: str):
 
 
 def fmt(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    if isinstance(value, float):  # NaN alone is not equal to itself
+        return f"{value:.17g}" if value == value else ""
+    return "" if value is None else str(value)
 
 
 def write_csv(path: Path, header: list[str], rows):
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -14,19 +14,26 @@ passes the previous basis to ``build_basis``, which copies every other
 function bit for bit and solves only those. The collocation matrix is still
 assembled and factorized from scratch every iteration, once for both models.
 The loop hands each refit the selected and the remaining candidate indices,
-and the refit returns its scores at the remaining ones: the residual is the
-new interpolant evaluated there.
+and the refit returns its scores at the remaining ones.
 
-The Lebesgue strategy carries two arrays across insertions, the ``(interval,
-values)`` that ``active_values`` gives: each candidate's knot-interval index,
-and its 4 basis values there, function-first as ``(4, m)``. After a refit it
-compares the new basis with the previous one and evaluates again, with the
-same call, only the candidates in intervals whose knots or ``table`` column
-changed, so every value has the bits a fresh evaluation would give; the
-others' interval index is only shifted. The scores are then one
-``BandedLU.lebesgue`` call on the refit's factorization: ``||S_i β||_1``
-per remaining candidate, with the interval's Lebesgue table, formed on 16
-rows of length m.
+An insertion also splits one knot interval, and it changes the segment
+functions of only the candidates in that interval. Both spline strategies
+carry, for every candidate, the ``(interval, g)`` of ``GBSplineBasis._search``:
+its knot-interval index and its 4 segment functions there, function-first as
+``(4, m)``. After a refit a candidate whose interval kept both knots keeps
+``g`` and has its index shifted; only the candidates of the split interval are
+searched again, in one call. No greedy calls ``GBSplineBasis._locate``, so the
+bases of a run hold no point set.
+
+The residual is the new interpolant at the remaining candidates, formed from
+the carried arrays by ``Interpolant._combine``, the gather and sum of
+``Interpolant.__call__``. The Lebesgue strategy carries each candidate's 4
+basis values too. It combines them again from the carried ``g`` with
+``GBSplineBasis._combine``, as ``active_values`` does, only where the
+interval's knots or ``table`` column changed, so every value has the bits a
+fresh evaluation would give. The scores are then one ``BandedLU.lebesgue``
+call on the refit's factorization: ``||S_i β||_1`` per remaining candidate,
+with the interval's Lebesgue table, formed on 16 rows of length m.
 """
 
 from dataclasses import dataclass, field
@@ -182,36 +189,50 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         in_selected[pick] = True
 
 
-def _carried_intervals(prior, basis) -> np.ndarray:
-    """Each knot interval of ``prior``: its index in ``basis``, or -1 if it changed.
+def _carried_intervals(prior, basis):
+    """Each knot interval of ``prior``: its index in ``basis``, or -1 if a knot of it moved,
+    and whether it keeps its ``table`` column too.
 
-    An interval is carried when ``basis`` has one with the same two knots and
-    the same ``table`` column, so its segment functions and basis values at any
-    point are the same bits.
+    An interval that keeps both knots keeps the segment functions of every
+    point in it, bit for bit; one that keeps its column as well keeps the
+    point's basis values.
     """
     old, new = prior.knots, basis.knots
     at = np.minimum(np.searchsorted(new, old[:-1]), basis.n - 2)
-    same = (new[at] == old[:-1]) & (new[at + 1] == old[1:]) \
-        & (basis.table[:, :, at] == prior.table).all(axis=(0, 1))
-    return np.where(same, at, -1)
+    kept = (new[at] == old[:-1]) & (new[at + 1] == old[1:])
+    same = kept & (basis.table[:, :, at] == prior.table).all(axis=(0, 1))
+    return np.where(kept, at, -1), same
 
 
 def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
     """Run the loop on the spline over the selected candidates.
 
     Each basis is built with the previous one as ``prior`` (None at first),
-    and its collocation matrix is factorized once, as ``lu``. ``model(prior,
-    basis, lu, selected, remaining) -> (state, scores)``, called inside
-    ``refit``, supplies the criterion at the remaining indices.
+    and its collocation matrix is factorized once, as ``lu``. The carried
+    ``interval`` and ``g`` of every candidate (see the module docstring) are
+    valid at the remaining indices. ``model(basis, lu, selected, remaining,
+    interval, g, stale) -> (state, scores)``, called inside ``refit``,
+    supplies the criterion there; ``stale`` are the remaining candidates whose
+    interval changed a knot or its ``table`` column.
     """
     space = ExpSpace(config.alpha)
     prior = None
+    interval, g = np.empty(cand.size, dtype=np.intp), np.empty((4, cand.size))
 
     def refit(selected, remaining):
         nonlocal prior
         basis = build_basis(cand[selected], space, prior=prior)
         phi = collocation_matrix(basis)
-        state, scores = model(prior, basis, factorize(phi), selected, remaining)
+        lu = factorize(phi)
+        moved = stale = remaining
+        if prior is not None:
+            at, same = _carried_intervals(prior, basis)
+            old = interval[remaining]
+            interval[remaining] = at[old]
+            moved, stale = remaining[at[old] < 0], remaining[~same[old]]
+        if len(moved):
+            interval[moved], g[:, moved] = basis._search(cand[moved])
+        state, scores = model(basis, lu, selected, remaining, interval, g, stale)
         prior = basis
         return state, phi, scores
 
@@ -239,9 +260,11 @@ def f_greedy(candidates, values, config: GreedyConfig):
     cand = np.asarray(candidates, dtype=float)
     values = check_values("values", values, cand.size)
 
-    def residual(prior, basis, lu, selected, remaining):
+    def residual(basis, lu, selected, remaining, interval, g, stale):
         interp = fit(basis, values[selected], lu=lu)
-        return interp, np.abs(values[remaining] - interp(cand[remaining]))
+        approx = interp._combine(interval[remaining], np.take(g, remaining, axis=1),
+                                 cand[remaining])
+        return interp, np.abs(values[remaining] - approx)
 
     return _spline_loop(cand, config, residual)
 
@@ -259,15 +282,10 @@ def lambda_greedy(candidates, config: GreedyConfig):
     (selected, trace)
     """
     cand = np.asarray(candidates, dtype=float)
-    interval, values = np.empty(cand.size, dtype=np.intp), np.empty((4, cand.size))
+    values = np.empty((4, cand.size))
 
-    def lebesgue(prior, basis, lu, selected, remaining):
-        stale = remaining
-        if prior is not None:
-            carried = _carried_intervals(prior, basis)[interval[remaining]]
-            interval[remaining] = carried
-            stale = remaining[carried < 0]
-        interval[stale], values[:, stale] = basis.active_values(cand[stale])
+    def lebesgue(basis, lu, selected, remaining, interval, g, stale):
+        values[:, stale] = basis._combine(interval[stale], np.take(g, stale, axis=1))
         return None, lu.lebesgue(interval[remaining], np.take(values, remaining, axis=1))
 
     selected, _, trace = _spline_loop(cand, config, lebesgue)

@@ -7,19 +7,21 @@ nonzero. The fourth function alive there, ``i + 2`` (``n - 3`` at the last
 knot), sits at an end of its support and vanishes in exact arithmetic. Knot
 ``i < n - 1`` starts interval ``i``, where the segment functions are ``(1, 0,
 0, 0)``, so its row is ``table[0, :, i]``. The last knot ends interval ``n -
-2``: its row is ``active_values(b)``, the segment functions at ``tau = 1``
-there combined with ``table[:, :, n - 2]``.
+2``: its row is ``table[:, :, n - 2]`` combined with the segment functions at
+``tau = 1`` there, the bits of ``active_values(b)`` with no point search.
 Assembly keeps the three diagonals and checks that every dropped value is at
 most ``OUTER_BAND_RTOL`` times the matrix norm rather than dropping it
 silently.
 
 An interpolant is 4 numbers per knot interval, ``pp[:, i] = sum_s c[i+s-1]
 * table[:, s, i]``, formed when it is constructed and interval-last like
-``GBSplineBasis.table``. Evaluating it is one pass over all points: one
-``np.take`` gathers the columns of the points' intervals function-first,
-one contiguous array per segment function, and ``space.segment_combination``
-sums the four products of each point as ``(q0 + q2) + (q1 + q3)``, the order
-in which numpy's ``einsum`` sums a contiguous length-4 axis.
+``GBSplineBasis.table``. Evaluating it is one pass over all points located
+by the basis (``Interpolant._combine``, which f-greedy calls with the
+intervals it carries): one ``np.take`` gathers the columns of the points'
+intervals function-first, one contiguous array per segment function, and
+``space.segment_combination`` sums the four products of each point as ``(q0
++ q2) + (q1 + q3)``, the order in which numpy's ``einsum`` sums a contiguous
+length-4 axis.
 
 The Lebesgue function is ``||S_i T_i g(x)||_1``, with ``T_i[s, k] = table[k,
 s, i]`` and ``S_i[r, s] = S[s, r, i]`` one 4x4 table per knot interval, ``S``
@@ -78,7 +80,7 @@ def collocation_matrix(basis: GBSplineBasis) -> BandedMatrix:
     """
     n = basis.n
     rows = basis.table[0]  # rows[s, i]: function i + s - 1 at knot i < n - 1, where tau = 0
-    last = basis.active_values(basis.b)[1]  # at knot n - 1: functions n - 3 .. n
+    last = basis._last_knot_values()  # at knot n - 1: functions n - 3 .. n
     mat = BandedMatrix(np.append(rows[0, 1:], last[1]), np.append(rows[1], last[2]), rows[2])
     outer = np.abs(np.append(rows[3], last[0]))  # function i + 2 at row i, n - 3 at n - 1
     limit = OUTER_BAND_RTOL * mat.norm_inf()
@@ -134,12 +136,17 @@ class Interpolant:
 
     def __call__(self, x):
         """Evaluate at ``x`` in ``[a, b]``; the result has the shape of ``x``."""
-        i, g = self.basis._locate(x)
+        out = self._combine(*self.basis._locate(x), x)
+        return out if np.ndim(x) else float(out)
+
+    def _combine(self, i, g, x):
+        """The values at points ``x`` from their located intervals ``i`` and segment functions
+        ``g``; a value that is not finite raises ``DomainError`` naming its point."""
         out = segment_combination(np.take(self.pp, i, axis=1), g)
         if not np.all(np.isfinite(out)):
             bad = np.asarray(x, dtype=float)[~np.isfinite(out)]
             raise DomainError(f"interpolant not finite at x = {float(bad[0])!r}")
-        return out if np.ndim(x) else float(out)
+        return out
 
 
 def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:

@@ -27,7 +27,8 @@ def tps_kernel(r):
 @dataclass(frozen=True)
 class KernelInterpolant:
     """Kernel expansion over the centers plus a linear tail; its values have the shape of the
-    points, and ``DomainError`` is raised where one is not finite."""
+    points, and ``DomainError`` is raised where one is not finite. A point's value has the
+    same bits whatever other points share the call."""
 
     centers: np.ndarray
     weights: np.ndarray
@@ -37,7 +38,8 @@ class KernelInterpolant:
         xa = np.asarray(x, dtype=float).reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is checked below
             k = tps_kernel(np.abs(xa[:, None] - self.centers[None, :]))
-            out = k @ self.weights + self.tail[0] + self.tail[1] * xa
+            # each row summed in an order independent of the row count, unlike a BLAS matvec
+            out = np.add.reduce(k * self.weights, axis=1) + self.tail[0] + self.tail[1] * xa
         if not np.all(np.isfinite(out)):
             raise DomainError(f"kernel interpolant not finite at x = "
                               f"{float(xa[~np.isfinite(out)][0])!r}")

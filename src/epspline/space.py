@@ -10,8 +10,9 @@ four segment functions function-first, one contiguous array each, and
 ``segment_combination`` multiplies them by coefficients gathered in the same
 layout and sums the four products in one fixed order. Every evaluator of a
 basis or an interpolant goes through these two, with the segment functions
-of ``GBSplineBasis._locate``. They are values only: ``build_basis`` forms the
-derivatives it needs at ``tau = 1`` from their ``cosh`` and ``sinh``.
+of ``GBSplineBasis._search``, held by ``_locate`` or carried by a greedy.
+They are values only: ``build_basis`` forms the derivatives it needs at
+``tau = 1`` from their ``cosh`` and ``sinh``.
 """
 
 from dataclasses import dataclass

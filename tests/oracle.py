@@ -55,8 +55,9 @@ values only, with the first two derivatives in ``tau``, formed from its
 ``greedy_uncached`` runs either greedy with nothing carried from one
 insertion to the next: each step builds the basis from scratch and scores
 every remaining candidate through ``Interpolant.__call__`` or
-``lebesgue_function``, the reference for λ-greedy's carried values and for
-both greedies' reuse of the previous basis.
+``lebesgue_function``, the reference for what both greedies carry across
+insertions (intervals, segment functions, λ-greedy's basis values) and for
+their reuse of the previous basis.
 """
 
 from functools import lru_cache

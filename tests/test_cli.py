@@ -18,6 +18,7 @@ from epspline.cli import (
     main,
     parse_node_spec,
     run_experiment,
+    write_csv,
 )
 from epspline.nodes import KINDS, equispaced, generate
 
@@ -372,6 +373,17 @@ class TestRunExperiment:
         value = third.split(",")[2]
         assert len(value.split("e")[0].replace("-", "").replace(".", "")
                    .rstrip("0")) >= 10  # full precision retained
+
+
+def test_csv_cell_bytes(tmp_path):
+    # an empty cell for None and every NaN, 17 significant digits for every float
+    row = [None, float("nan"), np.nan, np.float64("nan"), np.float64(0.1), 3, np.int64(-7),
+           -0.0, 1e308, -1e308, 5e-324, "kind"]
+    write_csv(tmp_path / "t.csv", ["h"] * len(row), [row, row[::-1]])
+    cells = ",,,,0.10000000000000001,3,-7,-0,1e+308,-1e+308,4.9406564584124654e-324,kind"
+    reverse = ",".join(cells.split(",")[::-1])
+    assert (tmp_path / "t.csv").read_bytes() == \
+        f"{','.join(['h'] * len(row))}\n{cells}\n{reverse}\n".encode()
 
 
 class TestExitCodes:

@@ -16,6 +16,8 @@ from epspline import (
     fit,
     lambda_greedy,
 )
+import epspline.greedy as greedy_mod
+from epspline.banded import BandedLU
 from epspline.greedy import _greedy_loop
 from epspline.interpolate import Interpolant
 from epspline.nodes import chebyshev_lobatto, equispaced, halton
@@ -33,6 +35,11 @@ def jittered(m: int, seed: int) -> np.ndarray:
     x = np.linspace(-1.0, 1.0, m)
     x[1:-1] += np.random.default_rng(seed).uniform(-1.0, 1.0, m - 2) * (x[1] - x[0]) / 3.0
     return x
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def assert_same_trace(a, b):
@@ -292,10 +299,10 @@ def assert_same_as_uncached(cand, config, values=None):
 
 
 class TestCarriedValues:
-    """λ-greedy carries each candidate's interval and values across insertions,
-    and f-greedy scores through ``Interpolant.__call__`` on a basis built with
-    ``prior``; the oracle builds from scratch and evaluates every candidate
-    again at each step."""
+    """Both greedies carry each candidate's interval and segment functions across
+    insertions, λ-greedy its basis values too, on a basis built with ``prior``;
+    the oracle builds from scratch and evaluates every candidate again at each
+    step."""
 
     @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton, "jittered"])
     @pytest.mark.parametrize("model", ["f_greedy", "lambda_greedy"])
@@ -333,6 +340,65 @@ class TestCarriedValues:
         assert_same_as_uncached(cand, config, np.cos(7.0 * cand / cand[-1]))
 
 
+def assert_fresh_at_every_step(cand, config, values=None):
+    """At each step of ``f_greedy`` on ``values``, or of ``lambda_greedy`` if they are None,
+    every remaining candidate's carried interval and segment functions have the bits of a
+    fresh ``_search``, and the basis values λ-greedy scores with those of a fresh
+    ``active_values``; no basis of the run holds a located point set afterwards. Returns
+    the number of steps checked."""
+    real_loop, real_lebesgue = greedy_mod._spline_loop, BandedLU.lebesgue
+    bases, fresh = [], []
+
+    def spy_loop(cand, config, model):
+        def checked(basis, lu, selected, remaining, interval, g, stale):
+            i, want = basis._search(cand[remaining])
+            assert_same_bits(interval[remaining], i)
+            assert_same_bits(g[:, remaining], want)
+            bases.append(basis)
+            fresh.append(dataclasses.replace(basis).active_values(cand[remaining]))
+            return model(basis, lu, selected, remaining, interval, g, stale)
+
+        return real_loop(cand, config, checked)
+
+    def spy_lebesgue(lu, interval, beta):
+        assert_same_bits(interval, fresh[-1][0])
+        assert_same_bits(beta, fresh[-1][1])
+        return real_lebesgue(lu, interval, beta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy_mod, "_spline_loop", spy_loop)
+        patch.setattr(BandedLU, "lebesgue", spy_lebesgue)
+        if values is None:
+            outcome(lambda: lambda_greedy(cand, config))
+        else:
+            outcome(lambda: f_greedy(cand, values, config))
+    assert all(basis._located == () for basis in bases)
+    return len(bases)
+
+
+class TestCarriedState:
+    """What the greedies carry across insertions is what a fresh search gives, bit for bit."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(family=st.sampled_from([equispaced, chebyshev_lobatto, halton]),
+           m=st.integers(5, 60), log_alpha=st.floats(-1.0, 0.5), residual=st.booleans())
+    def test_node_families(self, family, m, log_alpha, residual):
+        # alpha * (b - a) <= 6.4: every build of the run is in range
+        cand = family(m)
+        values = np.arctan(9.0 * cand) if residual else None
+        config = cfg(alpha=10.0 ** log_alpha, tau=0.0)
+        assert assert_fresh_at_every_step(cand, config, values) > 0
+
+    @settings(deadline=None, max_examples=30)
+    @across_gap_ratios
+    def test_across_gap_ratios(self, log_gaps, log_alpha_h):
+        assume(len(log_gaps) >= 4)
+        cand = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_gaps))])
+        config = cfg(alpha=10.0 ** log_alpha_h / cand[-1], tau=0.0)
+        assert_fresh_at_every_step(cand, config)
+        assert_fresh_at_every_step(cand, config, np.cos(7.0 * cand / cand[-1]))
+
+
 class TestExactInvariance:
     """Scalings by powers of two that leave every rounding the same."""
 
@@ -362,23 +428,22 @@ class TestFailureMidLoop:
         pytest.param("f_greedy", "factorize", id="f_greedy"),
         pytest.param("lambda_greedy", "lebesgue_tables", id="lambda_greedy"),
         pytest.param("kernel_f_greedy", "_solve_saddle", id="kernel_f_greedy"),
-        pytest.param("f_greedy", "Interpolant.__call__", id="f_greedy-score"),
+        pytest.param("f_greedy", "Interpolant._combine", id="f_greedy-score"),
         pytest.param("kernel_f_greedy", "KernelInterpolant.__call__", id="kernel_f_greedy-score"),
     ])
     def test_error_carries_partial_trace(self, monkeypatch, model, site):
-        import epspline.greedy as greedy_mod
         import epspline.kernel as kernel_mod
         from epspline import GreedyError, KernelInterpolant, SingularSystemError, kernel_f_greedy
-        from epspline.banded import BandedLU
 
         # f-greedy factorizes a collocation matrix per fit, λ-greedy reads
         # its Lebesgue tables from that factorization, the kernel solves its
-        # saddle system; both residual greedies score by calling their
-        # interpolant at the remaining candidates, once per iteration
+        # saddle system; both residual greedies score their interpolant at
+        # the remaining candidates once per iteration, f-greedy through
+        # Interpolant._combine from the carried intervals, the kernel by a call
         module, name = {"factorize": (greedy_mod, "factorize"),
                         "lebesgue_tables": (BandedLU, "lebesgue_tables"),
                         "_solve_saddle": (kernel_mod, "_solve_saddle"),
-                        "Interpolant.__call__": (Interpolant, "__call__"),
+                        "Interpolant._combine": (Interpolant, "_combine"),
                         "KernelInterpolant.__call__": (KernelInterpolant, "__call__")}[site]
         real = getattr(module, name)
         calls = {"n": 0}

@@ -262,7 +262,7 @@ class TestLocatedSets:
             got[evaluate] = evaluate(basis8, 0.3)
             assert np.shape(got[evaluate]) == shape
             assert [entry[0] for entry in basis8._located] == held, evaluate.__name__
-        collocation_matrix(basis8)  # its last row is the basis at the scalar b
+        collocation_matrix(basis8)  # its last row is a table read, at no point
         assert [entry[0] for entry in basis8._located] == held
         assert_same_bits(np.float64(value), interp(np.array([0.3]))[0])
         for evaluate, value in got.items():
@@ -335,6 +335,30 @@ class TestCollocationMatrix:
         mat = collocation_matrix(basis)
         for got, want in zip((mat.lower, mat.diag, mat.upper), collocation_by_values(basis)):
             assert np.array_equal(got, want)
+
+    @settings(deadline=None)
+    @across_gap_ratios
+    @example(log_gaps=[-1.0], log_alpha_h=0.0)
+    def test_last_row_equals_active_values_at_b(self, log_gaps, log_alpha_h):
+        # the last row combines table[:, :, n - 2] with the segment functions at tau = 1,
+        # where a search puts b, with the bits of a fresh basis located at b; the test
+        # above holds the same row to collocation_by_values
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        mat = collocation_matrix(basis)
+        last = basis._last_knot_values()
+        assert_same_bits(last, dataclasses.replace(basis).active_values(basis.b)[1])
+        assert_same_bits(np.array([mat.lower[-1], mat.diag[-1]]), last[1:3])
+
+    def test_locates_no_point(self, monkeypatch, basis8, colloc8):
+        def forbidden(*args):
+            raise AssertionError("collocation_matrix located a point")
+
+        monkeypatch.setattr(GBSplineBasis, "_locate", forbidden)
+        monkeypatch.setattr(GBSplineBasis, "_search", forbidden)
+        mat = collocation_matrix(dataclasses.replace(basis8))
+        for got, want in zip((mat.lower, mat.diag, mat.upper),
+                             (colloc8.lower, colloc8.diag, colloc8.upper)):
+            assert_same_bits(got, want)
 
     def test_matches_dense_oracle(self, basis8, colloc8):
         assert np.allclose(colloc8.to_dense(), dense_collocation(basis8),

@@ -73,9 +73,18 @@ class TestTpsFit:
             got = model(points)
             assert got.shape == points.shape
             assert np.array_equal(got, model(points.ravel()).reshape(points.shape))
-            # a matrix-vector product and a one-row one may round their sums differently
-            scalar = np.vectorize(model, otypes=[float])(points)
-            assert np.allclose(got, scalar, rtol=0.0, atol=1e-14)
+            assert np.array_equal(got, np.vectorize(model, otypes=[float])(points))
+
+    def test_a_point_has_the_same_bits_whatever_shares_its_call(self):
+        # each row sums in one order whatever the row count, unlike a matrix-vector product
+        rng = np.random.default_rng(3)
+        centers = np.sort(rng.uniform(-1.0, 1.0, 37))
+        model = tps_fit(centers, np.cos(5.0 * centers))
+        x = rng.uniform(-1.0, 1.0, 100)
+        whole = model(x)
+        for p in range(1, len(x) + 1):
+            assert np.array_equal(model(x[:p]), whole[:p]), p
+        assert np.array_equal([model(float(v)) for v in x], whole)
 
     def test_overflowing_kernel_is_singular(self, capfd):
         # r^2 overflows: an inf saddle matrix is refused before LAPACK sees it
