@@ -17,7 +17,7 @@ matrix norm raises ``SingularSystemError`` naming its row.
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidInputError, SingularSystemError
+from .errors import InvalidInputError, SingularSystemError, as_real_array
 from .space import segment_combination
 
 # A pivot not above this multiple of the matrix norm counts as singular.
@@ -29,7 +29,8 @@ class BandedMatrix:
     ``lower[i] = A[i + 1, i]``, ``diag[i] = A[i, i]`` and ``upper[i] = A[i, i + 1]``."""
 
     def __init__(self, lower, diag, upper):
-        self.lower, self.diag, self.upper = (np.array(v, dtype=float) for v in (lower, diag, upper))
+        self.lower, self.diag, self.upper = (np.array(as_real_array("diagonals", v))
+                                             for v in (lower, diag, upper))
         self.n = self.diag.size  # n = 0 leaves no shape (n - 1,) to match
         if self.diag.ndim != 1 or not self.lower.shape == self.upper.shape == (self.n - 1,):
             raise InvalidInputError(f"bad tridiagonal diagonals: shapes {self.lower.shape}, "
@@ -144,7 +145,7 @@ class BandedLU:
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``A x = b`` (or ``A^T x = b``); ``b`` may hold several RHS columns."""
-        b = np.asarray(b, dtype=float)
+        b = as_real_array("rhs", b)
         if b.shape[:1] != (self.n,):
             raise InvalidInputError(f"rhs of shape {b.shape}, expected leading dimension {self.n}")
         if b.size == 0:

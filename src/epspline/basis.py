@@ -29,14 +29,18 @@ of the points. None of this depends on the table, so the basis keeps it for
 the last two point sets it met: a basis fitted to many data vectors locates
 its grid once. The greedies carry each candidate's interval and segment
 functions from one basis to the next instead, and the last collocation row
-is ``_last_knot_values``, a table read at ``b``.
+is ``_last_knot_values``, a table read at ``b``. ``_solved`` solves the
+local systems of given functions and scatters their pieces into a table:
+``build_basis`` all n into zeros, and the greedies' ``_inserted`` of a knot
+at index ``q`` the five whose support holds it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisConstructionError, DomainError, InvalidInputError, check_points
+from .errors import (BasisConstructionError, DomainError, InvalidInputError, as_real_array,
+                     check_points)
 from .space import EXP_ARG_LIMIT, ExpSpace, segment_basis_eval, segment_combination
 
 # Condition-number ceiling for the per-function 16x16 local systems, row-equilibrated as
@@ -128,7 +132,8 @@ class GBSplineBasis:
         """Interval index ``i`` of each point and the 4 segment functions there.
 
         The segment functions are function-first, shape ``(4,) + shape(x)``.
-        Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``.
+        Every evaluator calls this; a point outside ``[a, b]`` or NaN raises ``DomainError``,
+        and one that is not a real number ``InvalidInputError``.
 
         Each point has one binary search among the knots, ``knots[i] <= x <
         knots[i + 1]`` with ``b`` in the last, so a call costs O(m) in its m points.
@@ -139,7 +144,7 @@ class GBSplineBasis:
         evaluating anything. The held sets are one tuple, replaced whole, so
         concurrent calls at worst locate a set again. A scalar is not kept.
         """
-        xa = np.asarray(x, dtype=float)
+        xa = as_real_array("points", x)
         if not xa.ndim:
             return self._search(xa)
         key = (xa.shape, xa.tobytes())
@@ -193,7 +198,7 @@ class GBSplineBasis:
         return self._combine(self.n - 2, segment_basis_eval(z, 1.0))
 
 
-def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> GBSplineBasis:
+def build_basis(knots, space: ExpSpace) -> GBSplineBasis:
     """Construct the basis by solving one 16x16 local system per function.
 
     Parameters
@@ -201,14 +206,6 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     knots : array_like
         Interior knots: at least 2, finite and strictly increasing.
     space : ExpSpace
-    prior : GBSplineBasis, optional
-        A basis built earlier with the same ``alpha``, ``a`` and ``b``,
-        typically on the same knots before one insertion. A function whose
-        five support knots equal those of one of ``prior``'s functions has
-        the same local system, so its columns of ``prior.table`` are copied;
-        only the other functions are solved. Any other ``prior`` is ignored,
-        as a matched function may then have a piece in ``[a, b]`` that
-        ``prior.table`` lacks. The result is bitwise equal to a build without it.
 
     Returns
     -------
@@ -239,30 +236,29 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
     condition below 1.1e6; a batched SVD measures it only in a block that fails.
     """
     x = check_points("interior knots", knots, 2)
+    return _solved(x, space, np.zeros((4, 4, len(x) - 1)), np.arange(len(x)))
+
+
+def _inserted(prior: GBSplineBasis, q: int, knot: float) -> GBSplineBasis:
+    """``build_basis`` on ``prior``'s knots with ``knot`` inserted at index ``q``, bit for bit.
+
+    Solves functions ``q - 2 .. q + 2``, whose support holds the knot; the others keep their
+    pieces. Needs ``2 <= q <= n - 3``, as every greedy insertion has: the end gaps stay.
+    """
+    table = np.insert(prior.table, q - 1, 0.0, axis=2)
+    return _solved(np.insert(prior.knots, q, knot), prior.space, table, np.arange(q - 2, q + 3))
+
+
+def _solved(x, space: ExpSpace, table, todo) -> GBSplineBasis:
+    """The basis on knots ``x``: functions ``todo`` solved into ``table``, which holds the rest."""
     E = _padded_knots(x)
-    n = len(x)
-    scale = space.alpha * float(np.max(np.diff(E)))
+    n, k = len(x), len(todo)
+    span = np.arange(4)  # function j's support interval m is [E[j + m], E[j + m + 1]]
+    h = np.take(np.diff(E), todo[:, None] + span)  # (k, 4) interval lengths
+    scale = space.alpha * float(np.max(h))
     if scale > EXP_ARG_LIMIT:
-        raise DomainError(
-            f"alpha * longest interval = {scale:.3g} exceeds the overflow limit "
-            f"{EXP_ARG_LIMIT:g}"
-        )
-
-    span = np.arange(5)  # function j's support knots are E[j + span]
-    coef = np.zeros((4, 4, n + 2))  # coef[m, k, j + 1]: function j on support interval m
-    todo = np.arange(n)  # functions whose local system is solved below
-    if prior is not None and (prior.space, prior.a, prior.b) == (space, x[0], x[-1]):
-        old = _padded_knots(prior.knots)
-        pos = np.minimum(np.searchsorted(old[:prior.n], E[:n]), prior.n - 1)
-        same = np.all(np.take(old, pos[:, None] + span) == np.take(E, todo[:, None] + span), 1)
-        held = np.zeros((4, 4, prior.n + 2))  # prior's coef: the final gather inverted
-        for s in range(4):
-            held[3 - s, :, s:s + prior.n - 1] = prior.table[:, s]
-        coef[:, :, 1 + np.flatnonzero(same)] = held[:, :, 1 + pos[same]]
-        todo = np.flatnonzero(~same)
-
-    k = len(todo)
-    h = np.take(np.diff(E), todo[:, None] + span[:4])  # (k, 4) interval lengths
+        raise DomainError(f"alpha * longest interval = {scale:.3g} exceeds the overflow limit "
+                          f"{EXP_ARG_LIMIT:g}")
     z = space.alpha * h
     # start[:, i, d], end[:, i, d]: the d-th derivatives of the 4 segment functions at
     # tau = 0 and 1 on support interval i; at tau = 0 exactly (1, 0, 0, 0), (0, 1, 0, 0)
@@ -314,12 +310,12 @@ def build_basis(knots, space: ExpSpace, prior: GBSplineBasis | None = None) -> G
                 f"local system for basis function {todo[bad[0]]} is numerically "
                 f"rank-deficient (condition estimate {conds[bad[0]]:.3g})"
             )
-        coef[:, :, 1 + todo] = np.linalg.solve(A, rhs)[:, :, 0].reshape(k, 4, 4).transpose(1, 2, 0)
+        pieces = np.linalg.solve(A, rhs)[:, :, 0].reshape(k, 4, 4)  # [function, m, k]
     except np.linalg.LinAlgError as exc:
         raise BasisConstructionError(
             f"singular local system among basis functions {todo[0]}..{todo[-1]}: {exc}"
         ) from exc
-    table = np.empty((4, 4, n - 1))
-    for s in range(4):  # function i + s - 1, zero past either end, on its support interval 3 - s
-        table[:, s] = coef[3 - s, :, s:s + n - 1]
+    at = todo[:, None] + span - 2  # function j's support interval m is interval j + m - 2
+    f, m = np.nonzero((at >= 0) & (at <= n - 2))
+    table[:, 3 - m, at[f, m]] = pieces[f, m].T  # where j is in slot 3 - m
     return GBSplineBasis(knots=x, space=space, table=table)

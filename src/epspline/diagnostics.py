@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dlamch, dsbevx
 
 from .banded import BandedMatrix
-from .errors import InvalidInputError, SplineError, check_grid, check_values
+from .errors import InvalidInputError, SplineError, as_real_array, check_grid, check_values
 from .interpolate import Interpolant, basis_matrix, lebesgue_function
 
 SPARSITY_TOL = 1e-14
@@ -32,7 +32,7 @@ _EIG_ABSTOL = 2 * dlamch("s")
 def _as_dense(matrix) -> np.ndarray:
     if isinstance(matrix, BandedMatrix):
         return matrix.to_dense()
-    a = np.asarray(matrix, dtype=float)
+    a = as_real_array("matrix", matrix)
     if a.ndim != 2 or not a.size:
         raise InvalidInputError(f"expected a nonempty matrix, got shape {a.shape}")
     return a

@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all epspline modules, and the one check of each
-input kind: ``is_finite_real``, ``check_integer``, ``check_points``, ``check_values``,
-``check_grid``."""
+input kind: ``is_finite_real``, ``check_integer``, ``as_real_array``, ``check_points``,
+``check_values``, ``check_grid``."""
 
 import math
 import numbers
@@ -51,10 +51,22 @@ def check_integer(name: str, value):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def as_real_array(name: str, x) -> np.ndarray:
+    """``x`` as ``np.asarray(x, dtype=float)`` gives it; ``InvalidInputError`` for strings,
+    complex values and ragged sequences, which that casts or fails on with numpy's errors."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "biufO":  # bool, integer, float, or Python objects to convert
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"{name} must be real numbers: {exc}") from exc
+    raise InvalidInputError(f"{name} must be real numbers, got dtype {a.dtype}")
+
+
 def check_points(name: str, x, min_count: int) -> np.ndarray:
     """``x`` as a float array; ``InvalidInputError`` unless it holds at least
     ``min_count`` points, 1-d, finite and strictly increasing."""
-    x = np.asarray(x, dtype=float)
+    x = as_real_array(name, x)
     if x.ndim != 1 or len(x) < min_count:
         raise InvalidInputError(
             f"need a 1-d array of at least {min_count} {name}, got shape {x.shape}")
@@ -67,7 +79,7 @@ def check_points(name: str, x, min_count: int) -> np.ndarray:
 
 def check_values(name: str, y, n: int) -> np.ndarray:
     """``y`` as a float array; ``InvalidInputError`` unless it holds ``n`` finite values."""
-    y = np.asarray(y, dtype=float)
+    y = as_real_array(name, y)
     if y.shape != (n,):
         raise InvalidInputError(f"expected {n} {name}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -77,7 +89,7 @@ def check_values(name: str, y, n: int) -> np.ndarray:
 
 def check_grid(grid) -> np.ndarray:
     """``grid`` as a float array; ``InvalidInputError`` if it holds no point."""
-    grid = np.asarray(grid, dtype=float)
+    grid = as_real_array("grid", grid)
     if grid.size == 0:
         raise InvalidInputError("empty evaluation grid")
     return grid

@@ -8,42 +8,43 @@ function values, so it yields reusable a-priori node sets. The
 thin-plate-spline baseline (``kernel.kernel_f_greedy``) runs the same loop
 with its own fit.
 
-An insertion changes only the basis functions whose support knots it moves:
-the five whose support contains the new knot. Each spline refit therefore
-passes the previous basis to ``build_basis``, which copies every other
-function bit for bit and solves only those. The collocation matrix is still
-assembled and factorized from scratch every iteration, once for both models.
-The loop hands each refit the selected and the remaining candidate indices,
-and the refit returns its scores at the remaining ones.
+An insertion changes only the five basis functions whose support holds the
+new knot, and it splits one knot interval. The loop knows where: at ``q``,
+the first index where the sorted selected indices differ from the previous
+ones. So each spline refit after the first splices the knot into the
+previous basis with ``basis._inserted``, which solves only functions ``q - 2
+.. q + 2``. The collocation matrix is still assembled and factorized from
+scratch every iteration, once for both models. The loop hands each refit the
+selected and the remaining candidate indices, and the refit returns its
+scores at the remaining ones.
 
-An insertion also splits one knot interval, and it changes the segment
-functions of only the candidates in that interval. Both spline strategies
-carry, for every candidate, the ``(interval, g)`` of ``GBSplineBasis._search``:
-its knot-interval index and its 4 segment functions there, function-first as
-``(4, m)``. After a refit a candidate whose interval kept both knots keeps
-``g`` and has its index shifted; only the candidates of the split interval are
-searched again, in one call. No greedy calls ``GBSplineBasis._locate``, so the
-bases of a run hold no point set.
+Both spline strategies carry, for every candidate, the ``(interval, g)`` of
+``GBSplineBasis._search``: its knot-interval index and its 4 segment
+functions there, function-first as ``(4, m)``. A candidate in old interval
+``o`` keeps ``g`` and moves to interval ``o + (o >= q)``; only those of the
+split interval ``q - 1`` are searched again, in one call. No greedy calls
+``GBSplineBasis._locate``, so the bases of a run hold no point set.
 
 The residual is the new interpolant at the remaining candidates, formed from
 the carried arrays by ``Interpolant._combine``, the gather and sum of
 ``Interpolant.__call__``. The Lebesgue strategy carries each candidate's 4
 basis values too. It combines them again from the carried ``g`` with
-``GBSplineBasis._combine``, as ``active_values`` does, only where the
-interval's knots or ``table`` column changed, so every value has the bits a
-fresh evaluation would give. The scores are then one ``BandedLU.lebesgue``
-call on the refit's factorization: ``||S_i β||_1`` per remaining candidate,
-with the interval's Lebesgue table, formed on 16 rows of length m.
+``GBSplineBasis._combine``, as ``active_values`` does, only in old intervals
+``q - 4 .. q + 2``, whose ``table`` columns hold a solved function. So every
+value has the bits a fresh evaluation would give. The scores are then one
+``BandedLU.lebesgue`` call on the refit's factorization: ``||S_i β||_1`` per
+remaining candidate, with the interval's Lebesgue table, formed on 16 rows of
+length m.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import _inserted, build_basis
 from .diagnostics import cond2, sparsity
-from .errors import (InvalidInputError, SplineError, check_integer, check_points, check_values,
-                     is_finite_real)
+from .errors import (InvalidInputError, SplineError, as_real_array, check_integer, check_points,
+                     check_values, is_finite_real)
 from .interpolate import collocation_matrix, factorize, fit
 from .space import ExpSpace
 
@@ -189,51 +190,38 @@ def _greedy_loop(candidates, refit, tau=None, max_iter=None):
         in_selected[pick] = True
 
 
-def _carried_intervals(prior, basis):
-    """Each knot interval of ``prior``: its index in ``basis``, or -1 if a knot of it moved,
-    and whether it keeps its ``table`` column too.
-
-    An interval that keeps both knots keeps the segment functions of every
-    point in it, bit for bit; one that keeps its column as well keeps the
-    point's basis values.
-    """
-    old, new = prior.knots, basis.knots
-    at = np.minimum(np.searchsorted(new, old[:-1]), basis.n - 2)
-    kept = (new[at] == old[:-1]) & (new[at + 1] == old[1:])
-    same = kept & (basis.table[:, :, at] == prior.table).all(axis=(0, 1))
-    return np.where(kept, at, -1), same
-
-
 def _spline_loop(cand: np.ndarray, config: GreedyConfig, model):
     """Run the loop on the spline over the selected candidates.
 
-    Each basis is built with the previous one as ``prior`` (None at first),
-    and its collocation matrix is factorized once, as ``lu``. The carried
-    ``interval`` and ``g`` of every candidate (see the module docstring) are
-    valid at the remaining indices. ``model(basis, lu, selected, remaining,
-    interval, g, stale) -> (state, scores)``, called inside ``refit``,
-    supplies the criterion there; ``stale`` are the remaining candidates whose
-    interval changed a knot or its ``table`` column.
+    The first basis is built from scratch, each later one ``_inserted`` into the
+    previous one (see the module docstring); its collocation matrix is factorized
+    once, as ``lu``. The carried ``interval`` and ``g`` of every candidate are valid
+    at the remaining indices. ``model(basis, lu, selected, remaining, interval, g,
+    stale) -> (state, scores)``, called inside ``refit``, supplies the criterion
+    there; ``stale`` are the remaining candidates whose interval's ``table`` column
+    changed.
     """
     space = ExpSpace(config.alpha)
-    prior = None
+    prior = last = None
     interval, g = np.empty(cand.size, dtype=np.intp), np.empty((4, cand.size))
 
     def refit(selected, remaining):
-        nonlocal prior
-        basis = build_basis(cand[selected], space, prior=prior)
-        phi = collocation_matrix(basis)
-        lu = factorize(phi)
+        nonlocal prior, last
         moved = stale = remaining
-        if prior is not None:
-            at, same = _carried_intervals(prior, basis)
-            old = interval[remaining]
-            interval[remaining] = at[old]
-            moved, stale = remaining[at[old] < 0], remaining[~same[old]]
+        if prior is None:
+            basis = build_basis(cand[selected], space)
+        else:
+            q = int(np.argmin(selected[:-1] == last))
+            basis = _inserted(prior, q, cand[selected[q]])
+            old = interval[remaining]  # q - 1 is split; q - 4 .. q + 2 hold a solved function
+            moved, stale = remaining[old == q - 1], remaining[np.abs(old - (q - 1)) <= 3]
+            interval[remaining] = old + (old >= q)
         if len(moved):
             interval[moved], g[:, moved] = basis._search(cand[moved])
+        phi = collocation_matrix(basis)
+        lu = factorize(phi)
         state, scores = model(basis, lu, selected, remaining, interval, g, stale)
-        prior = basis
+        prior, last = basis, selected
         return state, phi, scores
 
     return _greedy_loop(cand, refit, config.tau, config.max_iter)
@@ -257,7 +245,7 @@ def f_greedy(candidates, values, config: GreedyConfig):
         trace. On stop reason "tau" the residual over all remaining
         candidates is at most ``config.tau``.
     """
-    cand = np.asarray(candidates, dtype=float)
+    cand = as_real_array("candidates", candidates)
     values = check_values("values", values, cand.size)
 
     def residual(basis, lu, selected, remaining, interval, g, stale):
@@ -281,7 +269,7 @@ def lambda_greedy(candidates, config: GreedyConfig):
     -------
     (selected, trace)
     """
-    cand = np.asarray(candidates, dtype=float)
+    cand = as_real_array("candidates", candidates)
     values = np.empty((4, cand.size))
 
     def lebesgue(basis, lu, selected, remaining, interval, g, stale):

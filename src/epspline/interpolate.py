@@ -48,8 +48,8 @@ import numpy as np
 
 from .banded import BandedLU, BandedMatrix, factorize
 from .basis import GBSplineBasis
-from .errors import (BasisConstructionError, DomainError, InvalidInputError, check_grid,
-                     check_values)
+from .errors import (BasisConstructionError, DomainError, InvalidInputError, as_real_array,
+                     check_grid, check_values)
 from .space import segment_combination
 
 # A basis value outside the three diagonals above this multiple of the
@@ -122,7 +122,7 @@ class Interpolant:
     pp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+        c = as_real_array("coefficients", self.coefficients)
         if c.shape != (self.basis.n,):
             raise InvalidInputError(f"expected {self.basis.n} coefficients, got shape {c.shape}")
         window = np.lib.stride_tricks.sliding_window_view(np.concatenate(([0.0], c, [0.0])), 4)
@@ -169,9 +169,11 @@ def fit(basis: GBSplineBasis, y, lu: BandedLU | None = None) -> Interpolant:
     return Interpolant(basis=basis, coefficients=lu.solve(y))
 
 
-def _check_1d(x):
-    if np.ndim(x) > 1:
-        raise InvalidInputError(f"expected a scalar or a 1-d array, got shape {np.shape(x)}")
+def _check_1d(x) -> np.ndarray:
+    x = as_real_array("points", x)
+    if x.ndim > 1:
+        raise InvalidInputError(f"expected a scalar or a 1-d array, got shape {x.shape}")
+    return x
 
 
 def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
@@ -183,7 +185,7 @@ def cardinal_values(basis: GBSplineBasis, x) -> np.ndarray:
 
     Returns shape ``(n,)`` for scalar ``x`` and ``(m, n)`` for a 1-d array.
     """
-    _check_1d(x)
+    x = _check_1d(x)
     values = basis_matrix(basis, x)  # a point outside [a, b] raises before any factoring
     u = factorize(collocation_matrix(basis)).solve(values, transpose=True)
     return u[:, 0] if np.ndim(x) == 0 else u.T
@@ -204,7 +206,7 @@ def lebesgue_function(basis: GBSplineBasis, grid) -> np.ndarray:
         If elimination without row exchanges on the collocation matrix meets a
         pivot not above ``banded.PIVOT_RTOL`` times its norm.
     """
-    _check_1d(grid)
+    grid = _check_1d(grid)
     interval, values = basis.active_values(grid)  # outside [a, b] raises first
     return np.atleast_1d(factorize(collocation_matrix(basis)).lebesgue(interval, values))
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError, check_points, check_values
+from .errors import DomainError, SingularSystemError, as_real_array, check_points, check_values
 from .greedy import _greedy_loop, check_stop_rule
 
 __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
@@ -17,7 +17,7 @@ __all__ = ["tps_kernel", "KernelInterpolant", "tps_fit", "kernel_f_greedy"]
 
 def tps_kernel(r):
     """Thin plate spline kernel r^2 * log(r), zero at r = 0."""
-    r = np.asarray(r, dtype=float)
+    r = as_real_array("distances", r)
     out = np.zeros_like(r)
     nz = r > 0.0
     out[nz] = r[nz] ** 2 * np.log(r[nz])
@@ -35,7 +35,7 @@ class KernelInterpolant:
     tail: np.ndarray  # (constant, slope)
 
     def __call__(self, x):
-        xa = np.asarray(x, dtype=float).reshape(-1)
+        xa = as_real_array("points", x).reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is checked below
             k = tps_kernel(np.abs(xa[:, None] - self.centers[None, :]))
             # each row summed in an order independent of the row count, unlike a BLAS matvec
@@ -105,7 +105,7 @@ def kernel_f_greedy(candidates, values, tau: float | None = None,
         Sorted selected points, the ``KernelInterpolant`` on them, and the
         per-iteration trace.
     """
-    cand = np.asarray(candidates, dtype=float)
+    cand = as_real_array("candidates", candidates)
     vals = check_values("values", values, cand.size)
     check_stop_rule(tau, max_iter)
 

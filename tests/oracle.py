@@ -57,7 +57,7 @@ insertion to the next: each step builds the basis from scratch and scores
 every remaining candidate through ``Interpolant.__call__`` or
 ``lebesgue_function``, the reference for what both greedies carry across
 insertions (intervals, segment functions, λ-greedy's basis values) and for
-their reuse of the previous basis.
+the splice of each new knot into the previous basis (``basis._inserted``).
 """
 
 from functools import lru_cache

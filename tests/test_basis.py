@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import epspline.basis as basis_mod
@@ -15,7 +15,7 @@ from epspline import (
     SplineError,
     build_basis,
 )
-from epspline.basis import CERTIFIED_BLOCK, LOCAL_SYSTEM_COND_LIMIT
+from epspline.basis import CERTIFIED_BLOCK, LOCAL_SYSTEM_COND_LIMIT, _inserted
 from epspline.space import EXP_ARG_LIMIT, segment_basis_eval
 from oracle import (coefficients, evaluate, local_system, padded_knots, segment_value, support,
                     table_by_scatter)
@@ -222,6 +222,15 @@ def _insert(knots, x):
 
 
 class TestPriorReuse:
+    """``basis._inserted(prior, q, knot)``, the greedies' insertion of one knot at index
+    ``q`` into the prior basis, is bitwise equal to ``build_basis`` on the new knots."""
+
+    @staticmethod
+    def assert_same_basis(got, want):
+        assert np.array_equal(got.knots.view(np.uint64), want.knots.view(np.uint64))
+        assert np.array_equal(got.table.view(np.uint64), want.table.view(np.uint64))
+        assert got.table.flags.c_contiguous
+
     def test_interior_insertion_solves_five_functions(self, monkeypatch, space2):
         points = []
 
@@ -230,53 +239,41 @@ class TestPriorReuse:
             return segment_basis_eval(z, tau)
 
         prior = build_basis(np.linspace(-1.0, 1.0, 50), space2)
-        knots = _insert(prior.knots, 0.01)
+        q = int(np.searchsorted(prior.knots, 0.01))
         monkeypatch.setattr(basis_mod, "segment_basis_eval", counting)
-        scratch = build_basis(knots, space2)
+        scratch = build_basis(_insert(prior.knots, 0.01), space2)
         per_function = sum(points) / scratch.n
         points.clear()
-        reused = build_basis(knots, space2, prior=prior)
+        spliced = _inserted(prior, q, 0.01)
         assert sum(points) <= 5 * per_function
-        assert np.array_equal(reused.table, scratch.table)
+        self.assert_same_basis(spliced, scratch)
 
-    def test_prior_on_other_ends_is_ignored(self, monkeypatch, space2):
-        # a prior lacking the first or last knot, or with one more beyond either end,
-        # shares functions with the new basis, but gives a full build
-        points = []
-
-        def counting(z, tau):
-            points.append(np.broadcast(np.asarray(z), np.asarray(tau)).size)
-            return segment_basis_eval(z, tau)
-
-        knots = np.linspace(-1.0, 1.0, 30)
-        scratch = build_basis(knots, space2)
-        monkeypatch.setattr(basis_mod, "segment_basis_eval", counting)
-        build_basis(knots, space2)
-        full = sum(points)
-        for other in (knots[1:], knots[:-1], np.append(knots, 1.5), np.insert(knots, 0, -1.5)):
-            prior = build_basis(other, space2)
-            points.clear()
-            reused = build_basis(knots, space2, prior=prior)
-            assert sum(points) == full
-            assert np.array_equal(reused.table.view(np.uint64), scratch.table.view(np.uint64))
-
-    def test_prior_in_another_space_is_ignored(self, space2):
-        knots = np.linspace(-1.0, 1.0, 12)
-        prior = build_basis(knots, ExpSpace(3.0))
-        assert np.array_equal(build_basis(knots, space2, prior=prior).table,
-                              build_basis(knots, space2).table)
+    @settings(deadline=None)
+    @across_gap_ratios
+    def test_every_position_equals_a_fresh_build(self, log_gaps, log_alpha_h):
+        # every q from 2 to n - 3, beside both ends included; a knot set less one
+        # that does not build is skipped
+        basis = gap_ratio_basis(log_gaps, log_alpha_h)
+        assume(basis.n >= 5)
+        for q in range(2, basis.n - 2):
+            try:
+                prior = build_basis(np.delete(basis.knots, q), basis.space)
+            except BasisConstructionError:
+                continue
+            self.assert_same_basis(_inserted(prior, q, basis.knots[q]), basis)
 
     def test_error_names_index_in_full_basis(self, space2):
-        # gap 7 at alpha = 2 is beyond the local conditioning ceiling; the
-        # prior splits it, so only the functions around the gap are re-solved
+        # gap 7 at alpha = 2 is beyond the local conditioning ceiling, so no basis
+        # holds it: the prior's table is never read where the insertion solves.
+        # Inserting 1.9 solves functions 8 .. 12; the third, 10, fails
         knots = np.concatenate([np.linspace(0.0, 2.0, 11), [9.0, 9.2, 9.4, 9.6]])
-        prior = build_basis(_insert(knots, 5.5), space2)
+        prior = GBSplineBasis(knots, space2, np.zeros((4, 4, len(knots) - 1)))
         with pytest.raises(BasisConstructionError) as scratch:
-            build_basis(knots, space2)
-        with pytest.raises(BasisConstructionError) as reused:
-            build_basis(knots, space2, prior=prior)
-        assert "basis function 0 " not in str(scratch.value)
-        assert str(reused.value) == str(scratch.value)
+            build_basis(_insert(knots, 1.9), space2)
+        with pytest.raises(BasisConstructionError) as spliced:
+            _inserted(prior, 10, 1.9)
+        assert "basis function 10 " in str(scratch.value)
+        assert str(spliced.value) == str(scratch.value)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -286,7 +283,11 @@ class TestPriorReuse:
     )
     # the right extension knot 1 + 1.1e-16 rounds onto 1: a zero-length interval
     @example(gaps=[0.0], alpha_h=1.0, inserts=[0.9999999999999999])
+    # a knot one ulp from the last inserted one
+    @example(gaps=[0.0] * 4, alpha_h=1.0, inserts=[0.375, 0.37500000000000006])
     def test_bitwise_equal_to_scratch_build(self, gaps, alpha_h, inserts):
+        # insertions in sequence, each spliced into the last basis; the first, one
+        # after a failed build and one beside an end (never a greedy's) build from scratch
         knots = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(gaps))])
         space = ExpSpace(alpha_h / np.max(np.diff(knots)))
         prior = None
@@ -294,16 +295,19 @@ class TestPriorReuse:
             x = knots[0] + u * (knots[-1] - knots[0])
             if np.isin(x, knots):
                 continue
-            knots = _insert(knots, x)
+            q = int(np.searchsorted(knots, x))
+            knots = np.insert(knots, q, x)
+            splice = prior is not None and 2 <= q <= len(knots) - 3
             try:
                 scratch = build_basis(knots, space)
             except BasisConstructionError:
-                with pytest.raises(BasisConstructionError):
-                    build_basis(knots, space, prior=prior)
+                if splice:
+                    with pytest.raises(BasisConstructionError):
+                        _inserted(prior, q, x)
+                prior = None
                 continue
-            reused = build_basis(knots, space, prior=prior)
-            assert np.array_equal(reused.table, scratch.table)
-            prior = reused
+            prior = _inserted(prior, q, x) if splice else scratch
+            self.assert_same_basis(prior, scratch)
 
 
 class TestLocalSystems:
@@ -322,15 +326,14 @@ class TestLocalSystems:
     def test_coef_is_the_local_solve_across_gap_ratios(self, log_gaps, log_alpha_h):
         basis = gap_ratio_basis(log_gaps, log_alpha_h)
         self.assert_table_holds_local_solves(basis)
-        # with prior=: built on the knots less one, so the functions around it are
-        # solved; a prior on other ends (the first or last knot dropped) is ignored
-        for drop in {0, basis.n // 2, basis.n - 1} if basis.n > 3 else ():
+        # spliced: the knot at q inserted into the basis on the others, so the
+        # functions around it are solved
+        for q in {2, basis.n // 2, basis.n - 3} if basis.n > 4 else ():
             try:
-                prior = build_basis(np.delete(basis.knots, drop), basis.space)
+                prior = build_basis(np.delete(basis.knots, q), basis.space)
             except BasisConstructionError:
                 continue
-            self.assert_table_holds_local_solves(
-                build_basis(basis.knots, basis.space, prior=prior))
+            self.assert_table_holds_local_solves(_inserted(prior, q, basis.knots[q]))
 
     def test_rank_deficient_message_at_alpha_h_13(self):
         # 11 uniform knots build at alpha * h = 12 and not at 13, where the

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epspline import (DomainError, ExpSpace, SplineError, build_basis, collocation_matrix,
-                      factorize, fit, lebesgue_function, tps_fit)
+from epspline import (BandedMatrix, DomainError, ExpSpace, GreedyConfig, Interpolant,
+                      InvalidInputError, SplineError, build_basis, collocation_matrix, cond2,
+                      f_greedy, factorize, fit, lambda_greedy, lebesgue_function, sparsity,
+                      tps_fit, tps_kernel)
+from epspline.diagnostics import skeel_condition
 from epspline.nodes import equispaced
 
 
@@ -126,3 +129,39 @@ def test_interpolant_near_overflow_is_bounded_or_domain_error():
         except DomainError:
             continue
         assert np.all(np.abs(values) <= 1.01 * 3e305)  # false for NaN and inf too
+
+
+_SPACE = ExpSpace(2.0)
+_BASIS = build_basis(equispaced(5), _SPACE)
+_RAGGED = [[1.0, 2.0], [3.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_basis("abc", _SPACE),
+    lambda: build_basis(np.array([0.0, 1.0, 2.0], dtype=complex), _SPACE),
+    lambda: build_basis([0, 10 ** 400], _SPACE),
+    lambda: fit(_BASIS, [0, 1j, 2, 3, 4]),
+    lambda: _BASIS.active_values("x"),
+    lambda: fit(_BASIS, np.ones(5))(np.array([0.5j])),
+    lambda: lebesgue_function(_BASIS, [[0.1], [0.2, 0.3]]),
+    lambda: lambda_greedy(_RAGGED, GreedyConfig(alpha=2.0)),
+    lambda: f_greedy(equispaced(5), [0, 1, "2", 3, 4], GreedyConfig(alpha=2.0)),
+    lambda: tps_fit([0, "x", 2], [1.0, 2.0, 3.0]),
+    lambda: tps_fit([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])([0.5, 1j]),
+    lambda: cond2(_RAGGED),
+    lambda: sparsity(_RAGGED),
+    lambda: skeel_condition(_RAGGED),
+    lambda: Interpolant(_BASIS, ["a"] * 5),
+    lambda: Interpolant(_BASIS, np.ones(5, dtype=complex)),
+    lambda: BandedMatrix([1.0], ["x", 2.0], [1.0]),
+    lambda: factorize(collocation_matrix(_BASIS)).solve([0, 1j, 2, 3, 4]),
+    lambda: tps_kernel("x"),
+], ids=["str-knots", "complex-knots", "int-beyond-float", "complex-data", "str-point",
+        "complex-point", "ragged-grid", "ragged-candidates", "str-values", "str-centers",
+        "complex-kernel-point", "cond2-ragged", "sparsity-ragged", "skeel-ragged",
+        "str-coefficients", "complex-coefficients", "str-diagonal", "complex-rhs",
+        "str-distance"])
+def test_input_that_is_not_real_numbers_is_invalid_input(call):
+    # strings, complex values and ragged sequences, never a bare numpy ValueError or TypeError
+    with pytest.raises(InvalidInputError, match="must be real numbers"):
+        call()

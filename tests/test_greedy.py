@@ -258,15 +258,13 @@ class TestLambdaGreedy:
 
 
 class TestBasisReuse:
-    """The loop reuses the previous basis; the from-scratch build is the oracle."""
+    """The loop splices each knot into the previous basis; the from-scratch build is the
+    oracle."""
 
     @staticmethod
     def from_scratch(monkeypatch):
-        import epspline.greedy as greedy_mod
-
-        real = greedy_mod.build_basis
-        monkeypatch.setattr(greedy_mod, "build_basis",
-                            lambda knots, space, prior=None: real(knots, space))
+        monkeypatch.setattr(greedy_mod, "_inserted", lambda prior, q, knot: build_basis(
+            np.insert(prior.knots, q, knot), prior.space))
 
     @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton])
     def test_lambda_saturation_unchanged(self, monkeypatch, family):
@@ -300,8 +298,8 @@ def assert_same_as_uncached(cand, config, values=None):
 
 class TestCarriedValues:
     """Both greedies carry each candidate's interval and segment functions across
-    insertions, λ-greedy its basis values too, on a basis built with ``prior``;
-    the oracle builds from scratch and evaluates every candidate again at each
+    insertions, λ-greedy its basis values too, on a basis spliced from the previous
+    one; the oracle builds from scratch and evaluates every candidate again at each
     step."""
 
     @pytest.mark.parametrize("family", [equispaced, chebyshev_lobatto, halton, "jittered"])
